@@ -1,72 +1,59 @@
 """Router-neighbourhood index: bounded shortest-path trees for pruning.
 
-The scale curve's remaining superlinearity (BENCH_scale.json, PR 6) comes
-from per-source *full-row* routing work: every fresh upstream node costs
-one whole-graph Dijkstra plus three O(N) row passes (`_annotated`, the
-bottleneck-bandwidth fold) even though a probing level only ever commits
-to a handful of nearby candidates.  Asaduzzaman & Maheswaran and Benoit
-et al. (PAPERS.md) observe that mapping quality survives when each step
-considers only a resource's *network neighbourhood* — which is exactly
-what :class:`NeighborhoodIndex` materialises:
+Probing scores every candidate through the virtual link from its
+upstream node, so shortest-path-tree work sits under every probe.
+Asaduzzaman & Maheswaran and Benoit et al. (PAPERS.md) observe that
+mapping quality survives when each step considers only a resource's
+*network neighbourhood* — which is what :class:`NeighborhoodIndex`
+materialises: per source, the ``k`` delay-nearest routers (the source
+itself first), in nondecreasing-delay order, with the delay, composed
+loss, arriving tree link and predecessor position of each.  Entries
+are O(k), never O(N), and LRU-bounded
+(``SystemConfig.neighborhood_cache_size``), so resident memory is
+O(cache × k) and :meth:`memory_footprint` attributes it for BENCH_scale.
 
-* per source, a **bounded Dijkstra** over the overlay mesh that stops
-  after ``k`` settled nodes — the ``k`` delay-nearest routers (including
-  the source itself), in settle (= nondecreasing-delay) order, with the
-  composed loss, arriving tree link, and predecessor position of each;
-* maintained **incrementally under churn** through the router's churn
-  listener seam (the same dirty-set reasoning as
-  :mod:`repro.topology.routing`, specialised below);
-* **LRU-bounded** (``SystemConfig.neighborhood_cache_size``): resident
-  memory is O(cache × k) — strictly inside PR 6's O(cache × N) contract —
-  and :meth:`memory_footprint` attributes it for BENCH_scale.
+A cold entry comes from the router's own tree pipeline, in three steps:
 
-Determinism/byte-identity contract: overlay delays are continuous, so
-shortest paths are unique and the bounded tree is a *prefix* of the full
-tree in distance order.  Distance accumulates as ``d(v) = d(u) + w`` —
-float-for-float what scipy's Dijkstra computes — and loss composes per
-tree edge as ``1 − (1 − loss(u))(1 − w)``, the same expression
-:meth:`OverlayRouter._annotated` folds.  Every figure the index answers
-for a member (delay, loss, path links, bottleneck bandwidth) is therefore
-byte-identical to the full router's answer, which is what makes pruned
-candidate scoring decision-identical to the full scan whenever
-``k >= N`` (``tests/test_fastscore_pruned.py``).
+1. :meth:`OverlayRouter.solve_tree` — scipy's C Dijkstra over the live
+   CSR graph (down nodes and down links already removed), O(L + N log N);
+2. :func:`~repro.topology.overlay.k_smallest_stable` — the first ``k``
+   reachable nodes of the stable distance sort, an O(N) partial sort;
+3. :meth:`OverlayRouter.annotate` on that k-prefix — arriving link ids by
+   one searchsorted, loss folded parent-first, O(k log L).
 
-Churn invalidation rules (why they are sufficient):
+The full solve costs more asymptotically than a Dijkstra that stops
+after ``k`` settles, but it runs in C where the stopped search ran one
+Python heap operation at a time, and it is the cheaper of the two at
+every measured N (EXPERIMENTS.md, Scalability).
 
-* **node crash** ``d``: a bounded tree is affected only if ``d`` is one
-  of its members — every relay of a bounded tree is itself settled
-  (a node on the unique shortest path to a settled node settles first),
-  so a non-member crash can neither break a member's path nor shrink any
-  member's distance, and removing a node never brings a new node into
-  the k-nearest set;
-* **node recovery** ``r``: a new path via ``r`` enters it through a
-  neighbour ``x`` whose prefix avoids every recovered node (take the
-  first recovered node along the path), so ``x`` was already reachable
-  at a distance below the current k-th member's — i.e. ``x`` is a
-  member.  Dropping trees whose members touch ``{r} ∪ neighbours(r)``
-  therefore catches every tree the recovery can change;
-* **link failure**: only trees using the link as a *tree edge* (it
-  appears in ``uplink``) can change — removing a non-tree edge cannot
-  reroute a unique shortest path nor admit new members;
-* **link recovery**: a shortcut via the new link enters through one of
-  its endpoints, reachable below the k-th distance by the same
-  first-recovered-edge argument, so dropping trees whose members touch
-  either endpoint suffices.
+Byte-identity contract: overlay delays are positive and continuous, so
+shortest paths are unique, the source is the only node at distance 0,
+and the entry is a prefix of the full tree in (distance, node id) order.
+The router's rows come from the same solve and the same fold, so every
+figure the index answers for a member (delay, loss, path links,
+bottleneck bandwidth) equals the full router's float for float — which
+is what makes pruned candidate scoring decision-identical to the full
+scan whenever ``k >= N`` (``tests/test_fastscore_pruned.py``).  The
+heap-based solver this replaced is kept as an independent oracle in
+``tests/oracles/bounded_dijkstra.py``.
+
+Churn: every effective ``set_down_nodes``/``set_down_links`` bumps
+``router.epoch``, and :meth:`NeighborhoodIndex.entry` re-solves any
+cached entry solved at another epoch.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.model.component_graph import VirtualLinkPath
 from repro.model.lru import LRUDict
-from repro.model.qos import MetricKind, QoSVector
+from repro.model.qos import QoSVector
 from repro.observability import NULL_RECORDER, Recorder
+from repro.topology.overlay import k_smallest_stable
 from repro.topology.routing import OverlayRouter
 
 #: ``SystemConfig.candidate_prune_k`` accepts ``None`` (full scan), the
@@ -140,7 +127,7 @@ class NeighborhoodEntry:
     ) -> None:
         self.source = source
         self.k = k
-        #: router epoch the tree was solved at (churn drops stale entries)
+        #: router epoch the tree was solved at (stale once the epoch moves)
         self.version = version
         self.members = members
         self.delay = delay
@@ -185,7 +172,8 @@ class NeighborhoodEntry:
         return tuple(links)
 
     def nbytes(self) -> int:
-        total = (
+        """Resident bytes of the tree arrays (the cached ``bw_row`` apart)."""
+        return int(
             self.members.nbytes
             + self.members_sorted.nbytes
             + self.sorted_to_pos.nbytes
@@ -194,9 +182,6 @@ class NeighborhoodEntry:
             + self.uplink.nbytes
             + self.parent_pos.nbytes
         )
-        if self.bw_row is not None:
-            total += self.bw_row.nbytes
-        return int(total)
 
 
 class NeighborhoodIndex:
@@ -204,8 +189,8 @@ class NeighborhoodIndex:
 
     Entries are keyed ``(source, k)`` — the widen-retry fallback asks for
     progressively larger neighbourhoods of the same source, and each size
-    is a distinct (cheap, O(k)) entry.  The index registers itself on the
-    router's churn-listener seam; :meth:`close` detaches it.
+    is a distinct (cheap, O(k)) entry.  An entry is valid for the router
+    epoch it was solved at.
     """
 
     def __init__(
@@ -221,64 +206,19 @@ class NeighborhoodIndex:
         self.network = router.network
         self.k = k
         self.recorder = recorder
-        self._closed = False
-        #: bounded trees solved / dropped by churn since construction
-        #: (plain counters so benchmarks need no recorder)
+        #: trees solved, and cached entries rejected at lookup because the
+        #: router epoch moved since their solve (plain counters so
+        #: benchmarks need no recorder)
         self.solves = 0
         self.churn_drops = 0
         self._entries: LRUDict[Tuple[int, int], NeighborhoodEntry] = LRUDict(
             capacity=capacity, on_evict=self._on_evicted
         )
-        # adjacency in plain-python form: tuple iteration beats repeated
-        # numpy indexing in the (python-level) bounded Dijkstra loop.
-        # Built once; links are static, liveness is filtered per solve.
-        # Link delays/losses are python floats (C doubles), so ``d + w``
-        # matches the numpy/scipy float64 accumulation bit-for-bit.
-        neighbors: List[List[Tuple[int, int, float, float]]] = [
-            [] for _ in range(len(self.network))
-        ]
-        loss_index = None
-        if self.network.links:
-            loss_index = next(
-                (
-                    index
-                    for index, kind in enumerate(
-                        self.network.links[0].qos.schema.kinds
-                    )
-                    if kind is MetricKind.MULTIPLICATIVE_LOSS
-                ),
-                None,
-            )
-        for link in self.network.links:
-            loss = (
-                float(link.qos.values[loss_index])
-                if loss_index is not None
-                else 0.0
-            )
-            edge_ab = (link.node_b, link.link_id, link.delay_ms, loss)
-            edge_ba = (link.node_a, link.link_id, link.delay_ms, loss)
-            neighbors[link.node_a].append(edge_ab)
-            neighbors[link.node_b].append(edge_ba)
-        self._neighbors: Tuple[Tuple[Tuple[int, int, float, float], ...], ...] = (
-            tuple(tuple(edges) for edges in neighbors)
-        )
-        # O(N) scratch shared by every solve, reset via the touched list;
-        # plain lists — python-level element access dominates the solve
-        n = len(self.network)
-        self._dist: List[float] = [math.inf] * n
-        self._done: List[bool] = [False] * n
-        self._pred_node: List[int] = [-1] * n
-        self._pred_link: List[int] = [-1] * n
-        router.add_churn_listener(self._on_churn)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the router's churn seam and free all entries."""
-        if self._closed:
-            return
-        self._closed = True
-        self.router.remove_churn_listener(self._on_churn)
+        """Free all entries."""
         self._entries.clear()
 
     @property
@@ -297,23 +237,15 @@ class NeighborhoodIndex:
             self.recorder.inc("neighborhood.evictions")
 
     def memory_footprint(self) -> Dict[str, int]:
-        """Approximate resident bytes per substructure (O(cache × k)
-        entries plus the O(N) solve scratch and O(L) adjacency)."""
-        entries = sum(entry.nbytes() for _, entry in self._entries.items())
-        scratch = int(
-            sys.getsizeof(self._dist)
-            + sys.getsizeof(self._done)
-            + sys.getsizeof(self._pred_node)
-            + sys.getsizeof(self._pred_link)
-        )
-        adjacency = sys.getsizeof(self._neighbors)
-        for edges in self._neighbors:
-            adjacency += sys.getsizeof(edges)
-        footprint = {
-            "entries": int(entries),
-            "scratch": scratch,
-            "adjacency": int(adjacency),
-        }
+        """Resident bytes of the cached entries (O(cache × k)): their tree
+        arrays, and the stale bandwidth rows cached on them."""
+        entries = 0
+        bandwidth_rows = 0
+        for _, entry in self._entries.items():
+            entries += entry.nbytes()
+            if entry.bw_row is not None:
+                bandwidth_rows += int(entry.bw_row.nbytes)
+        footprint = {"entries": entries, "bandwidth_rows": bandwidth_rows}
         footprint["total"] = sum(footprint.values())
         return footprint
 
@@ -325,10 +257,14 @@ class NeighborhoodIndex:
         size = self.k if k is None else k
         key = (source, size)
         entry = self._entries.get(key)
-        if entry is not None and entry.version == self.router.epoch:
+        if entry is not None:
+            if entry.version == self.router.epoch:
+                if self.recorder.enabled:
+                    self.recorder.inc("neighborhood.hit")
+                return entry
+            self.churn_drops += 1
             if self.recorder.enabled:
-                self.recorder.inc("neighborhood.hit")
-            return entry
+                self.recorder.inc("neighborhood.churn_drops")
         entry = self._solve(source, size)
         self._entries[key] = entry
         self.solves += 1
@@ -337,146 +273,25 @@ class NeighborhoodIndex:
         return entry
 
     def _solve(self, source: int, k: int) -> NeighborhoodEntry:
-        """Bounded Dijkstra: settle at most ``k`` nodes (source included).
-
-        Mirrors the router's matrix semantics exactly: links adjacent to a
-        down node are skipped, and so are down links.  ``d(v) = d(u) + w``
-        accumulation and per-edge raw-space loss composition reproduce the
-        full solver's floats bit-for-bit on the unique shortest paths.
-        """
+        """The first ``k`` reachable nodes of the router's tree for
+        ``source``, annotated (see the module docstring)."""
         router = self.router
-        down_nodes = router.down_nodes
-        down_links = router.down_links
-        filtered = bool(down_nodes) or bool(down_links)
-        dist = self._dist
-        done = self._done
-        pred_node = self._pred_node
-        pred_link = self._pred_link
-        neighbors = self._neighbors
-        infinity = math.inf
-        touched: List[int] = [source]
-
-        members: List[int] = []
-        delay: List[float] = []
-        loss: List[float] = []
-        uplink: List[int] = []
-        parent_pos: List[int] = []
-        position_of: Dict[int, int] = {}
-        loss_at: Dict[int, float] = {}
-        edge_loss_of: Dict[int, float] = {}
-
-        source_down = source in down_nodes
-        dist[source] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        while heap and len(members) < k:
-            d, node = heappop(heap)
-            if done[node]:
-                continue
-            done[node] = True
-            position = len(members)
-            position_of[node] = position
-            members.append(node)
-            delay.append(d)
-            if node == source:
-                node_loss = 0.0
-                uplink.append(-1)
-                parent_pos.append(-1)
-            else:
-                parent = pred_node[node]
-                link_id = pred_link[node]
-                node_loss = 1.0 - (1.0 - loss_at[parent]) * (
-                    1.0 - edge_loss_of[node]
-                )
-                uplink.append(link_id)
-                parent_pos.append(position_of[parent])
-            loss_at[node] = node_loss
-            loss.append(node_loss)
-            if source_down:
-                break  # a crashed source relays nothing (matrix drops its links)
-            for other, link_id, weight, edge_loss in neighbors[node]:
-                if done[other]:
-                    continue
-                if filtered and (link_id in down_links or other in down_nodes):
-                    continue
-                through = d + weight
-                if through < dist[other]:
-                    if dist[other] == infinity:
-                        touched.append(other)
-                    dist[other] = through
-                    pred_node[other] = node
-                    pred_link[other] = link_id
-                    edge_loss_of[other] = edge_loss
-                    heappush(heap, (through, other))
-
-        for node in touched:
-            dist[node] = infinity
-            done[node] = False
-            pred_node[node] = -1
-            pred_link[node] = -1
-
+        distances, predecessors = router.solve_tree(source)
+        members = k_smallest_stable(distances, k)
+        members = members[np.isfinite(distances[members])]
+        parents, links, loss = router.annotate(predecessors, members[1:])
+        position_of = np.empty(len(distances), dtype=np.int64)
+        position_of[members] = np.arange(len(members))
         return NeighborhoodEntry(
             source,
             k,
             router.epoch,
-            np.asarray(members, dtype=np.int64),
-            np.asarray(delay, dtype=np.float64),
-            np.asarray(loss, dtype=np.float64),
-            np.asarray(uplink, dtype=np.int64),
-            np.asarray(parent_pos, dtype=np.int64),
+            members,
+            distances[members],
+            np.array([0.0] + loss),
+            np.concatenate(([-1], links)),
+            np.concatenate(([-1], position_of[parents])),
         )
-
-    # -- churn maintenance -------------------------------------------------
-
-    def _on_churn(
-        self,
-        newly_down_nodes: frozenset,
-        newly_up_nodes: frozenset,
-        newly_down_links: frozenset,
-        newly_up_links: frozenset,
-    ) -> None:
-        """Drop exactly the bounded trees the churn event can affect (see
-        the module docstring for why these tests are sufficient)."""
-        probe_nodes = set(newly_down_nodes)
-        for recovered in sorted(newly_up_nodes):
-            probe_nodes.add(recovered)
-            probe_nodes.update(self.network.neighbors(recovered))
-        for link_id in sorted(newly_up_links):
-            link = self.network.link(link_id)
-            probe_nodes.add(link.node_a)
-            probe_nodes.add(link.node_b)
-        probe = (
-            np.fromiter(sorted(probe_nodes), dtype=np.int64, count=len(probe_nodes))
-            if probe_nodes
-            else None
-        )
-        failed = (
-            np.fromiter(
-                sorted(newly_down_links),
-                dtype=np.int64,
-                count=len(newly_down_links),
-            )
-            if newly_down_links
-            else None
-        )
-        if probe is None and failed is None:
-            return
-        dropped = 0
-        # repro-lint: disable=DET103 -- LRUDict.keys() is a list snapshot in deterministic recency order, not hash order
-        for key in self._entries.keys():
-            entry = self._entries.peek(key)
-            if entry is None:  # pragma: no cover - snapshot, no concurrent evict
-                continue
-            affected = False
-            if probe is not None:
-                affected = bool((entry.positions(probe) >= 0).any())
-            if not affected and failed is not None:
-                affected = bool(np.isin(entry.uplink, failed).any())
-            if affected:
-                self._entries.pop(key)
-                dropped += 1
-        self.churn_drops += dropped
-        if dropped and self.recorder.enabled:
-            self.recorder.inc("neighborhood.churn_drops", dropped)
 
     # -- queries -----------------------------------------------------------
 
@@ -493,15 +308,14 @@ class NeighborhoodIndex:
         """
         if entry.bw_row is not None and entry.bw_link_version == link_version:
             return entry.bw_row
-        count = len(entry.members)
-        row = np.empty(count)
-        row[0] = np.inf
-        uplink = entry.uplink
-        parent_pos = entry.parent_pos
-        for position in range(1, count):
-            upstream = row[parent_pos[position]]
-            value = link_available_kbps[uplink[position]]
-            row[position] = value if value < upstream else upstream
+        fold = [math.inf]
+        for parent, value in zip(
+            entry.parent_pos[1:].tolist(),
+            link_available_kbps[entry.uplink[1:]].tolist(),
+        ):
+            upstream = fold[parent]
+            fold.append(value if value < upstream else upstream)
+        row = np.array(fold)
         entry.bw_row = row
         entry.bw_link_version = link_version
         return row

@@ -34,6 +34,11 @@ exactly like a link adjacent to a down endpoint:
   its endpoints, so it drops the trees whose reachable set touches either
   endpoint.
 
+Every tree, cached here or bounded in :mod:`repro.topology.neighborhood`,
+comes from one pipeline: :meth:`solve_tree` (scipy's C Dijkstra) and
+:meth:`annotate` (arriving link ids through a sorted pair-key array, loss
+folded parent-first), so both answer the same floats.
+
 Each tree carries a **row version** (the topology epoch it was solved at);
 derived caches (``repro.core.fastscore``) key per-source state on
 :meth:`row_version` so a churn event rebuilds only the affected columns.
@@ -58,9 +63,10 @@ both choices are optimal.
 
 from __future__ import annotations
 
+import math
 import sys
 from types import TracebackType
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -78,16 +84,6 @@ from repro.topology.overlay import OverlayLink, OverlayNetwork
 #: cost 16·N² bytes — ~64 MB at 2k nodes, ~1.6 GB at 10k — for a mode that
 #: exists only as a small-scale measurement baseline.
 EAGER_ALLPAIRS_MAX_NODES = 2048
-
-#: Signature of router churn listeners:
-#: ``listener(newly_down_nodes, newly_up_nodes, newly_down_links,
-#: newly_up_links)`` — invoked once per effective :meth:`set_down_nodes`
-#: / :meth:`set_down_links` change (node events carry empty link sets and
-#: vice versa), *after* the router has updated its own state.  Derived
-#: per-source caches (``repro.topology.neighborhood``) hang their own
-#: dirty-set invalidation off this seam instead of polling epochs.
-ChurnListener = Callable[[frozenset, frozenset, frozenset, frozenset], None]
-
 
 class RoutingError(RuntimeError):
     """Raised when no overlay path exists between two nodes."""
@@ -202,7 +198,7 @@ class OverlayRouter:
             MetricKind.ADDITIVE,
             MetricKind.MULTIPLICATIVE_LOSS,
         )
-        self._loss_index = next(
+        loss_index = next(
             (
                 index
                 for index, kind in enumerate(schema.kinds)
@@ -222,6 +218,25 @@ class OverlayRouter:
         self._link_delay = np.fromiter(
             (link.delay_ms for link in links), dtype=np.float64, count=count
         )
+        self._link_loss = np.fromiter(
+            (
+                link.qos.values[loss_index] if loss_index is not None else 0.0
+                for link in links
+            ),
+            dtype=np.float64,
+            count=count,
+        )
+        # tree edge (parent, node) -> link id: one searchsorted over the
+        # sorted keys parent·N + node, both directions of every link
+        n = len(network)
+        pair_key = np.concatenate(
+            (self._link_a * n + self._link_b, self._link_b * n + self._link_a)
+        )
+        by_key = np.argsort(pair_key)
+        self._pair_key = pair_key[by_key]
+        self._pair_link = np.concatenate(
+            (np.arange(count, dtype=np.int64),) * 2
+        )[by_key]
         # live residual bandwidth, maintained O(1) per allocation so the
         # bottleneck queries never re-read every link object
         self._link_available = np.fromiter(
@@ -229,7 +244,6 @@ class OverlayRouter:
         )
         for link in links:
             link.add_change_listener(self._on_link_bandwidth)
-        self._churn_listeners: List[ChurnListener] = []
 
         self._all_distances: Optional[np.ndarray] = None
         self._all_predecessors: Optional[np.ndarray] = None
@@ -252,29 +266,6 @@ class OverlayRouter:
         identical floats.
         """
         return self._link_available
-
-    def add_churn_listener(self, listener: ChurnListener) -> None:
-        """Register a churn listener (see :data:`ChurnListener`)."""
-        self._churn_listeners.append(listener)
-
-    def remove_churn_listener(self, listener: ChurnListener) -> None:
-        """Unregister a churn listener (no-op when absent)."""
-        try:
-            self._churn_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_churn(
-        self,
-        newly_down_nodes: frozenset,
-        newly_up_nodes: frozenset,
-        newly_down_links: frozenset,
-        newly_up_links: frozenset,
-    ) -> None:
-        for listener in self._churn_listeners:
-            listener(
-                newly_down_nodes, newly_up_nodes, newly_down_links, newly_up_links
-            )
 
     @property
     def tree_cache_capacity(self) -> Optional[int]:
@@ -313,7 +304,6 @@ class OverlayRouter:
         self._closed = True
         for link in self.network.links:
             link.remove_change_listener(self._on_link_bandwidth)
-        self._churn_listeners.clear()
         self._trees.clear()
         self._path_cache.clear()
         self._qos_cache.clear()
@@ -344,7 +334,10 @@ class OverlayRouter:
             self._link_a.nbytes
             + self._link_b.nbytes
             + self._link_delay.nbytes
+            + self._link_loss.nbytes
             + self._link_available.nbytes
+            + self._pair_key.nbytes
+            + self._pair_link.nbytes
         )
         path_cache = sys.getsizeof(self._path_cache)
         for per_source in self._path_cache.values():
@@ -425,11 +418,50 @@ class OverlayRouter:
                 f"this router's limit {self._eager_max_nodes})."
             )
         self._all_distances, self._all_predecessors = dijkstra(
-            self._matrix, directed=False, return_predecessors=True
+            self._matrix, directed=True, return_predecessors=True
         )
         self._trees.clear()
         self._path_cache.clear()
         self._qos_cache.clear()
+
+    def solve_tree(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Uncached shortest-path tree of ``source`` on the live graph:
+        ``(distances, predecessors)`` over every node.
+
+        The CSR graph already holds both directions of every live link,
+        so a directed solve equals the undirected one and skips the
+        transpose scipy builds for ``directed=False``.
+        """
+        distances, predecessors = dijkstra(
+            self._matrix, directed=True, indices=source, return_predecessors=True
+        )
+        return distances, predecessors
+
+    def annotate(
+        self, predecessors: np.ndarray, nodes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, List[float]]:
+        """Parent, arriving link id and composed loss of tree nodes.
+
+        ``nodes`` are reachable non-source nodes of one tree in settle
+        (nondecreasing-distance) order, so each parent is folded before
+        its children.  Loss composes per tree edge as
+        ``1 − (1 − loss(parent))(1 − loss(edge))`` from 0 at the source,
+        in raw space, the same float operations in the same order along
+        every path.
+        """
+        parents = predecessors[nodes].astype(np.int64)
+        links = self._pair_link[
+            np.searchsorted(self._pair_key, parents * len(self.network) + nodes)
+        ]
+        loss_at = [0.0] * len(self.network)
+        loss: List[float] = []
+        for node, parent, edge_loss in zip(
+            nodes.tolist(), parents.tolist(), self._link_loss[links].tolist()
+        ):
+            value = 1.0 - (1.0 - loss_at[parent]) * (1.0 - edge_loss)
+            loss_at[node] = value
+            loss.append(value)
+        return parents, links, loss
 
     def _tree(self, source: int) -> _SourceTree:
         tree = self._trees.get(source)
@@ -437,12 +469,7 @@ class OverlayRouter:
             if self.recorder.enabled:
                 self.recorder.inc("router.tree_solve")
             if self._incremental:
-                distances, predecessors = dijkstra(
-                    self._matrix,
-                    directed=False,
-                    indices=source,
-                    return_predecessors=True,
-                )
+                distances, predecessors = self.solve_tree(source)
             else:
                 assert self._all_distances is not None
                 assert self._all_predecessors is not None
@@ -459,32 +486,18 @@ class OverlayRouter:
         tree = self._tree(source)
         if tree.order is not None:
             return tree
-        network = self.network
-        distances = tree.distances
-        n = len(network)
-        loss_row = np.zeros(n)
+        n = len(self.network)
+        # infinities sort last, so the reachable nodes are a prefix
+        order = np.argsort(tree.distances, kind="stable")[
+            : np.count_nonzero(tree.finite)
+        ]
+        order = order[order != source]
+        _, links, loss = self.annotate(tree.predecessors, order)
         uplink = np.full(n, -1, dtype=np.int64)
-        order = []
-        loss_index = self._loss_index
-        for destination in np.argsort(distances, kind="stable"):
-            destination = int(destination)
-            if destination == tree.source:
-                continue
-            if not np.isfinite(distances[destination]):
-                break  # infinities sort last: the rest are unreachable too
-            previous = int(tree.predecessors[destination])
-            link = network.link_between(previous, destination)
-            if link is None:  # pragma: no cover - predecessor matrix guarantees it
-                raise RoutingError(
-                    f"routing inconsistency between v{previous} and v{destination}"
-                )
-            link_loss = link.qos.values[loss_index] if loss_index is not None else 0.0
-            loss_row[destination] = 1.0 - (1.0 - loss_row[previous]) * (
-                1.0 - link_loss
-            )
-            uplink[destination] = link.link_id
-            order.append(destination)
-        tree.order = np.asarray(order, dtype=np.int64)
+        uplink[order] = links
+        loss_row = np.zeros(n)
+        loss_row[order] = loss
+        tree.order = order
         tree.uplink = uplink
         loss_row.setflags(write=False)
         tree.loss_row = loss_row
@@ -548,7 +561,6 @@ class OverlayRouter:
                     patched_trees=0,
                     eager=True,
                 )
-            self._notify_churn(newly_down, newly_up, frozenset(), frozenset())
             return
 
         changed_roots = newly_down | newly_up
@@ -612,7 +624,6 @@ class OverlayRouter:
                 patched_trees=patched,
                 eager=False,
             )
-        self._notify_churn(newly_down, newly_up, frozenset(), frozenset())
 
     @property
     def down_links(self) -> frozenset:
@@ -658,7 +669,6 @@ class OverlayRouter:
                     dropped_trees=dropped,
                     eager=True,
                 )
-            self._notify_churn(frozenset(), frozenset(), newly_down, newly_up)
             return
 
         failed = (
@@ -709,7 +719,6 @@ class OverlayRouter:
                 dropped_trees=dropped,
                 eager=False,
             )
-        self._notify_churn(frozenset(), frozenset(), newly_down, newly_up)
 
     def row_version(self, source: int) -> int:
         """Version of ``source``'s routing rows (the topology epoch its
@@ -837,18 +846,18 @@ class OverlayRouter:
             if link_available_kbps is None
             else link_available_kbps
         )
-        row = np.full(len(self.network), -np.inf)
-        row[source] = np.inf
-        uplink = tree.uplink
-        predecessors = tree.predecessors
-        for destination in tree.order.tolist():
-            link_id = uplink[destination]
-            if link_id < 0:  # patched (crashed) leaf
-                continue
-            upstream = row[predecessors[destination]]
-            value = values[link_id]
+        order = tree.order
+        links = tree.uplink[order]
+        # a patched (crashed) leaf has no link and stays unreachable
+        link_values = np.where(links >= 0, values[links], -np.inf)
+        row = [-math.inf] * len(self.network)
+        row[source] = math.inf
+        for destination, parent, value in zip(
+            order.tolist(), tree.predecessors[order].tolist(), link_values.tolist()
+        ):
+            upstream = row[parent]
             row[destination] = value if value < upstream else upstream
-        return row
+        return np.array(row)
 
     def available_bandwidth(self, node_a: int, node_b: int) -> float:
         """Current bottleneck bandwidth of the virtual link (live values).

@@ -1,20 +1,26 @@
-"""Router-neighbourhood index: byte-identity to the full router, churn
-maintenance, LRU bounding, and the prune-spec resolver.
+"""Router-neighbourhood index: byte-identity to the full router and to
+an independent heap solver, churn, LRU bounding, and the prune-spec
+resolver.
 
 The index's whole value proposition is that for *members* of a source's
 bounded tree, every figure it answers — delay, composed loss, path links,
 bottleneck bandwidth — is byte-identical to the full
 :class:`~repro.topology.routing.OverlayRouter` answer (module docstring
 of :mod:`repro.topology.neighborhood` argues why; these tests check it
-exactly, ``==`` on floats).  Churn tests are differential: after an
-arbitrary fault/recovery sequence the incrementally maintained index must
-answer identically to an index built fresh against the same router.
+exactly, ``==`` on floats).  The index and the router share one tree
+solve, so those checks alone would be circular: the oracle differential
+compares every entry array with the heap-based bounded Dijkstra in
+``tests/oracles/bounded_dijkstra.py``, which shares no code with either.
+Churn tests are differential: after an arbitrary fault/recovery sequence
+the index must answer identically to an index built fresh against the
+same router.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.topology.neighborhood import (
     AUTO_PRUNE_FLOOR,
@@ -22,6 +28,7 @@ from repro.topology.neighborhood import (
     resolve_prune_k,
 )
 from repro.topology.routing import OverlayRouter
+from tests.oracles.bounded_dijkstra import bounded_dijkstra
 from tests.test_routing_differential import random_mesh
 
 
@@ -133,10 +140,61 @@ class TestBoundedTreeIdentity:
             index.close()
 
 
+class TestOracleDifferential:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_nodes=st.integers(min_value=2, max_value=30),
+        extra_edges=st.integers(min_value=0, max_value=40),
+        down_share=st.floats(min_value=0.0, max_value=0.4),
+        link_share=st.floats(min_value=0.0, max_value=0.4),
+        size=st.sampled_from(["one", "small", "all"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_entries_match_heap_solver(
+        self, seed, num_nodes, extra_edges, down_share, link_share, size
+    ):
+        """Every entry array equals the independent heap solver's, under
+        random down nodes (crashed sources included) and down links."""
+        spanning = num_nodes - 1
+        extra_edges = min(extra_edges, num_nodes * spanning // 2 - spanning)
+        network = random_mesh(seed, num_nodes, extra_edges, loss_range=(0.0, 0.2))
+        rng = random.Random(seed)
+        down_nodes = {v for v in range(num_nodes) if rng.random() < down_share}
+        down_links = {
+            link.link_id for link in network.links if rng.random() < link_share
+        }
+        k = {
+            "one": 1,
+            "small": rng.randint(2, 8),
+            "all": num_nodes + rng.randint(0, 5),
+        }[size]
+        with OverlayRouter(network) as router:
+            router.set_down_nodes(down_nodes)
+            router.set_down_links(down_links)
+            index = NeighborhoodIndex(router, k=k)
+            for source in range(num_nodes):
+                entry = index.entry(source)
+                want = bounded_dijkstra(network, source, k, down_nodes, down_links)
+                got = (entry.members, entry.delay, entry.loss, entry.uplink,
+                       entry.parent_pos)
+                for name, a, b in zip(
+                    ("members", "delay", "loss", "uplink", "parent_pos"), got, want
+                ):
+                    assert np.array_equal(a, b), (name, source, a, b)
+                if size == "all":
+                    # the full router's rows over every reachable node
+                    members, delay, loss, _, _ = want
+                    delay_row, loss_row = router.virtual_link_rows(source)
+                    assert np.array_equal(delay_row[members], delay)
+                    assert np.array_equal(loss_row[members], loss)
+                    assert np.count_nonzero(np.isfinite(delay_row)) == len(members)
+            index.close()
+
+
 class TestChurnMaintenance:
     def test_differential_under_random_churn(self):
-        """After arbitrary node/link churn, the listener-maintained index
-        answers exactly like one built fresh against the same router."""
+        """After arbitrary node/link churn, the cached index answers
+        exactly like one built fresh against the same router."""
         network = random_mesh(13, num_nodes=22, extra_edges=26)
         rng = random.Random(31)
         with OverlayRouter(network) as router:
@@ -169,6 +227,17 @@ class TestChurnMaintenance:
             assert index.churn_drops > 0
             index.close()
 
+    def test_stale_entry_is_counted_and_resolved(self):
+        network = random_mesh(2, num_nodes=10, extra_edges=8)
+        with OverlayRouter(network) as router:
+            index = NeighborhoodIndex(router, k=5)
+            first = index.entry(0)
+            assert index.entry(0) is first
+            router.set_down_links({network.links[0].link_id})
+            assert index.entry(0) is not first
+            assert (index.solves, index.churn_drops) == (2, 1)
+            index.close()
+
     def test_crashed_source_yields_singleton_entry(self):
         network = random_mesh(2, num_nodes=10, extra_edges=8)
         with OverlayRouter(network) as router:
@@ -177,23 +246,6 @@ class TestChurnMaintenance:
             entry = index.entry(3)
             assert entry.members.tolist() == [3]
             index.close()
-
-    def test_close_detaches_churn_listener(self):
-        network = random_mesh(2, num_nodes=10, extra_edges=8)
-        with OverlayRouter(network) as router:
-            baseline = len(router._churn_listeners)
-            index = NeighborhoodIndex(router, k=5)
-            assert len(router._churn_listeners) == baseline + 1
-            index.close()
-            index.close()  # idempotent
-            assert len(router._churn_listeners) == baseline
-
-    def test_router_close_clears_listeners(self):
-        network = random_mesh(2, num_nodes=10, extra_edges=8)
-        router = OverlayRouter(network)
-        NeighborhoodIndex(router, k=5)
-        router.close()
-        assert router._churn_listeners == []
 
 
 class TestBounding:
@@ -220,8 +272,14 @@ class TestBounding:
             for source in range(10):
                 index.entry(source)
             loaded = index.memory_footprint()
-            assert set(loaded) == {"entries", "scratch", "adjacency", "total"}
-            assert loaded["entries"] > empty["entries"]
+            assert set(loaded) == {"entries", "bandwidth_rows", "total"}
+            assert empty["total"] == 0
+            assert loaded["entries"] > 0
+            assert loaded["bandwidth_rows"] == 0
+            stale = np.ones(len(network.links))
+            index.stale_bottleneck_row(index.entry(0), stale, link_version=1)
+            rows = index.memory_footprint()["bandwidth_rows"]
+            assert rows == 6 * 8
             assert loaded["total"] == sum(
                 v for k, v in loaded.items() if k != "total"
             )

@@ -18,8 +18,10 @@ from repro.topology.routing import OverlayRouter
 from tests.conftest import rv
 
 
-def random_mesh(seed: int, num_nodes: int = 12, extra_edges: int = 10):
-    """A connected random overlay with random delays."""
+def random_mesh(seed: int, num_nodes: int = 12, extra_edges: int = 10,
+                loss_range=None):
+    """A connected random overlay with random delays, and random loss
+    rates drawn from ``loss_range`` when given (0.001 everywhere else)."""
     rng = random.Random(seed)
     nodes = [Node(i, i, rv(10, 10)) for i in range(num_nodes)]
     pairs = set()
@@ -34,7 +36,8 @@ def random_mesh(seed: int, num_nodes: int = 12, extra_edges: int = 10):
         if a != b:
             pairs.add((min(a, b), max(a, b)))
     links = [
-        OverlayLink(i, a, b, delay_ms=rng.uniform(1.0, 50.0), loss_rate=0.001,
+        OverlayLink(i, a, b, delay_ms=rng.uniform(1.0, 50.0),
+                    loss_rate=rng.uniform(*loss_range) if loss_range else 0.001,
                     capacity_kbps=10_000.0)
         for i, (a, b) in enumerate(sorted(pairs))
     ]
