@@ -27,7 +27,7 @@ from repro.core.prober import (
     HopSelectionPolicy,
     ProbingComposer,
 )
-from repro.core.tuning import ProbingRatioTuner
+from repro.core.tuning import RatioTuner
 
 
 class ACPComposer(ProbingComposer):
@@ -39,7 +39,7 @@ class ACPComposer(ProbingComposer):
         self,
         context: CompositionContext,
         probing_ratio: float = 0.3,
-        tuner: Optional[ProbingRatioTuner] = None,
+        tuner: Optional[RatioTuner] = None,
         vectorized: bool = True,
     ) -> None:
         super().__init__(
@@ -55,7 +55,7 @@ class ACPComposer(ProbingComposer):
         if tuner is not None:
             self.attach_tuner(tuner)
 
-    def attach_tuner(self, tuner: ProbingRatioTuner) -> None:
+    def attach_tuner(self, tuner: RatioTuner) -> None:
         """Drive the probing ratio from an adaptive tuner (Section 3.4)."""
         self.tuner = tuner
         self._ratio_provider = tuner.current_ratio

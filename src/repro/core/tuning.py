@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.observability import NULL_RECORDER, Recorder
 
@@ -41,6 +41,20 @@ def _snap_to_grid(value: float, grid: float) -> float:
     """Round ``value`` to the tuning grid, guarding float error."""
     steps = round(value / grid)
     return round(steps * grid, 10)
+
+
+class RatioTuner(Protocol):
+    """What the composer and the simulator need from a probing-ratio tuner.
+
+    :class:`ProbingRatioTuner` and
+    :class:`~repro.core.tuning_pid.PIDRatioTuner` both satisfy it.
+    """
+
+    recorder: Recorder
+
+    def current_ratio(self) -> float: ...
+
+    def record_sample(self, success_rate: float, time: float = 0.0) -> float: ...
 
 
 @dataclass

@@ -15,9 +15,11 @@ integral term is anti-windup-clamped so that an unreachable target (error
 permanently positive at α = max) cannot poison later convergence.
 
 The class is signature-compatible with :class:`ProbingRatioTuner` where it
-matters (``current_ratio`` / ``record_sample`` / ``samples``), so it can
-drive :class:`~repro.core.acp.ACPComposer` through the same
-``attach_tuner`` hook and be compared head-to-head in the tuner ablation.
+matters (``current_ratio`` / ``record_sample`` / ``samples`` / ``recorder``,
+the :class:`~repro.core.tuning.RatioTuner` protocol), so it can drive
+:class:`~repro.core.acp.ACPComposer` through the same ``attach_tuner`` hook
+and the simulator's sampling loop, and be compared head-to-head in the
+tuner ablation.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.tuning import TunerSample
+from repro.observability import NULL_RECORDER, Recorder
 
 
 class PIDRatioTuner:
@@ -39,6 +42,7 @@ class PIDRatioTuner:
         base_ratio: float = 0.1,
         max_ratio: float = 1.0,
         integral_limit: float = 1.0,
+        recorder: Recorder = NULL_RECORDER,
     ) -> None:
         if not 0.0 < target_success_rate <= 1.0:
             raise ValueError(f"target must be in (0, 1], got {target_success_rate}")
@@ -56,6 +60,7 @@ class PIDRatioTuner:
         self.base_ratio = base_ratio
         self.max_ratio = max_ratio
         self.integral_limit = integral_limit
+        self.recorder = recorder
         self._ratio = base_ratio
         self._integral = 0.0
         self._previous_error = 0.0
@@ -89,6 +94,7 @@ class PIDRatioTuner:
 
         self._samples.append(TunerSample(time, self._ratio, success_rate, False))
         adjustment = self.kp * error + self.ki * self._integral + self.kd * derivative
+        previous_ratio = self._ratio
         self._ratio = max(
             self.base_ratio, min(self.max_ratio, self._ratio + adjustment)
         )
@@ -96,6 +102,16 @@ class PIDRatioTuner:
         # regime change is tracked immediately
         if self._ratio in (self.base_ratio, self.max_ratio):
             self._integral *= 0.5
+        if self.recorder.enabled:
+            self.recorder.emit(
+                "tuner.decision",
+                time=time,
+                ratio=previous_ratio,
+                measured=success_rate,
+                predicted=None,
+                reprofiled=False,
+                new_ratio=self._ratio,
+            )
         return self._ratio
 
     # -- diagnostics ----------------------------------------------------------

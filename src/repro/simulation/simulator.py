@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.core.acp import ACPComposer
 from repro.core.composer import Composer
-from repro.core.tuning import ProbingRatioTuner
+from repro.core.tuning import RatioTuner
 from repro.middleware.migration import LiveSessionMigrationManager
 from repro.middleware.session import RecoveryPolicy, SessionManager
 from repro.observability import NULL_RECORDER, Recorder
@@ -42,7 +42,7 @@ class StreamProcessingSimulator:
         composer: Composer,
         workload: WorkloadSource,
         sampling_period_s: float = 300.0,
-        tuner: Optional[ProbingRatioTuner] = None,
+        tuner: Optional[RatioTuner] = None,
         migration: Optional[ComponentMigrationManager] = None,
         failures: Optional[FailureInjector] = None,
         recorder: Optional[Recorder] = None,

@@ -86,6 +86,44 @@ class TestPIDRatioTuner:
         tuner.record_sample(0.2)
         assert composer.current_probing_ratio() == tuner.current_ratio()
 
+    def test_drives_simulation(self):
+        """The simulator wires its recorder into the tuner it is given;
+        a PID tuner must take that wiring and then steer α every window."""
+        from repro.observability import TraceRecorder
+        from repro.simulation import (
+            QOS_LEVELS,
+            RateSchedule,
+            StreamProcessingSimulator,
+            WorkloadGenerator,
+        )
+
+        system = build_small_system(seed=4, num_nodes=12)
+        workload = WorkloadGenerator(
+            system.templates,
+            RateSchedule.constant(20.0),
+            qos_level=QOS_LEVELS["normal"],
+            num_client_routers=system.config.num_routers,
+            seed=54,
+        )
+        composer = ACPComposer(
+            system.composition_context(rng=random.Random(4)), probing_ratio=0.5
+        )
+        tuner = PIDRatioTuner(target_success_rate=0.9)
+        recorder = TraceRecorder()
+        simulator = StreamProcessingSimulator(
+            system, composer, workload, sampling_period_s=300.0,
+            tuner=tuner, recorder=recorder,
+        )
+        assert tuner.recorder is recorder
+        report = simulator.run(900.0)
+        assert report.total_requests > 0
+        assert len(tuner.samples) > 0
+        decisions = recorder.events_of("tuner.decision")
+        assert [(e.time, e.fields["ratio"]) for e in decisions] == [
+            (s.time, s.ratio) for s in tuner.samples
+        ]
+        assert decisions[-1].fields["new_ratio"] == tuner.current_ratio()
+
     def test_reset(self):
         tuner = PIDRatioTuner()
         tuner.record_sample(0.1)
