@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test lint check docs-seeds bench bench-micro bench-macro bench-faults bench-scale bench-scale-smoke bench-population bench-population-smoke bench-migration bench-migration-smoke trace-demo
+.PHONY: test lint check docs-seeds bench bench-micro bench-faults bench-scale bench-scale-smoke bench-population bench-population-smoke bench-migration bench-migration-smoke trace-demo
 
 test:
 	$(PYTEST) -x -q tests
@@ -38,9 +38,8 @@ lint:
 	fi
 
 # Statistical micro-benchmarks of the per-request hot operations.  Medians
-# land in benchmarks/results/BENCH_micro.json (operation -> seconds); the
-# vectorised-scoring speedup is test_acp_compose_latency_scalar divided by
-# test_acp_compose_latency.  The observability overhead guard rides along:
+# land in benchmarks/results/BENCH_micro.json (operation -> seconds).  The
+# observability overhead guard rides along:
 # it proves the disabled-trace path costs <= 5% of a compose
 # (benchmarks/results/BENCH_observability.json).
 bench-micro:
@@ -55,14 +54,6 @@ trace-demo:
 		--adaptive --duration 900 \
 		--trace-out benchmarks/results/trace_demo.jsonl
 	PYTHONPATH=src python -m repro.cli trace-summary benchmarks/results/trace_demo.jsonl
-
-# Macro churn benchmark: one Fig. 8-style simulation (dynamic load +
-# stochastic failures) timed with eager vs incremental routing.  Timings
-# land in benchmarks/results/BENCH_macro.json; the run asserts the two
-# modes make identical decisions and that incremental is >= 2x faster.
-bench-macro:
-	$(PYTEST) -q -s benchmarks/test_macro_churn.py
-	@echo "timings: benchmarks/results/BENCH_macro.json"
 
 # Scale curve: compose p50/p99, overlay build time, and per-subsystem
 # memory at N in {600, 2k, 5k, 10k, 50k} overlay nodes under the bounded

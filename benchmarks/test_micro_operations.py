@@ -72,21 +72,6 @@ def test_acp_compose_latency(benchmark, system, context):
     assert outcome.success
 
 
-def test_acp_compose_latency_scalar(benchmark, system, context):
-    """The scalar reference path of the same composition — its ratio to
-    ``test_acp_compose_latency`` is the vectorised-scoring speedup."""
-    composer = ACPComposer(context, probing_ratio=0.3, vectorized=False)
-    request = request_for(system)
-
-    def compose():
-        outcome = composer.compose(request)
-        context.allocator.cancel_transient(request.request_id)
-        return outcome
-
-    outcome = benchmark(compose)
-    assert outcome.success
-
-
 def test_optimal_compose_latency(benchmark, system, context):
     composer = OptimalComposer(context, max_explored=5000)
     request = request_for(system, request_id=1)

@@ -16,9 +16,7 @@ budget quote these numbers.
 
 The run also asserts the guarantees that make the frontier reachable at
 all: the router's cached tree count and the neighbourhood index's entry
-count never exceed their configured bounds, and the eager all-pairs
-baseline *refuses* to run above its size threshold instead of silently
-allocating two dense N×N matrices.
+count never exceed their configured bounds.
 
 Since the locality-pruned scorer landed the default curve runs with
 ``candidate_prune_k="auto"`` and extends to 50k nodes; a prune-k
@@ -42,18 +40,11 @@ import random
 import resource
 import time
 
-import pytest
-
 from repro.core import ACPComposer
 from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSVector
 from repro.model.request import StreamRequest, derive_bandwidth_requirements
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.simulation import SystemConfig, build_system
-from repro.topology.routing import (
-    EAGER_ALLPAIRS_MAX_NODES,
-    OverlayRouter,
-    RoutingError,
-)
 
 DEFAULT_NODES = (600, 2_000, 5_000, 10_000, 50_000)
 COMPOSES_PER_POINT = 40
@@ -189,12 +180,6 @@ def measure_point(num_nodes: int, prune=None) -> dict:
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
 
-    # above the eager threshold, the all-pairs baseline must refuse loudly
-    # rather than allocate two dense N×N float64 matrices
-    if num_nodes > EAGER_ALLPAIRS_MAX_NODES:
-        with pytest.raises(RoutingError, match="eager all-pairs"):
-            OverlayRouter(system.network, incremental=False)
-
     # free the point's listeners/caches before the next, larger one
     if index is not None:
         index.close()
@@ -236,7 +221,6 @@ def test_scale_curve(results_dir):
         "neighborhood_cache_size": SCALE_NEIGHBORHOOD_CACHE,
         "candidate_prune_k": "off" if prune is None else prune,
         "composes_per_point": COMPOSES_PER_POINT,
-        "eager_allpairs_max_nodes": EAGER_ALLPAIRS_MAX_NODES,
         "points": points,
     }
 

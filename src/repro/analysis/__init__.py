@@ -4,11 +4,13 @@ Every numeric claim this repo makes rests on properties no single test
 can check globally:
 
 * **Determinism** — a :class:`~repro.simulation.system.SystemConfig` seed
-  must pin every decision.  The differential churn tests (incremental vs
-  eager routing), the traced == untraced equivalence, and the paper's
-  ACP-vs-baseline comparisons all replay the same run twice and demand
-  identical answers; one unseeded RNG draw or one iteration over an
-  unordered ``set`` feeding a tie-break silently voids them.
+  must pin every decision.  The differential tests (churned vs freshly
+  built routers, and the oracles in ``tests/oracles/`` — the scalar
+  scorer against ``FastScorer`` and the heap Dijkstra against the
+  neighbourhood index), the traced == untraced equivalence, and the
+  paper's ACP-vs-baseline comparisons all replay the same run twice and
+  demand identical answers; one unseeded RNG draw or one iteration over
+  an unordered ``set`` feeding a tie-break silently voids them.
 * **Layering** — packages only import downward through a declared DAG
   (model → topology → state/discovery → allocation/placement → core →
   middleware → simulation → experiments/cli), with ``observability``

@@ -40,7 +40,6 @@ class ACPComposer(ProbingComposer):
         context: CompositionContext,
         probing_ratio: float = 0.3,
         tuner: Optional[RatioTuner] = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             context,
@@ -49,7 +48,6 @@ class ACPComposer(ProbingComposer):
             final_policy=FinalSelectionPolicy.PHI,
             use_global_state=True,
             ratio_provider=None,
-            vectorized=vectorized,
         )
         self.tuner = tuner
         if tuner is not None:

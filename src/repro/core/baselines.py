@@ -42,7 +42,6 @@ class SelectiveProbingComposer(ProbingComposer):
         self,
         context: CompositionContext,
         probing_ratio: float = 0.3,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             context,
@@ -50,7 +49,6 @@ class SelectiveProbingComposer(ProbingComposer):
             hop_policy=HopSelectionPolicy.GUIDED,
             final_policy=FinalSelectionPolicy.RANDOM,
             use_global_state=True,
-            vectorized=vectorized,
         )
 
 
@@ -63,7 +61,6 @@ class RandomProbingComposer(ProbingComposer):
         self,
         context: CompositionContext,
         probing_ratio: float = 0.3,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             context,
@@ -71,7 +68,6 @@ class RandomProbingComposer(ProbingComposer):
             hop_policy=HopSelectionPolicy.RANDOM,
             final_policy=FinalSelectionPolicy.PHI,
             use_global_state=False,
-            vectorized=vectorized,
         )
 
 

@@ -34,7 +34,6 @@ class BoundedProbingComposer(ProbingComposer):
         self,
         context: CompositionContext,
         probe_budget_total: int = 12,
-        vectorized: bool = True,
     ) -> None:
         if probe_budget_total < 1:
             raise ValueError(
@@ -46,7 +45,6 @@ class BoundedProbingComposer(ProbingComposer):
             hop_policy=HopSelectionPolicy.GUIDED,
             final_policy=FinalSelectionPolicy.PHI,
             use_global_state=True,
-            vectorized=vectorized,
         )
         self.probe_budget_total = probe_budget_total
 

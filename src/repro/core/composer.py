@@ -74,20 +74,17 @@ class CompositionContext:
     control: ControlChannel = field(default_factory=PerfectControlChannel)
     #: how component QoS responds to host load (factors 0 = static QoS)
     qos_model: LoadDependentQoSModel = field(default_factory=LoadDependentQoSModel)
-    #: resolved scoring backend for the vectorised hot path ("numpy" or
-    #: "numba"); build_system resolves the config's "auto" before wiring
-    scoring_kernel: str = "numpy"
-    #: bound on the scorer's per-source stale-bandwidth-row cache (None =
-    #: unbounded); keeps scorer memory O(bound × N) at large N
-    scorer_row_cache_size: Optional[int] = None
+    #: bound on the scorer's per-source stale-bandwidth-row cache; keeps
+    #: scorer memory O(bound × N) at large N
+    scorer_row_cache_size: int = 512
     #: resolved neighbourhood size for locality-pruned candidate scoring
     #: (None = full scan; build_system resolves SystemConfig's "auto"
     #: before wiring — see repro.topology.neighborhood.resolve_prune_k)
     candidate_prune_k: Optional[int] = None
     #: bound on the neighbourhood index's per-(source, k) entry cache;
     #: entries are O(k), so resident memory stays O(cache × k)
-    neighborhood_cache_size: Optional[int] = 1024
-    #: lazily constructed vectorised scoring engine (see fast_scorer())
+    neighborhood_cache_size: int = 1024
+    #: lazily constructed scoring engine (see fast_scorer())
     _fast_scorer: Optional["FastScorer"] = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -4,12 +4,10 @@ Every simulated request runs the probing wavefront of
 :class:`~repro.core.prober.ProbingComposer`, and within it the dominant
 cost is scoring ``beam × candidates`` expansions per function level:
 compatibility filtering, Eq. 6–8 qualification against the coarse-grain
-global state, and the Eq. 9/10 risk/congestion ranking.  The scalar
-reference path does all of that through per-pair ``QoSVector`` /
-``ResourceVector`` allocations and per-pair router queries.
+global state, and the Eq. 9/10 risk/congestion ranking.
 
-:class:`FastScorer` replaces the inner loops with NumPy array operations
-over the whole candidate pool of a function, fed by caches that persist
+:class:`FastScorer` is the one scoring path: NumPy array operations over
+the whole candidate pool of a function, fed by caches that persist
 *across* requests and invalidate on the substrate's epochs:
 
 * **candidate tables** (per function) — candidate QoS, ``max_input_rate``,
@@ -28,17 +26,23 @@ over the whole candidate pool of a function, fed by caches that persist
   ``(link_version, row_version)``, so a churn event rebuilds only the rows
   of sources whose shortest-path tree actually changed.
 
-This supersedes the per-compose ``_stale_qos_memo`` / ``_stale_bw_memo``
-rebuild the prober used to carry on the instance: nothing here is
-per-request state, so nothing outlives (or leaks from) one ``compose()``.
+Nothing here is per-request state, so nothing outlives (or leaks from)
+one ``compose()``.
 
-Every array expression mirrors the scalar reference's operation order
+Every array expression mirrors the scalar equations' operation order
 (raw-space QoS accumulation, additive-space risk ratios, term-ordered
-congestion sums), so both paths make identical composition decisions —
-``tests/test_fastscore.py`` asserts this property end to end.  The one
-knowingly tolerated divergence is ``np.log1p`` vs ``math.log1p`` in the
-risk transform, which can differ in the last ulp on exotic libms; it can
-only matter when a risk ratio lands exactly on a tie-bucket boundary.
+congestion sums).  The reference is the per-candidate scalar scorer in
+``tests/oracles/scalar_scorer.py``: ``tests/test_fastscore.py`` re-scores
+every level the wavefront scores with it and demands the same pool, the
+same floats and the same selections.  The one knowingly tolerated
+divergence is ``np.log1p`` vs ``math.log1p`` in the risk transform, which
+can differ in the last ulp; it can only matter when a risk ratio lands
+exactly on a tie-bucket boundary.
+
+The scorer is specialised to the default (delay, loss) metric pair and
+the stock :class:`~repro.model.qos_model.LoadDependentQoSModel`;
+:meth:`FastScorer.begin_request` rejects anything else with a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tup
 
 import numpy as np
 
-from repro.core.scoring_kernel import get_scoring_kernel
+from repro.core import scoring_kernel
 from repro.core.selection import (
     RISK_TIE_EPSILON,
     RankingPolicy,
@@ -70,10 +74,13 @@ if TYPE_CHECKING:  # runtime import would cycle: composer lazily imports us
 #: matching ``QoSVector.additive_values``.
 _MAX_LOSS = 1.0 - 1e-12
 
-#: Schema layout the vectorised path is specialised to (the default
-#: delay/loss metric pair); anything else falls back to the scalar
-#: reference implementation.
+#: Schema layout the scorer is specialised to (the default delay/loss
+#: metric pair); :meth:`FastScorer.begin_request` rejects anything else.
 _SUPPORTED_KINDS = (MetricKind.ADDITIVE, MetricKind.MULTIPLICATIVE_LOSS)
+
+
+def _kind_names(kinds: Tuple[MetricKind, ...]) -> str:
+    return "(" + ", ".join(kind.name for kind in kinds) + ")"
 
 
 class _CandidateTable:
@@ -212,7 +219,7 @@ class _CandidateTable:
 class LevelPool:
     """The qualified (probe, candidate) expansions of one function level.
 
-    Entries are parallel arrays in the scalar reference's pool order
+    Entries are parallel arrays in the scalar oracle's pool order
     (probe-major, candidate registration order within a probe);
     :class:`~repro.core.selection.ScoredCandidate` objects are materialised
     only for the entries a selection actually picks.
@@ -319,9 +326,6 @@ class FastScorer:
     def __init__(self, context: "CompositionContext") -> None:
         self.context = context
         self.schema = None
-        #: elementwise batch backend (numpy reference or compiled numba);
-        #: all backends are byte-identical, so this is a pure speed knob
-        self.kernel = get_scoring_kernel(context.scoring_kernel)
         self._tables: Dict[int, _CandidateTable] = {}
         #: upstream node -> (link_version, row_version, full row of stale
         #: bottleneck kbps per destination node, -inf where unreachable).
@@ -381,26 +385,33 @@ class FastScorer:
         footprint["total"] = sum(footprint.values())
         return footprint
 
-    def supports(self, request: StreamRequest) -> bool:
-        """Whether the vectorised path applies to this request.
-
-        Requires the default (delay, loss) metric shape and the stock QoS
-        model, whose ``effective_qos_arrays`` mirrors ``effective_qos``; a
-        subclassed model or exotic schema silently takes the scalar path.
-        """
-        schema = request.qos_requirement.schema
-        return (
-            schema.kinds == _SUPPORTED_KINDS
-            and type(self.context.qos_model) is LoadDependentQoSModel
-        )
-
     def begin_request(self, request: StreamRequest) -> None:
         """Per-compose refresh: node liveness can change without bumping any
         epoch (``Node.fail()``), so take one snapshot per wavefront — which
         is exact, since liveness only changes between requests.  The network
         maintains the (usually empty) down-node set via liveness listeners,
         so the all-alive case reuses one cached mask instead of polling
-        every node."""
+        every node.
+
+        Raises:
+            ValueError: if the request's QoS schema is not the (additive
+                delay, multiplicative loss) pair, or the context's QoS
+                model is not exactly :class:`LoadDependentQoSModel` (whose
+                ``effective_qos_arrays`` mirrors ``effective_qos``).
+        """
+        kinds = request.qos_requirement.schema.kinds
+        if kinds != _SUPPORTED_KINDS:
+            raise ValueError(
+                f"FastScorer scores only the {_kind_names(_SUPPORTED_KINDS)} "
+                f"QoS schema; request {request.request_id} has "
+                f"{_kind_names(kinds)}"
+            )
+        model_type = type(self.context.qos_model)
+        if model_type is not LoadDependentQoSModel:
+            raise ValueError(
+                f"FastScorer scores only with LoadDependentQoSModel itself; "
+                f"the context's qos_model is {model_type.__name__}"
+            )
         network = self.context.network
         down = network.down_node_ids
         if not down:
@@ -456,13 +467,14 @@ class FastScorer:
     ) -> LevelPool:
         """Score every (probe, candidate) expansion of one function level.
 
-        Implements exactly the scalar ``_score_candidate`` pipeline —
-        compatibility filters, Eq. 6–8 qualification, Eq. 9/10 scores —
-        as a single batch of ``(probes × candidates)`` array operations.
-        Every arithmetic step is elementwise, so batching probes together
-        changes no float operation or ordering, and row-major
-        ``np.nonzero`` at the end reproduces the scalar reference's pool
-        order (probe-major, candidate registration order within a probe).
+        Implements the per-candidate pipeline of the scalar oracle
+        (``tests/oracles/scalar_scorer.py``) — compatibility filters,
+        Eq. 6–8 qualification, Eq. 9/10 scores — as a single batch of
+        ``(probes × candidates)`` array operations.  Every arithmetic step
+        is elementwise, so batching probes together changes no float
+        operation or ordering, and row-major ``np.nonzero`` at the end
+        gives the oracle's pool order (probe-major, candidate registration
+        order within a probe).
 
         With ``candidate_prune_k`` set, levels with predecessors score
         only the candidates whose host node lies in some upstream node's
@@ -685,7 +697,7 @@ class FastScorer:
                 )
             mask &= format_rows
             mask &= np.isfinite(link_delay)
-            accumulated_delay, accumulated_loss = self.kernel.through_qos(
+            accumulated_delay, accumulated_loss = scoring_kernel.through_qos(
                 out_delay,
                 out_loss,
                 link_delay,
@@ -704,7 +716,7 @@ class FastScorer:
         else:
             pre_delay2d = accumulated_delay
             pre_loss2d = accumulated_loss
-            accumulated_delay, accumulated_loss = self.kernel.finalize_qos(
+            accumulated_delay, accumulated_loss = scoring_kernel.finalize_qos(
                 accumulated_delay,
                 accumulated_loss,
                 candidate_delay,
@@ -755,7 +767,7 @@ class FastScorer:
                 risk2d = self._risk(
                     accumulated_delay, accumulated_loss, bounds_additive
                 )
-                congestion2d = self.kernel.congestion(
+                congestion2d = scoring_kernel.congestion(
                     requirement_values, available, bandwidth_rows, qualified.shape
                 )
 

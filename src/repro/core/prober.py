@@ -45,17 +45,7 @@ from repro.observability.recorder import wall_clock as perf_counter
 from repro.core.composer import Composer, CompositionContext, CompositionOutcome
 from repro.core.control import delay_slack_ms
 from repro.core.probe import Probe, ProbeFactory
-from repro.core.selection import (
-    RankingPolicy,
-    ScoredCandidate,
-    congestion_value,
-    probe_budget,
-    qualification_failure,
-    risk_value,
-    select_best,
-)
-from repro.model.component import Component
-from repro.model.qos import QoSVector, elementwise_max
+from repro.core.selection import RankingPolicy, ScoredCandidate, probe_budget
 from repro.model.request import StreamRequest
 from repro.model.resources import ResourceVector
 
@@ -88,7 +78,6 @@ class ProbingComposer(Composer):
         use_global_state: bool = True,
         ratio_provider: Optional[Callable[[], float]] = None,
         ranking_policy: RankingPolicy = RankingPolicy.RISK_THEN_CONGESTION,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(context)
         if not 0.0 < probing_ratio <= 1.0:
@@ -99,9 +88,6 @@ class ProbingComposer(Composer):
         self.use_global_state = use_global_state
         self._ratio_provider = ratio_provider
         self.ranking_policy = ranking_policy
-        #: score candidate pools through repro.core.fastscore array ops;
-        #: False forces the scalar reference implementation
-        self.vectorized = vectorized
 
     # -- knobs -------------------------------------------------------------
 
@@ -137,18 +123,8 @@ class ProbingComposer(Composer):
                 functions=len(graph),
             )
             compose_start = perf_counter()
-        # per-compose memos for the scalar path: the coarse-grain view of a
-        # candidate or a virtual link cannot change while one request's
-        # wavefront runs, but several probes score the same candidate.
-        # Locals by design — no per-request state may outlive compose()
-        stale_qos_memo: Dict[int, QoSVector] = {}
-        stale_bw_memo: Dict[Tuple[int, int], float] = {}
-        scorer = None
-        if self.vectorized:
-            fast = context.fast_scorer()
-            if fast.supports(request):
-                fast.begin_request(request)
-                scorer = fast
+        scorer = context.fast_scorer()
+        scorer.begin_request(request)
 
         for function_index in graph.topological_order():
             function = graph.node(function_index).function
@@ -168,66 +144,34 @@ class ProbingComposer(Composer):
                 level_start = perf_counter()
                 beam_in = len(beam)
 
-            if scorer is not None:
-                explored += len(beam) * len(candidates)
-                level = scorer.score_level(
+            explored += len(beam) * len(candidates)
+            level = scorer.score_level(
+                request,
+                beam,
+                function.function_id,
+                candidates,
+                function_index,
+                predecessors,
+                requirement,
+                input_rate,
+                self.use_global_state,
+            )
+            if level.size == 0:
+                return self._fail(
                     request,
-                    beam,
-                    function.function_id,
-                    candidates,
-                    function_index,
-                    predecessors,
-                    requirement,
-                    input_rate,
-                    self.use_global_state,
+                    "no_qualified_candidates",
+                    probe_messages=probe_messages,
+                    explored=explored,
                 )
-                if level.size == 0:
-                    return self._fail(
-                        request,
-                        "no_qualified_candidates",
-                        probe_messages=probe_messages,
-                        explored=explored,
-                    )
-                if self.hop_policy is HopSelectionPolicy.GUIDED:
-                    selected = level.select_best(budget, ranking=self.ranking_policy)
-                else:
-                    # rng.sample draws by position only, so sampling pool
-                    # indices consumes the same randomness as sampling the
-                    # scalar path's materialised pool list
-                    selected = level.take(
-                        context.rng.sample(
-                            range(level.size), min(budget, level.size)
-                        )
-                    )
+            if self.hop_policy is HopSelectionPolicy.GUIDED:
+                selected = level.select_best(budget, ranking=self.ranking_policy)
             else:
-                pool: List[ScoredCandidate] = []
-                for probe in beam:
-                    for candidate in candidates:
-                        explored += 1
-                        entry = self._score_candidate(
-                            probe,
-                            function_index,
-                            candidate,
-                            predecessors,
-                            requirement,
-                            input_rate,
-                            stale_qos_memo,
-                            stale_bw_memo,
-                        )
-                        if entry is not None:
-                            pool.append(entry)
-                if not pool:
-                    return self._fail(
-                        request,
-                        "no_qualified_candidates",
-                        probe_messages=probe_messages,
-                        explored=explored,
-                    )
-
-                if self.hop_policy is HopSelectionPolicy.GUIDED:
-                    selected = select_best(pool, budget, ranking=self.ranking_policy)
-                else:
-                    selected = context.rng.sample(pool, min(budget, len(pool)))
+                # rng.sample draws by position only, so sampling pool
+                # indices consumes the same randomness as sampling a
+                # materialised pool list in the same order
+                selected = level.take(
+                    context.rng.sample(range(level.size), min(budget, level.size))
+                )
 
             if observing:
                 score_elapsed = perf_counter() - level_start
@@ -294,129 +238,6 @@ class ProbingComposer(Composer):
         :class:`~repro.core.bounded.BoundedProbingComposer`).
         """
         return probe_budget(ratio, candidate_count)
-
-    # -- per-hop scoring ---------------------------------------------------------
-
-    def _score_candidate(
-        self,
-        probe: Probe,
-        function_index: int,
-        candidate: Component,
-        predecessors: Tuple[int, ...],
-        requirement: ResourceVector,
-        input_rate: float,
-        stale_qos_memo: Dict[int, QoSVector],
-        stale_bw_memo: Dict[Tuple[int, int], float],
-    ) -> Optional[ScoredCandidate]:
-        """Compatibility + Eqs. 6-8 + Eq. 9/10 scores for one expansion.
-
-        This is the scalar reference implementation; the vectorised twin in
-        :mod:`repro.core.fastscore` must make identical decisions.  The memo
-        dicts are per-compose scratch owned by the caller."""
-        context = self.context
-        request = probe.request
-        # a component instance runs at most one placement per session
-        for assigned in probe.assignment.values():
-            if assigned.component_id == candidate.component_id:
-                return None
-        # interface compatibility: stream rate, capability tags, then
-        # per-predecessor formats
-        if input_rate > candidate.max_input_rate:
-            return None
-        if not candidate.satisfies_attributes(request.required_attributes):
-            return None
-        if not context.network.node(candidate.node_id).alive:
-            return None  # crashed host: component unusable
-        for predecessor in predecessors:
-            if not probe.assignment[predecessor].compatible_with(candidate):
-                return None
-
-        # The candidate's QoS as this node can know it: through the
-        # coarse-grain global state when available, else the advertised
-        # (base) interface values.  Probes verify precisely on arrival.
-        if self.use_global_state:
-            candidate_qos = stale_qos_memo.get(candidate.component_id)
-            if candidate_qos is None:
-                candidate_qos = context.stale_component_qos(candidate)
-                stale_qos_memo[candidate.component_id] = candidate_qos
-        else:
-            candidate_qos = candidate.qos
-
-        # QoS accumulation through the candidate (worst path over joins)
-        pre_qos: Optional[QoSVector] = None
-        if predecessors:
-            accumulated = None
-            for predecessor in predecessors:
-                upstream = probe.assignment[predecessor]
-                if not context.router.reachable(upstream.node_id, candidate.node_id):
-                    return None  # no overlay path: no virtual link possible
-                vl_qos = context.router.virtual_link_qos(
-                    upstream.node_id, candidate.node_id
-                )
-                through = probe.accumulated_out[predecessor].combine(vl_qos)
-                accumulated = (
-                    through
-                    if accumulated is None
-                    else elementwise_max(accumulated, through)
-                )
-            pre_qos = accumulated
-            accumulated = accumulated.combine(candidate_qos)
-        else:
-            accumulated = candidate_qos
-
-        bandwidth_requirements = [
-            request.bandwidth_for((predecessor, function_index))
-            for predecessor in predecessors
-        ]
-
-        if self.use_global_state:
-            available = context.global_state.node_available(candidate.node_id)
-            available_bandwidths = []
-            for predecessor in predecessors:
-                upstream = probe.assignment[predecessor]
-                pair = (upstream.node_id, candidate.node_id)
-                stale_bw = stale_bw_memo.get(pair)
-                if stale_bw is None:
-                    # per-pair path walk (the path itself is cached by the
-                    # router's per-source tree); the vectorised twin scores
-                    # whole candidate columns at once from the router's
-                    # bottleneck_bandwidth_row instead
-                    path = context.router.overlay_path(*pair)
-                    stale_bw = context.global_state.virtual_link_available_kbps(
-                        path
-                    )
-                    stale_bw_memo[pair] = stale_bw
-                available_bandwidths.append(stale_bw)
-            failure = qualification_failure(
-                accumulated,
-                request.qos_requirement,
-                requirement,
-                available,
-                bandwidth_requirements,
-                available_bandwidths,
-            )
-            if failure is not None:
-                return None
-            risk = risk_value(accumulated, request.qos_requirement)
-            congestion = congestion_value(
-                requirement, available, bandwidth_requirements, available_bandwidths
-            )
-        else:
-            # no global state: only the probe-carried QoS accumulation can
-            # disqualify a candidate before travelling there (Eq. 6)
-            if not accumulated.satisfies(request.qos_requirement):
-                return None
-            risk = 0.0
-            congestion = 0.0
-
-        return ScoredCandidate(
-            candidate=candidate,
-            risk=risk,
-            congestion=congestion,
-            accumulated_qos=accumulated,
-            parent=probe,
-            pre_qos=pre_qos,
-        )
 
     # -- probe travel ----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Optional compiled backend for the fastscore inner loops.
+"""The elementwise batches of the fastscore inner loops.
 
 The vectorised probing hot path (:mod:`repro.core.fastscore`) spends its
 time in three elementwise batches over ``(probes × candidates)`` arrays:
@@ -9,346 +9,100 @@ time in three elementwise batches over ``(probes × candidates)`` arrays:
   itself (delay sum, raw-space loss composition);
 * the **congestion fold** (Eq. 10) — per-dimension node terms broadcast
   over the probe axis, then per-predecessor link terms, summed in the
-  scalar reference's term order.
+  scalar equation's term order.
 
-This module provides those three batches behind a backend switch:
-
-* ``"numpy"`` — the always-available reference, byte-for-byte the array
-  expressions fastscore inlined before this module existed;
-* ``"numba"`` — the same loops under ``@njit(cache=True)`` (no
-  ``fastmath``, so IEEE semantics and operation order are preserved and
-  decisions stay **byte-identical** to the numpy path — asserted by
-  ``tests/test_scoring_kernel.py``).  Requires the optional ``compiled``
-  extra; absence is an error only when explicitly requested.
-
-The risk transform (Eq. 9) stays on numpy deliberately: it routes through
-``np.log1p``, whose libm vs compiler-runtime implementations may differ in
-the last ulp — the one divergence the determinism contract does not absorb.
+Each is a pure function over float64 arrays whose elementwise IEEE
+operation order matches the scalar equations, so
+``tests/test_scoring_kernel.py`` can demand bit-equality with a
+pure-Python loop.  The risk transform (Eq. 9) lives in fastscore itself.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-try:  # the optional "compiled" extra; tier-1 never requires it
-    from numba import njit as _njit
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised when numba is installed
-    _njit = None
-    NUMBA_AVAILABLE = False
+def resolve_scoring_kernel(name: str = "numpy") -> str:
+    """The scoring backend a run uses: always ``"numpy"``, whatever
+    ``name`` says.
 
-#: Accepted SystemConfig.scoring_kernel values.
-SCORING_KERNELS = ("auto", "numpy", "numba")
-
-
-def resolve_scoring_kernel(name: str) -> str:
-    """Resolve a configured backend name to a concrete one.
-
-    ``"auto"`` prefers numba when importable and silently falls back to
-    numpy; ``"numba"`` is an explicit demand and raises when the extra is
-    missing, so a benchmark that believes it measured compiled kernels
-    actually did.
+    Kept only because the benchmark harness (``perfbench/harness.py``)
+    imports it to stamp each run, and that harness is changed only
+    together with the benchmark itself; numpy is the one backend.
     """
-    if name not in SCORING_KERNELS:
-        raise ValueError(
-            f"unknown scoring kernel {name!r}; expected one of {SCORING_KERNELS}"
-        )
-    if name == "numpy":
-        return "numpy"
-    if name == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError(
-                "scoring_kernel='numba' requested but numba is not "
-                "installed; install the 'compiled' extra "
-                "(pip install repro[compiled]) or use 'auto'/'numpy'"
-            )
-        return "numba"
-    return "numba" if NUMBA_AVAILABLE else "numpy"
+    return "numpy"
 
 
-class ScoringKernel:
-    """The numpy reference backend (and the backend interface).
+def through_qos(
+    out_delay: np.ndarray,
+    out_loss: np.ndarray,
+    link_delay: np.ndarray,
+    link_loss: np.ndarray,
+    accumulated_delay: Optional[np.ndarray],
+    accumulated_loss: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One predecessor's worst-path fold.
 
-    Each method is a pure function over float64 arrays; subclasses may
-    substitute compiled implementations but must preserve elementwise IEEE
-    operation order — the decision-identity contract is byte-level.
+    ``out_*`` are per-probe columns ``(probes, 1)``; ``link_*`` are the
+    gathered rows ``(probes, candidates)``.  Returns the updated
+    ``(accumulated_delay, accumulated_loss)`` — the through-values on
+    the first predecessor, the elementwise max fold afterwards.
     """
-
-    name = "numpy"
-
-    @staticmethod
-    def through_qos(
-        out_delay: np.ndarray,
-        out_loss: np.ndarray,
-        link_delay: np.ndarray,
-        link_loss: np.ndarray,
-        accumulated_delay: Optional[np.ndarray],
-        accumulated_loss: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One predecessor's worst-path fold.
-
-        ``out_*`` are per-probe columns ``(probes, 1)``; ``link_*`` are the
-        gathered rows ``(probes, candidates)``.  Returns the updated
-        ``(accumulated_delay, accumulated_loss)`` — the through-values on
-        the first predecessor, the elementwise max fold afterwards.
-        """
-        through_delay = out_delay + link_delay
-        through_loss = 1.0 - (1.0 - out_loss) * (1.0 - link_loss)
-        if accumulated_delay is None or accumulated_loss is None:
-            return through_delay, through_loss
-        return (
-            np.maximum(accumulated_delay, through_delay),
-            np.maximum(accumulated_loss, through_loss),
-        )
-
-    @staticmethod
-    def finalize_qos(
-        accumulated_delay: np.ndarray,
-        accumulated_loss: np.ndarray,
-        candidate_delay: np.ndarray,
-        candidate_loss: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Worst-path QoS through the candidate itself (delay sum, raw-space
-        loss composition); candidate arrays broadcast over the probe axis."""
-        return (
-            accumulated_delay + candidate_delay,
-            1.0 - (1.0 - accumulated_loss) * (1.0 - candidate_loss),
-        )
-
-    @staticmethod
-    def congestion(
-        requirement_values: Tuple[float, ...],
-        available: np.ndarray,
-        bandwidth_rows: List[Tuple[float, np.ndarray]],
-        shape: Tuple[int, int],
-    ) -> np.ndarray:
-        """Eq. 10 over the ``(probes × candidates)`` batch, summing terms in
-        the scalar order.  Node-resource terms depend only on the candidate,
-        so they are computed once per dimension and broadcast over the probe
-        axis — each row receives exactly the scalar sequence of additions.
-
-        Division is only ever applied to strictly positive denominators
-        (non-positive availability contributes ``inf`` directly), so no
-        warnings fire and no errstate guard is needed.
-        """
-        total = np.zeros(shape)
-        node_term = np.empty(available.shape[0])
-        for dimension, required in enumerate(requirement_values):
-            if required <= 0.0:
-                continue
-            column = available[:, dimension]
-            node_term.fill(math.inf)
-            np.divide(required, column, out=node_term, where=column > 0.0)
-            total += node_term
-        for bandwidth_required, rows in bandwidth_rows:
-            if bandwidth_required <= 0.0:
-                continue
-            link_term = np.full(shape, math.inf)
-            np.divide(bandwidth_required, rows, out=link_term, where=rows > 0.0)
-            total += link_term
-        return total
+    through_delay = out_delay + link_delay
+    through_loss = 1.0 - (1.0 - out_loss) * (1.0 - link_loss)
+    if accumulated_delay is None or accumulated_loss is None:
+        return through_delay, through_loss
+    return (
+        np.maximum(accumulated_delay, through_delay),
+        np.maximum(accumulated_loss, through_loss),
+    )
 
 
-def _compile_numba_kernels() -> Tuple[Callable[..., Any], ...]:
-    """JIT-compile the three loops (called once, only when numba exists).
+def finalize_qos(
+    accumulated_delay: np.ndarray,
+    accumulated_loss: np.ndarray,
+    candidate_delay: np.ndarray,
+    candidate_loss: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Worst-path QoS through the candidate itself (delay sum, raw-space
+    loss composition); candidate arrays broadcast over the probe axis."""
+    return (
+        accumulated_delay + candidate_delay,
+        1.0 - (1.0 - accumulated_loss) * (1.0 - candidate_loss),
+    )
 
-    ``cache=True`` persists the compilation on disk; ``fastmath`` stays
-    off — reassociation would break byte-identity with the numpy path.
+
+def congestion(
+    requirement_values: Tuple[float, ...],
+    available: np.ndarray,
+    bandwidth_rows: List[Tuple[float, np.ndarray]],
+    shape: Tuple[int, int],
+) -> np.ndarray:
+    """Eq. 10 over the ``(probes × candidates)`` batch, summing terms in
+    the scalar order.  Node-resource terms depend only on the candidate,
+    so they are computed once per dimension and broadcast over the probe
+    axis — each row receives exactly the scalar sequence of additions.
+
+    Division is only ever applied to strictly positive denominators
+    (non-positive availability contributes ``inf`` directly), so no
+    warnings fire and no errstate guard is needed.
     """
-    assert _njit is not None
-
-    @_njit(cache=True)
-    def through_first(
-        out_delay: np.ndarray,
-        out_loss: np.ndarray,
-        link_delay: np.ndarray,
-        link_loss: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        probes, candidates = link_delay.shape
-        delay = np.empty((probes, candidates))
-        loss = np.empty((probes, candidates))
-        for i in range(probes):
-            probe_delay = out_delay[i, 0]
-            probe_loss = out_loss[i, 0]
-            for j in range(candidates):
-                delay[i, j] = probe_delay + link_delay[i, j]
-                loss[i, j] = 1.0 - (1.0 - probe_loss) * (1.0 - link_loss[i, j])
-        return delay, loss
-
-    @_njit(cache=True)
-    def through_fold(
-        out_delay: np.ndarray,
-        out_loss: np.ndarray,
-        link_delay: np.ndarray,
-        link_loss: np.ndarray,
-        accumulated_delay: np.ndarray,
-        accumulated_loss: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        probes, candidates = link_delay.shape
-        delay = np.empty((probes, candidates))
-        loss = np.empty((probes, candidates))
-        for i in range(probes):
-            probe_delay = out_delay[i, 0]
-            probe_loss = out_loss[i, 0]
-            for j in range(candidates):
-                through_delay = probe_delay + link_delay[i, j]
-                through_loss = 1.0 - (1.0 - probe_loss) * (
-                    1.0 - link_loss[i, j]
-                )
-                previous_delay = accumulated_delay[i, j]
-                previous_loss = accumulated_loss[i, j]
-                delay[i, j] = (
-                    through_delay
-                    if through_delay > previous_delay
-                    else previous_delay
-                )
-                loss[i, j] = (
-                    through_loss if through_loss > previous_loss else previous_loss
-                )
-        return delay, loss
-
-    @_njit(cache=True)
-    def finalize(
-        accumulated_delay: np.ndarray,
-        accumulated_loss: np.ndarray,
-        candidate_delay: np.ndarray,
-        candidate_loss: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        probes, candidates = accumulated_delay.shape
-        delay = np.empty((probes, candidates))
-        loss = np.empty((probes, candidates))
-        for i in range(probes):
-            for j in range(candidates):
-                delay[i, j] = accumulated_delay[i, j] + candidate_delay[j]
-                loss[i, j] = 1.0 - (1.0 - accumulated_loss[i, j]) * (
-                    1.0 - candidate_loss[j]
-                )
-        return delay, loss
-
-    @_njit(cache=True)
-    def congestion_nodes(
-        requirements: np.ndarray, available: np.ndarray, probe_count: int
-    ) -> np.ndarray:
-        candidates = available.shape[0]
-        total = np.zeros((probe_count, candidates))
-        for dimension in range(requirements.shape[0]):
-            required = requirements[dimension]
-            if required <= 0.0:
-                continue
-            for j in range(candidates):
-                column = available[j, dimension]
-                term = required / column if column > 0.0 else np.inf
-                for i in range(probe_count):
-                    total[i, j] += term
-        return total
-
-    @_njit(cache=True)
-    def congestion_links(
-        total: np.ndarray, bandwidth_required: float, rows: np.ndarray
-    ) -> None:
-        probes, candidates = rows.shape
-        for i in range(probes):
-            for j in range(candidates):
-                value = rows[i, j]
-                total[i, j] += (
-                    bandwidth_required / value if value > 0.0 else np.inf
-                )
-
-    return through_first, through_fold, finalize, congestion_nodes, congestion_links
-
-
-class NumbaScoringKernel(ScoringKernel):
-    """Compiled backend: the same loops under ``@njit`` (IEEE-exact)."""
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        if not NUMBA_AVAILABLE:  # pragma: no cover - guarded by resolve()
-            raise RuntimeError("numba is not installed")
-        (
-            self._through_first,
-            self._through_fold,
-            self._finalize,
-            self._congestion_nodes,
-            self._congestion_links,
-        ) = _compile_numba_kernels()
-
-    def through_qos(  # type: ignore[override]
-        self,
-        out_delay: np.ndarray,
-        out_loss: np.ndarray,
-        link_delay: np.ndarray,
-        link_loss: np.ndarray,
-        accumulated_delay: Optional[np.ndarray],
-        accumulated_loss: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if accumulated_delay is None or accumulated_loss is None:
-            result: Tuple[np.ndarray, np.ndarray] = self._through_first(
-                out_delay, out_loss, link_delay, link_loss
-            )
-            return result
-        folded: Tuple[np.ndarray, np.ndarray] = self._through_fold(
-            out_delay,
-            out_loss,
-            link_delay,
-            link_loss,
-            accumulated_delay,
-            accumulated_loss,
-        )
-        return folded
-
-    def finalize_qos(  # type: ignore[override]
-        self,
-        accumulated_delay: np.ndarray,
-        accumulated_loss: np.ndarray,
-        candidate_delay: np.ndarray,
-        candidate_loss: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        result: Tuple[np.ndarray, np.ndarray] = self._finalize(
-            np.ascontiguousarray(accumulated_delay),
-            np.ascontiguousarray(accumulated_loss),
-            np.ascontiguousarray(candidate_delay),
-            np.ascontiguousarray(candidate_loss),
-        )
-        return result
-
-    def congestion(  # type: ignore[override]
-        self,
-        requirement_values: Tuple[float, ...],
-        available: np.ndarray,
-        bandwidth_rows: List[Tuple[float, np.ndarray]],
-        shape: Tuple[int, int],
-    ) -> np.ndarray:
-        total: np.ndarray = self._congestion_nodes(
-            np.asarray(requirement_values, dtype=np.float64),
-            np.ascontiguousarray(available),
-            shape[0],
-        )
-        for bandwidth_required, rows in bandwidth_rows:
-            if bandwidth_required <= 0.0:
-                continue
-            self._congestion_links(total, bandwidth_required, rows)
-        return total
-
-
-_NUMPY_KERNEL = ScoringKernel()
-_NUMBA_KERNEL: Optional[NumbaScoringKernel] = None
-
-
-def get_scoring_kernel(name: str) -> ScoringKernel:
-    """The kernel instance for a *resolved* backend name.
-
-    The numba kernel is a process-wide singleton so its JIT compilation
-    cost is paid once, not per FastScorer.
-    """
-    resolved = resolve_scoring_kernel(name)
-    if resolved == "numpy":
-        return _NUMPY_KERNEL
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:  # pragma: no cover - needs the compiled extra
-        _NUMBA_KERNEL = NumbaScoringKernel()
-    return _NUMBA_KERNEL
+    total = np.zeros(shape)
+    node_term = np.empty(available.shape[0])
+    for dimension, required in enumerate(requirement_values):
+        if required <= 0.0:
+            continue
+        column = available[:, dimension]
+        node_term.fill(math.inf)
+        np.divide(required, column, out=node_term, where=column > 0.0)
+        total += node_term
+    for bandwidth_required, rows in bandwidth_rows:
+        if bandwidth_required <= 0.0:
+            continue
+        link_term = np.full(shape, math.inf)
+        np.divide(bandwidth_required, rows, out=link_term, where=rows > 0.0)
+        total += link_term
+    return total

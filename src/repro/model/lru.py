@@ -28,21 +28,21 @@ V = TypeVar("V")
 class LRUDict(Generic[K, V]):
     """A mapping bounded to ``capacity`` entries with LRU eviction.
 
-    ``capacity=None`` disables the bound entirely (the unbounded baseline
-    the differential tests compare against).  ``on_evict(key, value)`` is
-    invoked after an entry is evicted by an insert that exceeded the
-    bound — never for explicit :meth:`pop` / :meth:`clear` removals.
+    ``capacity`` is a plain int ≥ 1; a cache that must never evict gets a
+    capacity at least its key-space size.  ``on_evict(key, value)`` is
+    invoked after an entry is evicted by an insert that exceeded the bound
+    — never for explicit :meth:`pop` / :meth:`clear` removals.
     """
 
     __slots__ = ("_capacity", "_data", "_on_evict", "evictions")
 
     def __init__(
         self,
-        capacity: Optional[int] = None,
+        capacity: int,
         on_evict: Optional[Callable[[K, V], None]] = None,
     ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+        if not isinstance(capacity, int) or capacity < 1:
+            raise ValueError(f"capacity must be an int >= 1, got {capacity!r}")
         self._capacity = capacity
         self._data: "OrderedDict[K, V]" = OrderedDict()
         self._on_evict = on_evict
@@ -50,7 +50,7 @@ class LRUDict(Generic[K, V]):
         self.evictions = 0
 
     @property
-    def capacity(self) -> Optional[int]:
+    def capacity(self) -> int:
         return self._capacity
 
     def __len__(self) -> int:
@@ -91,7 +91,7 @@ class LRUDict(Generic[K, V]):
             data.move_to_end(key)
             return
         data[key] = value
-        if self._capacity is not None and len(data) > self._capacity:
+        if len(data) > self._capacity:
             evicted_key, evicted_value = data.popitem(last=False)
             self.evictions += 1
             if self._on_evict is not None:
@@ -112,5 +112,7 @@ class LRUDict(Generic[K, V]):
         return list(self._data.items())
 
     def __repr__(self) -> str:
-        bound = "∞" if self._capacity is None else str(self._capacity)
-        return f"LRUDict({len(self._data)}/{bound}, evictions={self.evictions})"
+        return (
+            f"LRUDict({len(self._data)}/{self._capacity}, "
+            f"evictions={self.evictions})"
+        )

@@ -17,7 +17,6 @@ from typing import Callable, Optional, Tuple, Union
 
 from repro.allocation.allocator import ResourceAllocator
 from repro.core.composer import CompositionContext
-from repro.core.scoring_kernel import resolve_scoring_kernel
 from repro.discovery.deployment import ComponentDeployer, DeploymentProfile
 from repro.discovery.registry import ComponentRegistry
 from repro.model.functions import FunctionCatalog
@@ -59,20 +58,14 @@ class SystemConfig:
     aggregation_period_s: float = 600.0
     aggregation_policy: RotationPolicy = RotationPolicy.ROUND_ROBIN
     transient_timeout_s: float = 10.0
-    #: lazy per-source routing with dirty-set invalidation under churn;
-    #: False restores the eager all-pairs re-solve baseline (the macro
-    #: churn benchmark measures the ratio between the two)
-    incremental_routing: bool = True
     #: bound on the router's per-source tree/path/QoS caches: router memory
     #: is O(router_cache_size × N) instead of O(N²).  The default exceeds
     #: the paper's 600-node scale, so paper-scale runs never evict and
-    #: replay byte-identically; the scale benchmark shrinks it.  None
-    #: restores the unbounded caches (the differential baseline).
-    router_cache_size: Optional[int] = 1024
+    #: replay byte-identically; the scale benchmark shrinks it.
+    router_cache_size: int = 1024
     #: bound on the scorer's per-source stale-bandwidth-row cache
-    #: (``repro.core.fastscore``); same O(bound × N) rationale.  None means
-    #: unbounded.
-    scorer_row_cache_size: Optional[int] = 512
+    #: (``repro.core.fastscore``); same O(bound × N) rationale.
+    scorer_row_cache_size: int = 512
     #: locality-pruned candidate scoring: None (default) scores the full
     #: candidate pool at every level — committed figures replay
     #: byte-identically; "auto" derives a neighbourhood size from N
@@ -83,12 +76,7 @@ class SystemConfig:
     candidate_prune_k: Union[int, str, None] = None
     #: bound on the neighbourhood index's (source, k) entry cache; each
     #: entry is O(k), so index memory is O(bound × k)
-    neighborhood_cache_size: Optional[int] = 1024
-    #: scoring backend for the vectorised probing hot path: "numpy" (the
-    #: always-available reference), "numba" (compiled kernels, requires the
-    #: optional numba extra, errors if missing), or "auto" (numba when
-    #: importable, else numpy).  All backends make byte-identical decisions.
-    scoring_kernel: str = "auto"
+    neighborhood_cache_size: int = 1024
     #: sources per batched Dijkstra call during overlay construction; caps
     #: peak build memory at O(batch × routers) instead of O(nodes × routers)
     dijkstra_batch_size: int = 512
@@ -153,7 +141,6 @@ class StreamSystem:
             rng=rng or random.Random(self.config.seed + 1),
             clock=clock,
             recorder=recorder or self.recorder,
-            scoring_kernel=resolve_scoring_kernel(self.config.scoring_kernel),
             scorer_row_cache_size=self.config.scorer_row_cache_size,
             candidate_prune_k=resolve_prune_k(
                 self.config.candidate_prune_k, len(self.network)
@@ -176,9 +163,8 @@ def build_system(config: SystemConfig) -> StreamSystem:
     independent stream and changing one knob does not scramble the others.
     """
     recorder = config.recorder if config.recorder is not None else NULL_RECORDER
-    # resolve early so an unavailable/unknown backend or a malformed prune
-    # spec fails at build time, not on the first compose
-    resolve_scoring_kernel(config.scoring_kernel)
+    # resolve early so a malformed prune spec fails at build time, not on
+    # the first compose
     resolve_prune_k(config.candidate_prune_k, config.num_nodes)
     catalog = FunctionCatalog(size=config.catalog_size, num_formats=config.num_formats)
     templates = TemplateLibrary(
@@ -203,10 +189,7 @@ def build_system(config: SystemConfig) -> StreamSystem:
         dijkstra_batch_size=config.dijkstra_batch_size,
     )
     overlay_router = OverlayRouter(
-        network,
-        incremental=config.incremental_routing,
-        recorder=recorder,
-        tree_cache_size=config.router_cache_size,
+        network, recorder=recorder, tree_cache_size=config.router_cache_size
     )
     registry = ComponentDeployer(catalog, profile=config.deployment).deploy(
         network, rng=random.Random(config.seed * 7 + 4)

@@ -197,7 +197,7 @@ class NeighborhoodIndex:
         self,
         router: OverlayRouter,
         k: int,
-        capacity: Optional[int] = None,
+        capacity: int = 1024,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
         if k < 1:

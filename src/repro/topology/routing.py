@@ -47,18 +47,15 @@ flip entries for down destinations, which every consumer already masks via
 node liveness.  ``epoch`` remains the global topology counter (bumped once
 per :meth:`set_down_nodes` change).
 
-``incremental=False`` restores the eager baseline — one all-pairs solve
-plus a wholesale cache flush per churn event — kept reachable so the macro
-churn benchmark (``make bench-macro``) can measure the ratio.
-
 Co-located pairs (a == b) yield the empty path with zero QoS — footnote 4's
 "0 network delay" and footnote 8's infinite residual bandwidth.
 
 With distinct path costs the incrementally maintained state is identical
 to a freshly constructed router's (``tests/test_routing_incremental.py``
-checks this differentially under randomized churn); on exact cost ties a
-surviving tree may break the tie differently than a fresh solve would —
-both choices are optimal.
+checks this under randomized churn, and
+``tests/test_routing_differential.py`` checks both against networkx); on
+exact cost ties a surviving tree may break the tie differently than a
+fresh solve would — both choices are optimal.
 """
 
 from __future__ import annotations
@@ -79,11 +76,6 @@ from repro.observability.hotpath import hot_path
 from repro.observability import NULL_RECORDER, Recorder
 from repro.topology.overlay import OverlayLink, OverlayNetwork
 
-#: Above this overlay size the eager ``incremental=False`` baseline refuses
-#: to run: its two dense N×N float64 matrices (distances + predecessors)
-#: cost 16·N² bytes — ~64 MB at 2k nodes, ~1.6 GB at 10k — for a mode that
-#: exists only as a small-scale measurement baseline.
-EAGER_ALLPAIRS_MAX_NODES = 2048
 
 class RoutingError(RuntimeError):
     """Raised when no overlay path exists between two nodes."""
@@ -159,15 +151,11 @@ class OverlayRouter:
     def __init__(
         self,
         network: OverlayNetwork,
-        incremental: bool = True,
         recorder: Recorder = NULL_RECORDER,
-        tree_cache_size: Optional[int] = None,
-        eager_max_nodes: int = EAGER_ALLPAIRS_MAX_NODES,
+        tree_cache_size: int = 1024,
     ) -> None:
         self.network = network
-        self._incremental = incremental
         self.recorder = recorder
-        self._eager_max_nodes = eager_max_nodes
         self._down_nodes: frozenset = frozenset()
         self._down_links: frozenset = frozenset()
         self._closed = False
@@ -245,11 +233,7 @@ class OverlayRouter:
         for link in links:
             link.add_change_listener(self._on_link_bandwidth)
 
-        self._all_distances: Optional[np.ndarray] = None
-        self._all_predecessors: Optional[np.ndarray] = None
         self._build_matrix()
-        if not self._incremental:
-            self._solve_all()
 
     # -- substrate -------------------------------------------------------------
 
@@ -268,8 +252,8 @@ class OverlayRouter:
         return self._link_available
 
     @property
-    def tree_cache_capacity(self) -> Optional[int]:
-        """Configured bound on cached source trees (None = unbounded)."""
+    def tree_cache_capacity(self) -> int:
+        """Configured bound on cached source trees."""
         return self._trees.capacity
 
     @property
@@ -307,8 +291,6 @@ class OverlayRouter:
         self._trees.clear()
         self._path_cache.clear()
         self._qos_cache.clear()
-        self._all_distances = None
-        self._all_predecessors = None
 
     def __enter__(self) -> "OverlayRouter":
         return self
@@ -349,17 +331,11 @@ class OverlayRouter:
             qos_cache += sys.getsizeof(per_source_qos)
             for qos in per_source_qos.values():
                 qos_cache += sys.getsizeof(qos) + sys.getsizeof(qos.values)
-        all_pairs = 0
-        if self._all_distances is not None:
-            all_pairs += int(self._all_distances.nbytes)
-        if self._all_predecessors is not None:
-            all_pairs += int(self._all_predecessors.nbytes)
         footprint = {
             "trees": int(trees),
             "path_cache": int(path_cache),
             "qos_cache": int(qos_cache),
             "link_arrays": link_arrays,
-            "all_pairs": all_pairs,
         }
         footprint["total"] = sum(footprint.values())
         return footprint
@@ -401,28 +377,6 @@ class OverlayRouter:
             ),
             shape=(n, n),
         )
-
-    def _solve_all(self) -> None:
-        """Eager baseline: all-pairs solve + wholesale cache flush."""
-        n = len(self.network)
-        if n > self._eager_max_nodes:
-            raise RoutingError(
-                f"eager all-pairs routing (incremental=False) refuses "
-                f"{n} overlay nodes: it would allocate two dense "
-                f"{n}×{n} float64 matrices "
-                f"(~{2 * 16 * n * n // 2 ** 20} MB). Use "
-                f"SystemConfig(incremental_routing=True) (the default) for "
-                f"LRU-bounded per-source trees, or raise the cap explicitly "
-                f"with OverlayRouter(eager_max_nodes=...) (module default "
-                f"EAGER_ALLPAIRS_MAX_NODES = {EAGER_ALLPAIRS_MAX_NODES}; "
-                f"this router's limit {self._eager_max_nodes})."
-            )
-        self._all_distances, self._all_predecessors = dijkstra(
-            self._matrix, directed=True, return_predecessors=True
-        )
-        self._trees.clear()
-        self._path_cache.clear()
-        self._qos_cache.clear()
 
     def solve_tree(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
         """Uncached shortest-path tree of ``source`` on the live graph:
@@ -468,13 +422,7 @@ class OverlayRouter:
         if tree is None:
             if self.recorder.enabled:
                 self.recorder.inc("router.tree_solve")
-            if self._incremental:
-                distances, predecessors = self.solve_tree(source)
-            else:
-                assert self._all_distances is not None
-                assert self._all_predecessors is not None
-                distances = self._all_distances[source]
-                predecessors = self._all_predecessors[source]
+            distances, predecessors = self.solve_tree(source)
             tree = _SourceTree(source, self.epoch, distances, predecessors)
             self._trees[source] = tree
         elif self.recorder.enabled:
@@ -533,11 +481,9 @@ class OverlayRouter:
     def set_down_nodes(self, node_ids: Iterable[int]) -> None:
         """Declare the set of crashed nodes and re-route around them.
 
-        Incremental mode invalidates only the per-source trees the change
-        can affect (O(affected · N) plus lazy re-solves on demand); the
-        eager baseline recomputes the all-pairs matrices (O(N·E log N))
-        and flushes every cache.  Callers batch co-temporal failure and
-        recovery events into one call (see
+        Invalidates only the per-source trees the change can affect
+        (O(affected · N) plus lazy re-solves on demand).  Callers batch
+        co-temporal failure and recovery events into one call (see
         :meth:`repro.simulation.failures.FailureInjector.crash_many`).
         """
         down = frozenset(node_ids)
@@ -548,21 +494,6 @@ class OverlayRouter:
         self._down_nodes = down
         self.epoch += 1
         self._build_matrix()
-        observing = self.recorder.enabled
-        if not self._incremental:
-            dropped = len(self._trees)
-            self._solve_all()
-            if observing:
-                self.recorder.emit(
-                    "router.churn",
-                    epoch=self.epoch,
-                    down=len(down),
-                    dropped_trees=dropped,
-                    patched_trees=0,
-                    eager=True,
-                )
-            return
-
         changed_roots = newly_down | newly_up
         crashed = (
             # repro-lint: disable=DET103 -- feeds tree.relay[...].any() only; element order is unobservable
@@ -615,14 +546,13 @@ class OverlayRouter:
                         qos.pop(node_id, None)
                 if tree_patched:
                     patched += 1
-        if observing:
+        if self.recorder.enabled:
             self.recorder.emit(
                 "router.churn",
                 epoch=self.epoch,
                 down=len(down),
                 dropped_trees=dropped,
                 patched_trees=patched,
-                eager=False,
             )
 
     @property
@@ -633,8 +563,8 @@ class OverlayRouter:
     def set_down_links(self, link_ids: Iterable[int]) -> None:
         """Declare the set of failed overlay links and re-route around them.
 
-        The per-link analogue of :meth:`set_down_nodes`.  Incremental mode
-        drops only the trees a change can affect:
+        The per-link analogue of :meth:`set_down_nodes`: it drops only the
+        trees a change can affect:
 
         * a failed link invalidates a tree only when it is one of the
           tree's edges (an endpoint is the other's predecessor) — removing
@@ -657,20 +587,6 @@ class OverlayRouter:
         self._down_links = down
         self.epoch += 1
         self._build_matrix()
-        observing = self.recorder.enabled
-        if not self._incremental:
-            dropped = len(self._trees)
-            self._solve_all()
-            if observing:
-                self.recorder.emit(
-                    "router.link_churn",
-                    epoch=self.epoch,
-                    down=len(down),
-                    dropped_trees=dropped,
-                    eager=True,
-                )
-            return
-
         failed = (
             # repro-lint: disable=DET103 -- feeds vectorised any() masks only; element order is unobservable
             np.fromiter(newly_down, dtype=np.int64, count=len(newly_down))
@@ -711,13 +627,12 @@ class OverlayRouter:
                 self._path_cache.pop(source, None)
                 self._qos_cache.pop(source, None)
                 dropped += 1
-        if observing:
+        if self.recorder.enabled:
             self.recorder.emit(
                 "router.link_churn",
                 epoch=self.epoch,
                 down=len(down),
                 dropped_trees=dropped,
-                eager=False,
             )
 
     def row_version(self, source: int) -> int:

@@ -1,32 +1,51 @@
-"""Scalar ↔ vectorised scorer equivalence (the fastscore contract).
+"""FastScorer against the scalar oracle, level by level.
 
-``repro.core.fastscore`` promises that the vectorised probing path makes
-*identical composition decisions* to the scalar reference — same success,
-same selected components, same message counts — because every array
-expression mirrors the scalar operation order.  These tests enforce the
-contract end to end over real systems, including the configurations that
-exercise its trickiest paths:
+``repro.core.fastscore`` scores each probing level as one batch of array
+operations whose every step mirrors the scalar equations' operation
+order.  The reference is ``tests/oracles/scalar_scorer.py``, which scores
+the same level one (probe, candidate) pair at a time.  These tests wrap
+the context's ``FastScorer.score_level`` so that every level the
+production wavefront scores is re-scored by the oracle and compared
+before the composer sees it:
 
-* guided ACP probing (risk/congestion ranking over the stale view),
-* failed nodes (the per-request liveness mask),
-* random-probing (RP) hop selection, whose rng draws must line up
-  position-for-position between the two pool representations.
+* the pool — candidate, parent probe, congestion, accumulated QoS and
+  pre-candidate QoS, entry by entry and in order — exactly;
+* risk within ``RISK_REL_TOL``, fixed in advance: ``np.log1p`` and
+  ``math.log1p`` may differ in the last ulp;
+* the guided selection at budgets 1, 3 and 7 — exactly.
 
-They also pin the memo-leak fix: per-request scoring state must not
-outlive one ``compose()`` call.
+The request streams cover the trickiest paths: guided ACP probing
+(risk/congestion ranking over the stale view), tight QoS bounds, failed
+and recovering nodes (the per-request liveness mask), and random-probing
+(RP) hop selection, whose rng draws index pool positions.
+
+They also pin that per-request scoring state does not outlive one
+``compose()`` call, and that the scorer rejects inputs it cannot score
+instead of answering wrongly.
 """
 
+import math
 import random
+import sys
 
 import pytest
 
 from repro.core import ACPComposer
 from repro.core.baselines import RandomProbingComposer
+from repro.core.selection import select_best
 from repro.experiments import EVALUATION_DEPLOYMENT
+from repro.model.qos import (
+    DEFAULT_QOS_SCHEMA,
+    MetricKind,
+    MetricSpec,
+    QoSSchema,
+    QoSVector,
+)
+from repro.model.qos_model import LoadDependentQoSModel
 from repro.model.request import StreamRequest, derive_bandwidth_requirements
-from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSVector
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.simulation import SystemConfig, build_system
+from tests.oracles.scalar_scorer import ScalarScorer
 
 CONFIG = SystemConfig(
     num_routers=240, num_nodes=100, deployment=EVALUATION_DEPLOYMENT, seed=7
@@ -80,49 +99,97 @@ def outcome_signature(request, outcome):
     )
 
 
-def assert_identical_decisions(composer_vec, composer_sca, context, requests):
-    for request in requests:
-        vec = composer_vec.compose(request)
-        context.allocator.cancel_transient(request.request_id)
-        sca = composer_sca.compose(request)
-        context.allocator.cancel_transient(request.request_id)
-        assert outcome_signature(request, vec) == outcome_signature(
-            request, sca
-        ), f"decision diverged on request {request.request_id}"
+#: Risk tolerance, fixed before any run: four ulps relative.
+RISK_REL_TOL = 4 * sys.float_info.epsilon
+
+#: Selection budgets compared on every level.
+SELECTION_BUDGETS = (1, 3, 7)
+
+
+def expansion(entry):
+    return (entry.candidate.component_id, id(entry.parent))
+
+
+class OracleCheck:
+    """Re-scores every level a context's FastScorer scores with the
+    scalar oracle and asserts both agree before the composer sees it."""
+
+    def __init__(self, composer):
+        self.composer = composer
+        self.oracle = ScalarScorer(composer.context)
+        self.levels = 0
+        self.entries = 0
+        scorer = composer.context.fast_scorer()
+        begin_request = scorer.begin_request
+        score_level = scorer.score_level
+
+        def checked_begin_request(request):
+            begin_request(request)
+            self.oracle.begin_request()
+
+        def checked_score_level(*args):
+            level = score_level(*args)
+            self.compare(level, self.oracle.score_level(*args))
+            return level
+
+        scorer.begin_request = checked_begin_request
+        scorer.score_level = checked_score_level
+
+    def compare(self, level, expected):
+        got = level.take(range(level.size))
+        assert len(got) == len(expected)
+        for fast, scalar in zip(got, expected):
+            assert fast.candidate is scalar.candidate
+            assert fast.parent is scalar.parent
+            assert fast.congestion == scalar.congestion
+            assert fast.accumulated_qos == scalar.accumulated_qos
+            assert fast.pre_qos == scalar.pre_qos
+            assert math.isclose(fast.risk, scalar.risk, rel_tol=RISK_REL_TOL)
+        ranking = self.composer.ranking_policy
+        for budget in SELECTION_BUDGETS:
+            picked = level.select_best(budget, ranking=ranking)
+            want = select_best(expected, budget, ranking=ranking)
+            assert [expansion(e) for e in picked] == [expansion(e) for e in want]
+        self.levels += 1
+        self.entries += len(expected)
+
+    def run(self, requests):
+        context = self.composer.context
+        for request in requests:
+            self.composer.compose(request)
+            context.allocator.cancel_transient(request.request_id)
+        # the stream must reach scored pools, or nothing was compared
+        assert self.levels > 0 and self.entries > 0
 
 
 def test_acp_decisions_identical():
     system, context = fresh_context()
-    vec = ACPComposer(context, probing_ratio=0.3, vectorized=True)
-    sca = ACPComposer(context, probing_ratio=0.3, vectorized=False)
-    assert_identical_decisions(vec, sca, context, requests_for(system, 40))
+    check = OracleCheck(ACPComposer(context, probing_ratio=0.3))
+    check.run(requests_for(system, 40))
 
 
 def test_acp_decisions_identical_tight_qos():
     """Near-infeasible bounds exercise the qualification edges."""
     system, context = fresh_context()
-    vec = ACPComposer(context, probing_ratio=0.5, vectorized=True)
-    sca = ACPComposer(context, probing_ratio=0.5, vectorized=False)
-    requests = requests_for(system, 25, qos=(180.0, 0.08), rate=120.0)
-    assert_identical_decisions(vec, sca, context, requests)
+    check = OracleCheck(ACPComposer(context, probing_ratio=0.5))
+    check.run(requests_for(system, 40, qos=(180.0, 0.08), rate=120.0))
 
 
 def test_acp_decisions_identical_with_down_nodes():
     """The vectorised liveness mask must match per-candidate alive checks."""
     system, context = fresh_context()
-    vec = ACPComposer(context, probing_ratio=0.3, vectorized=True)
-    sca = ACPComposer(context, probing_ratio=0.3, vectorized=False)
+    check = OracleCheck(ACPComposer(context, probing_ratio=0.3))
     requests = requests_for(system, 30)
 
     down = [system.network.node(node_id) for node_id in (3, 17, 42, 80)]
     for node in down:
         node.fail()
     try:
-        assert_identical_decisions(vec, sca, context, requests[:15])
+        check.run(requests[:15])
         # partial recovery mid-stream: the mask must track transitions
         down[0].recover()
         down[1].recover()
-        assert_identical_decisions(vec, sca, context, requests[15:])
+        check.run(requests[15:])
     finally:
         for node in down:
             if not node.alive:
@@ -130,32 +197,18 @@ def test_acp_decisions_identical_with_down_nodes():
 
 
 def test_random_probing_decisions_identical():
-    """RP consumes rng draws; pool order and draw positions must line up.
-
-    The two composers each get their own identically-seeded system and
-    rng, so the random hop selections are comparable draw for draw.
-    """
-    system_a, context_a = fresh_context()
-    system_b, context_b = fresh_context()
-    vec = RandomProbingComposer(context_a, probing_ratio=0.4, vectorized=True)
-    sca = RandomProbingComposer(context_b, probing_ratio=0.4, vectorized=False)
-    for req_a, req_b in zip(
-        requests_for(system_a, 30), requests_for(system_b, 30)
-    ):
-        out_a = vec.compose(req_a)
-        context_a.allocator.cancel_transient(req_a.request_id)
-        out_b = sca.compose(req_b)
-        context_b.allocator.cancel_transient(req_b.request_id)
-        assert outcome_signature(req_a, out_a) == outcome_signature(
-            req_b, out_b
-        ), f"RP decision diverged on request {req_a.request_id}"
+    """RP samples pool positions, so pool order must match the oracle's
+    entry for entry (risk and congestion are zero without global state)."""
+    system, context = fresh_context()
+    check = OracleCheck(RandomProbingComposer(context, probing_ratio=0.4))
+    check.run(requests_for(system, 30))
 
 
 def test_compose_leaves_no_per_request_state():
-    """Per-request scoring memos are compose()-local; nothing may leak
-    onto the composer between requests (the bug this PR removed)."""
+    """Per-request scoring state is compose()-local; nothing may leak
+    onto the composer between requests."""
     system, context = fresh_context()
-    composer = ACPComposer(context, probing_ratio=0.3, vectorized=False)
+    composer = ACPComposer(context, probing_ratio=0.3)
     requests = requests_for(system, 3)
 
     composer.compose(requests[0])
@@ -167,6 +220,42 @@ def test_compose_leaves_no_per_request_state():
         assert set(vars(composer)) == attrs_after_first
     assert not hasattr(composer, "_stale_qos_memo")
     assert not hasattr(composer, "_stale_bw_memo")
+
+
+class TestUnsupportedInputsRejected:
+    """The scorer is specialised to the (delay, loss) schema and the stock
+    QoS model; anything else is an error, never a silent other path."""
+
+    def test_rejects_other_schema_kinds(self):
+        system, context = fresh_context()
+        request = requests_for(system, 1)[0]
+        schema = QoSSchema(
+            [
+                MetricSpec("delay", MetricKind.ADDITIVE, "ms"),
+                MetricSpec("jitter", MetricKind.ADDITIVE, "ms"),
+            ]
+        )
+        request = StreamRequest(
+            request_id=request.request_id,
+            function_graph=request.function_graph,
+            qos_requirement=QoSVector(schema, [420.0, 30.0]),
+            node_requirements=request.node_requirements,
+            bandwidth_requirements=request.bandwidth_requirements,
+            stream_rate=request.stream_rate,
+        )
+        with pytest.raises(ValueError, match="ADDITIVE, ADDITIVE"):
+            ACPComposer(context, probing_ratio=0.3).compose(request)
+
+    def test_rejects_qos_model_subclass(self):
+        class TunedModel(LoadDependentQoSModel):
+            pass
+
+        system, context = fresh_context()
+        context.qos_model = TunedModel()
+        with pytest.raises(ValueError, match="TunedModel"):
+            ACPComposer(context, probing_ratio=0.3).compose(
+                requests_for(system, 1)[0]
+            )
 
 
 def test_fast_scorer_is_shared_and_epoch_keyed():

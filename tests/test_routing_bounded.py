@@ -6,12 +6,12 @@ contract that makes the bound safe: **eviction is decision-invisible** —
 delays are continuous so shortest paths are unique, and a re-solve of an
 evicted source reproduces the identical tree.  The hypothesis property
 here drives a router with the tiniest legal bound (2) through arbitrary
-interleavings of queries and churn and demands answers identical to the
-unbounded router's.
+interleavings of queries and churn and demands answers identical to a
+router whose bound exceeds the node count, so it never evicts.
 
-Also covered: eviction/hit counters landing in traces, the eager
-all-pairs refusal above its size threshold, the listener-leak fix
-(``close()`` on router and global state), and the LRU primitive itself.
+Also covered: eviction/hit counters landing in traces, the listener-leak
+fix (``close()`` on router and global state), and the LRU primitive
+itself.
 """
 
 import random
@@ -24,11 +24,7 @@ from repro.model.lru import LRUDict
 from repro.observability import TraceRecorder
 from repro.simulation import SystemConfig, build_system
 from repro.state.global_state import GlobalStateManager
-from repro.topology.routing import (
-    EAGER_ALLPAIRS_MAX_NODES,
-    OverlayRouter,
-    RoutingError,
-)
+from repro.topology.routing import OverlayRouter
 from tests.test_routing_differential import random_mesh
 from tests.test_routing_incremental import (
     assert_routers_identical,
@@ -73,15 +69,10 @@ class TestLRUDict:
         lru.clear()
         assert evicted == [] and lru.evictions == 0
 
-    def test_unbounded_when_capacity_none(self):
-        lru = LRUDict()
-        for i in range(10_000):
-            lru[i] = i
-        assert len(lru) == 10_000 and lru.evictions == 0
-
     def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            LRUDict(capacity=0)
+        for capacity in (0, None):
+            with pytest.raises(ValueError):
+                LRUDict(capacity=capacity)
 
     def test_keys_in_recency_order(self):
         lru = LRUDict(capacity=3)
@@ -94,25 +85,26 @@ class TestLRUDict:
 @settings(max_examples=20, deadline=None)
 def test_tiny_lru_matches_unbounded_under_query_churn_interleaving(seed):
     """Any interleaving of compose-like queries and node churn with a
-    size-2 tree cache answers identically to the unbounded router."""
+    size-2 tree cache answers identically to a router that never evicts."""
     network = random_mesh(seed, num_nodes=12, extra_edges=8)
-    bounded = OverlayRouter(network, incremental=True, tree_cache_size=2)
-    unbounded = OverlayRouter(network, incremental=True)
+    bounded = OverlayRouter(network, tree_cache_size=2)
+    reference = OverlayRouter(network, tree_cache_size=len(network))
     rng = random.Random(seed * 23 + 1)
     for down in random_churn_sequence(rng, len(network), steps=5):
         # interleaved queries keep the tiny cache thrashing (evicting and
-        # re-solving) while the unbounded one never evicts
+        # re-solving) while the reference never evicts
         for _ in range(6):
             source = rng.randrange(len(network))
             if source in down:
                 continue
             bounded.virtual_link_rows(source)
             bounded.bottleneck_bandwidth_row(source)
-            unbounded.virtual_link_rows(source)
+            reference.virtual_link_rows(source)
         bounded.set_down_nodes(down)
-        unbounded.set_down_nodes(down)
-        assert_routers_identical(bounded, unbounded, network, down)
+        reference.set_down_nodes(down)
+        assert_routers_identical(bounded, reference, network, down)
     assert bounded.cached_tree_count <= 2
+    assert reference.tree_evictions == 0
     if len(network) > 2:
         assert bounded.tree_evictions > 0, "bound never exercised"
 
@@ -121,8 +113,8 @@ def test_tiny_lru_matches_unbounded_under_query_churn_interleaving(seed):
 @settings(max_examples=10, deadline=None)
 def test_tiny_lru_matches_unbounded_under_link_churn(seed):
     network = random_mesh(seed, num_nodes=10, extra_edges=6)
-    bounded = OverlayRouter(network, incremental=True, tree_cache_size=2)
-    unbounded = OverlayRouter(network, incremental=True)
+    bounded = OverlayRouter(network, tree_cache_size=2)
+    reference = OverlayRouter(network, tree_cache_size=len(network))
     rng = random.Random(seed * 19 + 5)
     down_links = set()
     for _ in range(5):
@@ -133,8 +125,8 @@ def test_tiny_lru_matches_unbounded_under_link_churn(seed):
         flapped = rng.sample(range(len(network.links)), k=2)
         down_links ^= set(flapped)
         bounded.set_down_links(down_links)
-        unbounded.set_down_links(down_links)
-        assert_routers_identical(bounded, unbounded, network, set())
+        reference.set_down_links(down_links)
+        assert_routers_identical(bounded, reference, network, set())
 
 
 def test_path_and_qos_caches_stay_subset_of_trees():
@@ -175,34 +167,6 @@ def test_build_system_threads_cache_bound():
     for source in range(20):
         system.router.virtual_link_rows(source)
     assert system.router.cached_tree_count <= 5
-
-
-class TestEagerGuard:
-    def test_refuses_above_threshold(self):
-        network = random_mesh(1, num_nodes=12, extra_edges=6)
-        with pytest.raises(RoutingError, match="eager all-pairs"):
-            OverlayRouter(network, incremental=False, eager_max_nodes=10)
-
-    def test_refusal_names_the_escape_hatches(self):
-        """The message must tell the operator exactly what to do: the
-        config knob that avoids the dense solve and the cap override."""
-        network = random_mesh(1, num_nodes=12, extra_edges=6)
-        with pytest.raises(RoutingError) as excinfo:
-            OverlayRouter(network, incremental=False, eager_max_nodes=10)
-        message = str(excinfo.value)
-        assert "SystemConfig(incremental_routing=True)" in message
-        assert "EAGER_ALLPAIRS_MAX_NODES" in message
-        assert "eager_max_nodes" in message
-        assert "limit 10" in message
-        assert "12 overlay nodes" in message
-
-    def test_incremental_unaffected_by_threshold(self):
-        network = random_mesh(1, num_nodes=12, extra_edges=6)
-        router = OverlayRouter(network, incremental=True, eager_max_nodes=10)
-        assert np.isfinite(router.delay(0, 5))
-
-    def test_default_threshold_admits_paper_scale(self):
-        assert EAGER_ALLPAIRS_MAX_NODES >= 600
 
 
 class TestListenerTeardown:

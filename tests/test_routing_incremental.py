@@ -4,10 +4,10 @@ The tentpole claim of the incremental router is that dirty-set
 invalidation is *exact*: after any crash/recovery sequence, every answer
 an incrementally-maintained router gives — distances, loss rows, paths,
 QoS, bottleneck bandwidth, reachability — is identical to one computed by
-a router freshly constructed with the same down set, and to the eager
-all-pairs baseline (``incremental=False``).  Random meshes draw delays
-from a continuous distribution, so shortest paths are unique and the
-comparison can demand exact equality.
+a router freshly constructed with the same down set.  Random meshes draw
+delays from a continuous distribution, so shortest paths are unique and
+the comparison can demand exact equality.  ``test_routing_differential``
+checks fresh routers against networkx under the same kinds of churn.
 """
 
 import random
@@ -74,8 +74,7 @@ def assert_routers_identical(incremental, fresh, network, down):
 @settings(max_examples=20, deadline=None)
 def test_incremental_matches_fresh_router_under_churn(seed):
     network = random_mesh(seed, num_nodes=12, extra_edges=8)
-    incremental = OverlayRouter(network, incremental=True)
-    eager = OverlayRouter(network, incremental=False)
+    incremental = OverlayRouter(network)
     rng = random.Random(seed * 31 + 7)
     for down in random_churn_sequence(rng, len(network), steps=6):
         # warm a few trees/caches *before* the event so invalidation — not
@@ -86,11 +85,9 @@ def test_incremental_matches_fresh_router_under_churn(seed):
             incremental.virtual_link_rows(source)
             incremental.bottleneck_bandwidth_row(source)
         incremental.set_down_nodes(down)
-        eager.set_down_nodes(down)
-        fresh = OverlayRouter(network, incremental=True)
+        fresh = OverlayRouter(network)
         fresh.set_down_nodes(down)
         assert_routers_identical(incremental, fresh, network, down)
-        assert_routers_identical(eager, fresh, network, down)
 
 
 def random_link_churn_sequence(rng, num_links, steps):
@@ -113,19 +110,16 @@ def test_incremental_matches_fresh_router_under_link_churn(seed):
     """Per-link dirty-set invalidation is exact: after any link flap
     sequence the incremental router answers like a freshly-built one."""
     network = random_mesh(seed, num_nodes=12, extra_edges=8)
-    incremental = OverlayRouter(network, incremental=True)
-    eager = OverlayRouter(network, incremental=False)
+    incremental = OverlayRouter(network)
     rng = random.Random(seed * 17 + 3)
     for down_links in random_link_churn_sequence(rng, len(network.links), steps=6):
         for source in rng.sample(range(len(network)), k=4):
             incremental.virtual_link_rows(source)
             incremental.bottleneck_bandwidth_row(source)
         incremental.set_down_links(down_links)
-        eager.set_down_links(down_links)
-        fresh = OverlayRouter(network, incremental=True)
+        fresh = OverlayRouter(network)
         fresh.set_down_links(down_links)
         assert_routers_identical(incremental, fresh, network, set())
-        assert_routers_identical(eager, fresh, network, set())
 
 
 @given(st.integers(min_value=0, max_value=400))
@@ -134,7 +128,7 @@ def test_incremental_matches_under_mixed_node_and_link_churn(seed):
     """Interleaved node crashes and link flaps — the full fault cocktail's
     routing view — must stay exact under incremental maintenance."""
     network = random_mesh(seed, num_nodes=12, extra_edges=8)
-    incremental = OverlayRouter(network, incremental=True)
+    incremental = OverlayRouter(network)
     rng = random.Random(seed * 13 + 5)
     node_sequence = random_churn_sequence(rng, len(network), steps=5)
     link_sequence = random_link_churn_sequence(rng, len(network.links), steps=5)
@@ -144,7 +138,7 @@ def test_incremental_matches_under_mixed_node_and_link_churn(seed):
                 incremental.virtual_link_rows(source)
         incremental.set_down_nodes(down)
         incremental.set_down_links(down_links)
-        fresh = OverlayRouter(network, incremental=True)
+        fresh = OverlayRouter(network)
         fresh.set_down_nodes(down)
         fresh.set_down_links(down_links)
         assert_routers_identical(incremental, fresh, network, down)
@@ -156,7 +150,7 @@ def test_incremental_matches_under_bandwidth_churn(seed):
     """Interleaved bandwidth allocations must show through the live
     bottleneck queries regardless of tree invalidation."""
     network = random_mesh(seed, num_nodes=10, extra_edges=6)
-    incremental = OverlayRouter(network, incremental=True)
+    incremental = OverlayRouter(network)
     rng = random.Random(seed + 99)
     down = set()
     for step in range(5):
@@ -168,7 +162,7 @@ def test_incremental_matches_under_bandwidth_churn(seed):
         else:
             down.add(victim)
         incremental.set_down_nodes(down)
-        fresh = OverlayRouter(network, incremental=True)
+        fresh = OverlayRouter(network)
         fresh.set_down_nodes(down)
         for a in range(len(network)):
             for b in range(len(network)):

@@ -1,16 +1,13 @@
-"""Scoring-kernel backend equivalence and the bounded scorer row cache.
+"""The scoring batches against pure-Python loops, and the bounded row cache.
 
-The compiled (numba) backend's contract is *byte-identity*: every kernel
-output array equals the numpy reference's bit for bit, so composition
-decisions cannot depend on which backend is installed.  The numpy-level
-tests here run everywhere; the numba differential tests skip cleanly when
-the optional ``compiled`` extra is absent (the tier-1 environment).
+``repro.core.scoring_kernel`` holds the three elementwise batches of the
+fastscore hot path.  Their contract is bit-equality with the scalar
+equations, checked here against hand-rolled pure-Python loops.  The
+resolved backend name (the benchmark harness stamps it on every run) is
+always numpy.
 
-Also covered: backend resolution (``auto``/``numpy``/``numba``), the
-config plumbing from ``SystemConfig`` to ``FastScorer``, the kernel's
-numpy path against a hand-rolled pure-python scalar loop, and the
-LRU-bounded ``_bandwidth_rows`` cache making identical decisions at a
-tiny bound.
+Also covered: the LRU-bounded ``_bandwidth_rows`` cache making identical
+decisions at a tiny bound, and the scorer's memory footprint.
 """
 
 import math
@@ -19,20 +16,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import ACPComposer
-from repro.core.scoring_kernel import (
-    NUMBA_AVAILABLE,
-    SCORING_KERNELS,
-    get_scoring_kernel,
-    resolve_scoring_kernel,
-)
+from repro.core import ACPComposer, scoring_kernel
+from repro.core.scoring_kernel import resolve_scoring_kernel
 from repro.experiments import EVALUATION_DEPLOYMENT
 from repro.simulation import SystemConfig, build_system
-from tests.test_fastscore import (
-    assert_identical_decisions,
-    outcome_signature,
-    requests_for,
-)
+from tests.test_fastscore import outcome_signature, requests_for
 
 CONFIG = SystemConfig(
     num_routers=240, num_nodes=100, deployment=EVALUATION_DEPLOYMENT, seed=7
@@ -47,41 +35,7 @@ class TestResolution:
         assert resolve_scoring_kernel("numpy") == "numpy"
 
     def test_auto_resolves_to_an_available_backend(self):
-        resolved = resolve_scoring_kernel("auto")
-        assert resolved in ("numpy", "numba")
-        if not NUMBA_AVAILABLE:
-            assert resolved == "numpy"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown scoring kernel"):
-            resolve_scoring_kernel("cython")
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba installed")
-    def test_explicit_numba_errors_when_absent(self):
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            resolve_scoring_kernel("numba")
-
-    def test_build_system_rejects_unknown_kernel(self):
-        config = SystemConfig(
-            num_routers=60, num_nodes=10, seed=1, scoring_kernel="bogus"
-        )
-        with pytest.raises(ValueError, match="unknown scoring kernel"):
-            build_system(config)
-
-    def test_config_threads_kernel_to_scorer(self):
-        config = SystemConfig(
-            num_routers=240,
-            num_nodes=100,
-            deployment=EVALUATION_DEPLOYMENT,
-            seed=2,
-            scoring_kernel="numpy",
-        )
-        system = build_system(config)
-        context = system.composition_context(rng=random.Random(1))
-        assert context.fast_scorer().kernel.name == "numpy"
-
-    def test_kernel_list_is_stable(self):
-        assert SCORING_KERNELS == ("auto", "numpy", "numba")
+        assert resolve_scoring_kernel("auto") == "numpy"
 
 
 # -- numpy kernel vs a pure-python scalar loop --------------------------------
@@ -135,13 +89,14 @@ def random_batch(seed, probes=5, candidates=17):
     return out_delay, out_loss, link_delay, link_loss
 
 
-KERNEL_NAMES = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
+#: The batch implementations under test, by backend name (numpy only).
+KERNELS = {"numpy": scoring_kernel}
 
 
-@pytest.mark.parametrize("name", KERNEL_NAMES)
+@pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("seed", range(5))
 def test_through_qos_matches_scalar_loop(name, seed):
-    kernel = get_scoring_kernel(name)
+    kernel = KERNELS[name]
     out_delay, out_loss, link_delay, link_loss = random_batch(seed)
     first = kernel.through_qos(
         out_delay, out_loss, link_delay, link_loss, None, None
@@ -159,10 +114,10 @@ def test_through_qos_matches_scalar_loop(name, seed):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("name", KERNEL_NAMES)
+@pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("seed", range(5))
 def test_finalize_qos_matches_scalar_loop(name, seed):
-    kernel = get_scoring_kernel(name)
+    kernel = KERNELS[name]
     rng = np.random.default_rng(seed)
     acc_d = rng.uniform(0.0, 500.0, (4, 13))
     acc_l = rng.uniform(0.0, 0.4, (4, 13))
@@ -182,10 +137,10 @@ def test_finalize_qos_matches_scalar_loop(name, seed):
     np.testing.assert_array_equal(got_l, want_l)
 
 
-@pytest.mark.parametrize("name", KERNEL_NAMES)
+@pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("seed", range(5))
 def test_congestion_matches_scalar_loop(name, seed):
-    kernel = get_scoring_kernel(name)
+    kernel = KERNELS[name]
     rng = np.random.default_rng(seed)
     shape = (4, 11)
     requirement_values = (4.0, 25.0, 0.0)
@@ -202,46 +157,13 @@ def test_congestion_matches_scalar_loop(name, seed):
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="optional compiled extra absent")
-class TestNumbaEndToEnd:
-    """Full-system decision identity: compiled vs numpy vs scalar path."""
-
-    def test_numba_and_numpy_decisions_identical(self):
-        numpy_system = build_system(CONFIG)
-        numba_system = build_system(
-            SystemConfig(
-                num_routers=240,
-                num_nodes=100,
-                deployment=EVALUATION_DEPLOYMENT,
-                seed=7,
-                scoring_kernel="numba",
-            )
-        )
-        numpy_ctx = numpy_system.composition_context(rng=random.Random(11))
-        numba_ctx = numba_system.composition_context(rng=random.Random(11))
-        numpy_composer = ACPComposer(numpy_ctx, probing_ratio=0.3)
-        numba_composer = ACPComposer(numba_ctx, probing_ratio=0.3)
-        for req_np, req_nb in zip(
-            requests_for(numpy_system, 30), requests_for(numba_system, 30)
-        ):
-            out_np = numpy_composer.compose(req_np)
-            numpy_ctx.allocator.cancel_transient(req_np.request_id)
-            out_nb = numba_composer.compose(req_nb)
-            numba_ctx.allocator.cancel_transient(req_nb.request_id)
-            assert outcome_signature(req_np, out_np) == outcome_signature(
-                req_nb, out_nb
-            ), f"backend decisions diverged on request {req_np.request_id}"
-
-    def test_numba_kernel_selected_by_auto(self):
-        assert resolve_scoring_kernel("auto") == "numba"
-
-
 # -- bounded scorer row cache -------------------------------------------------
 
 
 def test_tiny_row_cache_makes_identical_decisions():
-    """A scorer limited to 2 cached bandwidth rows decides exactly like an
-    unbounded one — evicted rows are re-derived value-identically."""
+    """A scorer limited to 2 cached bandwidth rows decides exactly like
+    one whose bound exceeds the node count, so it never evicts — evicted
+    rows are re-derived value-identically."""
     bounded_system = build_system(
         SystemConfig(
             num_routers=240,
@@ -251,51 +173,33 @@ def test_tiny_row_cache_makes_identical_decisions():
             scorer_row_cache_size=2,
         )
     )
-    unbounded_system = build_system(
+    reference_system = build_system(
         SystemConfig(
             num_routers=240,
             num_nodes=100,
             deployment=EVALUATION_DEPLOYMENT,
             seed=7,
-            scorer_row_cache_size=None,
+            scorer_row_cache_size=100,
         )
     )
     bounded_ctx = bounded_system.composition_context(rng=random.Random(11))
-    unbounded_ctx = unbounded_system.composition_context(rng=random.Random(11))
+    reference_ctx = reference_system.composition_context(rng=random.Random(11))
     bounded = ACPComposer(bounded_ctx, probing_ratio=0.3)
-    unbounded = ACPComposer(unbounded_ctx, probing_ratio=0.3)
+    reference = ACPComposer(reference_ctx, probing_ratio=0.3)
     for req_a, req_b in zip(
-        requests_for(bounded_system, 25), requests_for(unbounded_system, 25)
+        requests_for(bounded_system, 25), requests_for(reference_system, 25)
     ):
         out_a = bounded.compose(req_a)
         bounded_ctx.allocator.cancel_transient(req_a.request_id)
-        out_b = unbounded.compose(req_b)
-        unbounded_ctx.allocator.cancel_transient(req_b.request_id)
+        out_b = reference.compose(req_b)
+        reference_ctx.allocator.cancel_transient(req_b.request_id)
         assert outcome_signature(req_a, out_a) == outcome_signature(
             req_b, out_b
         )
     scorer = bounded_ctx.fast_scorer()
     assert len(scorer._bandwidth_rows) <= 2
     assert scorer._bandwidth_rows.evictions > 0
-
-
-def test_vectorized_vs_scalar_with_explicit_numpy_kernel():
-    """The existing fastscore contract holds with the kernel seam in
-    place: the vectorised path (through the numpy kernel) and the scalar
-    reference still make identical decisions."""
-    system = build_system(
-        SystemConfig(
-            num_routers=240,
-            num_nodes=100,
-            deployment=EVALUATION_DEPLOYMENT,
-            seed=7,
-            scoring_kernel="numpy",
-        )
-    )
-    context = system.composition_context(rng=random.Random(11))
-    vec = ACPComposer(context, probing_ratio=0.3, vectorized=True)
-    sca = ACPComposer(context, probing_ratio=0.3, vectorized=False)
-    assert_identical_decisions(vec, sca, context, requests_for(system, 25))
+    assert reference_ctx.fast_scorer()._bandwidth_rows.evictions == 0
 
 
 def test_scorer_memory_footprint_reports_tables_and_rows():
