@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test lint check docs-seeds bench bench-micro bench-faults bench-scale bench-scale-smoke bench-population bench-population-smoke bench-migration bench-migration-smoke trace-demo
+.PHONY: test lint check docs-seeds bench bench-micro bench-scale bench-scale-smoke spec-check trace-demo
 
 test:
 	$(PYTEST) -x -q tests
@@ -76,57 +76,29 @@ bench-scale-smoke:
 	BENCH_SCALE_NODES=$${BENCH_SCALE_NODES:-300} $(PYTEST) -q -s benchmarks/test_scale.py
 	@echo "smoke point: benchmarks/results/BENCH_scale_smoke.json"
 
-# Fault-tolerance macro benchmark: the same Fig. 8-style simulation run
-# under the full fault cocktail (node crashes, link flaps, lossy control
-# plane, state-update loss) with and without crash-triggered session
-# re-composition.  Survival figures land in
-# benchmarks/results/BENCH_faults.json; the run asserts the resilient
-# mode's session survival rate strictly exceeds the kill-on-fault
-# baseline and that a zero-fault plan is decision-identical to no plan.
-bench-faults:
-	$(PYTEST) -q -s benchmarks/test_macro_faults.py
-	@echo "survival: benchmarks/results/BENCH_faults.json"
+# The behavioural spec: the committed figure, ablation and macro results.
+# Reruns every benchmark that writes them, with all its assertions, then
+# fails if any file differs from the committed one (the diff names each
+# file and line).  The figure and macro files come from the entries of
+# repro.experiments.EXPERIMENTS (`repro-experiments NAME -o
+# benchmarks/results` writes the same bytes).  About 20 minutes serially
+# on a 2-core host.  The committed bytes come from Python 3.11.7 with
+# numpy 2.4.6 and scipy 1.17.1 (CI's spec-check job pins the same); other
+# versions may move trailing float digits, e.g. through scipy's Dijkstra
+# tie-breaking or numpy's summation order.
+SPEC_BENCHMARKS := benchmarks/test_fig5_probing_ratio.py \
+	benchmarks/test_fig6_efficiency.py benchmarks/test_fig7_scalability.py \
+	benchmarks/test_fig8_adaptability.py benchmarks/test_ablation_extensions.py \
+	benchmarks/test_ablation_selection.py benchmarks/test_ablation_state_threshold.py \
+	benchmarks/test_macro_faults.py benchmarks/test_population.py \
+	benchmarks/test_macro_migration.py
+SPEC_FILES := benchmarks/results/fig*.txt benchmarks/results/ablation_*.txt \
+	benchmarks/results/BENCH_faults.json benchmarks/results/BENCH_population.json \
+	benchmarks/results/BENCH_migration.json
 
-# Population-scale workload sweep: the standard scenario set (steady,
-# diurnal, flash_crowd) across 1x/10x/100x load multipliers on the mean
-# active population.  Per-window SLO series (success, p50/p99 setup
-# latency, admission pressure, session/queue gauges) land in
-# benchmarks/results/BENCH_population.json; the run asserts the steady
-# baseline is healthy at 1x and that 100x overload is non-degenerate
-# (failures under contention, sessions piling up, no crash).  ~3 minutes.
-bench-population:
-	$(PYTEST) -q -s benchmarks/test_population.py
-	@echo "sweep: benchmarks/results/BENCH_population.json"
-
-# Same harness at whatever multipliers the caller sets via
-# BENCH_POPULATION_MULTIPLIERS (comma-separated); writes
-# BENCH_population_smoke.json so a smoke run can never clobber the
-# committed full sweep.  CI runs this at 1x/10x on every push.
-bench-population-smoke:
-	BENCH_POPULATION_MULTIPLIERS=$${BENCH_POPULATION_MULTIPLIERS:-1,10} $(PYTEST) -q -s benchmarks/test_population.py
-	@echo "smoke sweep: benchmarks/results/BENCH_population_smoke.json"
-
-# Proactive-reconfiguration macro benchmark: the same diurnal +
-# regional-spike simulation with crash recovery alone vs recovery plus
-# hotspot-driven live session migration.  Figures (success, p99 setup,
-# survival, and the migration cost ledger — paused-stream seconds, slack
-# aborts, probe traffic) land in benchmarks/results/BENCH_migration.json;
-# the run asserts proactive strictly beats recover-only on success rate
-# with p99 no worse, that the costs were actually paid, and that a zero
-# migration plan is decision-identical to no plan.  ~3 minutes.
-bench-migration:
-	$(PYTEST) -q -s benchmarks/test_macro_migration.py
-	@echo "migration: benchmarks/results/BENCH_migration.json"
-
-# Same harness at whatever horizon/system size the caller sets via
-# BENCH_MIGRATION_DURATION / BENCH_MIGRATION_NODES; writes
-# BENCH_migration_smoke.json so a smoke run can never clobber the
-# committed full result.  CI runs a short horizon on every push.
-bench-migration-smoke:
-	BENCH_MIGRATION_DURATION=$${BENCH_MIGRATION_DURATION:-300} \
-	BENCH_MIGRATION_NODES=$${BENCH_MIGRATION_NODES:-120} \
-	$(PYTEST) -q -s benchmarks/test_macro_migration.py
-	@echo "smoke: benchmarks/results/BENCH_migration_smoke.json"
+spec-check:
+	$(PYTEST) -q $(SPEC_BENCHMARKS)
+	git diff --exit-code -- $(SPEC_FILES)
 
 # Full benchmark suite: every figure harness at FAST_SCALE plus the micro
 # operations.  Figure rows land in benchmarks/results/*.txt.  The ~10-min

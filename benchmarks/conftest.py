@@ -1,11 +1,14 @@
 """Shared benchmark fixtures and the result sink.
 
-Every benchmark regenerates one of the paper's evaluation figures at the
-reduced ``FAST_SCALE`` (same code paths as the full-scale harness, smaller
-horizons) and
-
-* prints the figure's rows (run pytest with ``-s`` to see them live), and
-* writes them to ``benchmarks/results/<name>.txt`` for EXPERIMENTS.md.
+The figure and macro benchmarks each run one entry of
+``repro.experiments.EXPERIMENTS`` at its committed parameters (the same
+code and files as ``repro-experiments NAME -o benchmarks/results``) and
+assert the paper's shapes on its reports; the ablation benchmarks build
+their own arms.  All of them print their tables (run pytest with ``-s``
+to see them live) and write their result files to
+``benchmarks/results/`` through the ``publish`` fixture.  ``make
+spec-check`` reruns all of them and diffs the files against the
+committed ones.
 
 The ``benchmark`` fixture times a single representative unit of work
 (usually one full simulation point) with ``pedantic(rounds=1)`` — the
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from typing import Optional
 
 import pytest
 
@@ -57,12 +61,18 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def publish(results_dir):
-    """Print a rendered figure and persist it under benchmarks/results/."""
+    """Print rendered tables and persist them under benchmarks/results/:
+    ``publish(outcome)`` writes an experiment's result files,
+    ``publish(name, text)`` one table as NAME.txt."""
 
-    def _publish(name: str, text: str) -> None:
+    def _publish(outcome_or_name, text: Optional[str] = None) -> None:
+        if text is None:
+            text = outcome_or_name.text
+            outcome_or_name.write(results_dir)
+        else:
+            (results_dir / f"{outcome_or_name}.txt").write_text(text + "\n")
         print(f"\n{text}\n")
-        (results_dir / f"{name}.txt").write_text(text + "\n")
 
     return _publish

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import ACPComposer, PIDRatioTuner, ProbingRatioTuner
 from repro.experiments import EVALUATION_DEPLOYMENT, FAST_SCALE
-from repro.experiments.reporting import _align
+from repro.experiments.reporting import align_rows
 from repro.placement.migration import ComponentMigrationManager, MigrationPolicy
 from repro.simulation import (
     QOS_LEVELS,
@@ -105,7 +105,7 @@ def test_tuner_comparison(tuner_sweep, publish, benchmark):
                 f"{report.probe_messages_per_min:.0f}",
             ]
         )
-    publish("ablation_tuners", _align(rows))
+    publish("ablation_tuners", align_rows(rows))
 
     fixed = tuner_sweep["fixed 0.3"]
     profile = tuner_sweep["profile tuner"]
@@ -170,7 +170,7 @@ def test_migration_ablation(migration_sweep, publish, benchmark):
                 "0" if manager is None else str(manager.migration_messages),
             ]
         )
-    publish("ablation_migration", _align(rows))
+    publish("ablation_migration", align_rows(rows))
 
     baseline, _ = migration_sweep["off"]
     with_migration, manager = migration_sweep["on"]

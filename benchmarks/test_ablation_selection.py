@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import ACPComposer, RankingPolicy
 from repro.experiments import EVALUATION_DEPLOYMENT, FAST_SCALE
-from repro.experiments.reporting import _align
+from repro.experiments.reporting import align_rows
 from repro.simulation import (
     QOS_LEVELS,
     RateSchedule,
@@ -93,7 +93,7 @@ def test_ranking_ablation(sweep, publish, benchmark):
                 str(qos_failures),
             ]
         )
-    publish("ablation_selection", _align(rows))
+    publish("ablation_selection", align_rows(rows))
 
     combined = sweep[RankingPolicy.RISK_THEN_CONGESTION]
     risk_only = sweep[RankingPolicy.RISK_ONLY]

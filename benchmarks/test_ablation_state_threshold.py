@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import ACPComposer
 from repro.experiments import EVALUATION_DEPLOYMENT, FAST_SCALE
-from repro.experiments.reporting import _align
+from repro.experiments.reporting import align_rows
 from repro.simulation import (
     QOS_LEVELS,
     RateSchedule,
@@ -85,7 +85,7 @@ def test_threshold_tradeoff(sweep, publish, benchmark):
                 f"{report.probe_messages_per_min:.0f}",
             ]
         )
-    publish("ablation_state_threshold", _align(rows))
+    publish("ablation_state_threshold", align_rows(rows))
 
     # state maintenance overhead falls monotonically with the threshold
     messages = [sweep[t].state_messages_per_min for t in sorted(sweep)]
@@ -117,6 +117,6 @@ def test_quantization_on_top_of_threshold(publish, benchmark):
             f"{quantized.state_messages_per_min:.0f}",
         ],
     ]
-    publish("ablation_state_quantization", _align(rows))
+    publish("ablation_state_quantization", align_rows(rows))
     # bucketised guidance must not collapse ACP (graceful degradation)
     assert quantized.success_rate > exact.success_rate - 0.10

@@ -6,17 +6,10 @@ verify: success rises steeply with α and saturates early; the saturation
 level drops with workload and with QoS stringency.
 """
 
-import pytest
+from repro.experiments import EXPERIMENTS
 
-from repro.experiments import (
-    FAST_SCALE,
-    format_figure_table,
-    run_fig5a,
-    run_fig5b,
-)
-
-#: trimmed ratio grid: dense where the curve bends, sparse at the plateau
-RATIOS = (0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
+FIG5A = EXPERIMENTS["fig5a"]
+FIG5B = EXPERIMENTS["fig5b"]
 
 
 def _assert_rising_then_saturating(series):
@@ -30,17 +23,9 @@ def _assert_rising_then_saturating(series):
 
 
 def test_fig5a_success_vs_ratio_by_request_rate(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: run_fig5a(
-            scale=FAST_SCALE,
-            request_rates=(50.0, 100.0),
-            probing_ratios=RATIOS,
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    publish("fig5a", format_figure_table(result))
+    outcome = benchmark.pedantic(FIG5A.run, rounds=1, iterations=1)
+    publish(outcome)
+    (result,) = outcome.figures
 
     light = result.series["50 reqs/min"]
     heavy = result.series["100 reqs/min"]
@@ -50,22 +35,13 @@ def test_fig5a_success_vs_ratio_by_request_rate(benchmark, publish):
     assert max(heavy.ys()) < max(light.ys())
     # and is lower pointwise almost everywhere
     worse = sum(1 for l, h in zip(light.ys(), heavy.ys()) if h < l)
-    assert worse >= len(RATIOS) - 1
+    assert worse >= len(FIG5A.params["ratios"]) - 1
 
 
 def test_fig5b_success_vs_ratio_by_qos_level(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: run_fig5b(
-            scale=FAST_SCALE,
-            qos_levels=("high", "very_high"),
-            request_rate=50.0,
-            probing_ratios=RATIOS,
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    publish("fig5b", format_figure_table(result))
+    outcome = benchmark.pedantic(FIG5B.run, rounds=1, iterations=1)
+    publish(outcome)
+    (result,) = outcome.figures
 
     high = result.series["high QoS"]
     very_high = result.series["very_high QoS"]

@@ -12,41 +12,33 @@ Shapes to verify against the paper:
 
 import pytest
 
-from repro.experiments import (
-    ALGORITHMS,
-    FAST_SCALE,
-    format_figure_table,
-    run_fig6,
-)
+from repro.experiments import EXPERIMENTS
 
-RATES = (20.0, 40.0, 60.0, 80.0, 100.0)
+FIG6 = EXPERIMENTS["fig6"]
 
 
 @pytest.fixture(scope="module")
-def fig6():
-    return run_fig6(scale=FAST_SCALE, request_rates=RATES, seed=0)
+def fig6(publish):
+    outcome = FIG6.run()
+    publish(outcome)
+    return outcome.figures
 
 
-def test_fig6_runs_and_publishes(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: run_fig6(
-            scale=FAST_SCALE, request_rates=(40.0,), algorithms=("ACP",), seed=1
-        ),
+def test_fig6_runs_and_publishes(benchmark):
+    outcome = benchmark.pedantic(
+        lambda: FIG6.run(seed=1, rates=(40.0,), algorithms=("ACP",)),
         rounds=1,
         iterations=1,
     )
     # the single-point run only times one simulation; assertions use the
     # module-scoped full sweep below
-    assert result[0].series["ACP"].points[0][1] > 0.0
+    assert outcome.figures[0].series["ACP"].points[0][1] > 0.0
 
 
 class TestFig6a:
-    def test_success_declines_with_load(self, fig6, publish, benchmark):
+    def test_success_declines_with_load(self, fig6, benchmark):
         success, _overhead = fig6
-        benchmark.pedantic(
-            lambda: format_figure_table(success), rounds=1, iterations=1
-        )
-        publish("fig6a", format_figure_table(success))
+        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         for algorithm in ("Optimal", "ACP", "SP", "RP"):
             ys = success.series[algorithm].ys()
             assert ys[0] > ys[-1], f"{algorithm}: no decline {ys}"
@@ -77,10 +69,9 @@ class TestFig6a:
 
 
 class TestFig6b:
-    def test_overhead_ordering_and_reduction(self, fig6, publish, benchmark):
+    def test_overhead_ordering_and_reduction(self, fig6, benchmark):
         _success, overhead = fig6
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        publish("fig6b", format_figure_table(overhead, percent=False))
         optimal = overhead.series["Optimal"].ys()
         acp = overhead.series["ACP"].ys()
         rp = overhead.series["RP"].ys()

@@ -12,32 +12,31 @@ system (Section 4.1).  Shapes to verify:
 
 import pytest
 
-from repro.experiments import FAST_SCALE, format_figure_table, run_fig7
+from repro.experiments import EXPERIMENTS
 
-NODE_COUNTS = (200, 300, 400, 500, 600)
+FIG7 = EXPERIMENTS["fig7"]
 
 
 @pytest.fixture(scope="module")
-def fig7():
-    return run_fig7(scale=FAST_SCALE, node_counts=NODE_COUNTS, seed=0)
+def fig7(publish):
+    outcome = FIG7.run()
+    publish(outcome)
+    return outcome.figures
 
 
 def test_fig7_single_point_benchmark(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_fig7(
-            scale=FAST_SCALE, node_counts=(200,), algorithms=("ACP",), seed=1
-        ),
+    outcome = benchmark.pedantic(
+        lambda: FIG7.run(seed=1, counts=(200,), algorithms=("ACP",)),
         rounds=1,
         iterations=1,
     )
-    assert result[0].series["ACP"].points[0][1] > 0.0
+    assert outcome.figures[0].series["ACP"].points[0][1] > 0.0
 
 
 class TestFig7a:
-    def test_success_grows_with_system_size(self, fig7, publish, benchmark):
+    def test_success_grows_with_system_size(self, fig7, benchmark):
         success, _overhead = fig7
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        publish("fig7a", format_figure_table(success))
         for algorithm in ("Optimal", "ACP"):
             ys = success.series[algorithm].ys()
             assert ys[-1] > ys[0] + 0.05, f"{algorithm}: no scaling gain {ys}"
@@ -62,10 +61,9 @@ class TestFig7a:
 
 
 class TestFig7b:
-    def test_reduction_widens_with_size(self, fig7, publish, benchmark):
+    def test_reduction_widens_with_size(self, fig7, benchmark):
         _success, overhead = fig7
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        publish("fig7b", format_figure_table(overhead, percent=False))
         optimal = overhead.series["Optimal"].ys()
         acp = overhead.series["ACP"].ys()
         ratios = [o / a for o, a in zip(optimal, acp)]

@@ -13,12 +13,14 @@ Shapes to verify:
 
 import pytest
 
-from repro.experiments import FAST_SCALE, format_fig8_table, run_fig8
+from repro.experiments import EXPERIMENTS
 
 
 @pytest.fixture(scope="module")
-def fig8():
-    return run_fig8(scale=FAST_SCALE, seed=3)
+def fig8(publish):
+    outcome = EXPERIMENTS["fig8"].run()
+    publish(outcome)
+    return outcome.figures
 
 
 def _phase_means(result):
@@ -39,10 +41,9 @@ def test_fig8_single_run_benchmark(benchmark, fig8):
 
 
 class TestFig8aFixedRatio:
-    def test_ratio_never_moves(self, fig8, publish, benchmark):
+    def test_ratio_never_moves(self, fig8, benchmark):
         fixed, _adaptive = fig8
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        publish("fig8a", format_fig8_table(fixed))
         ratios = {s.probing_ratio for s in fixed.samples}
         assert ratios == {0.3}
 
@@ -54,10 +55,9 @@ class TestFig8aFixedRatio:
 
 
 class TestFig8bAdaptive:
-    def test_ratio_rises_on_overload_and_falls_after(self, fig8, publish, benchmark):
+    def test_ratio_rises_on_overload_and_falls_after(self, fig8, benchmark):
         _fixed, adaptive = fig8
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        publish("fig8b", format_fig8_table(adaptive))
         duration = adaptive.samples[-1].time
         ratios_by_phase = ([], [], [])
         for sample in adaptive.samples:

@@ -2,18 +2,18 @@
 
 The fault-model expansion (link flaps, lossy control plane, stale state)
 only earns its keep if crash-triggered re-composition measurably saves
-sessions that the legacy kill-on-fault policy loses.  This harness runs
-the *same* Fig. 8-style simulation (identical system, workload, and
-fault schedule — every fault stream is seed-derived) twice:
+sessions that the legacy kill-on-fault policy loses.  The ``faults``
+experiment runs the *same* Fig. 8-style simulation (identical system,
+workload, and fault schedule — every fault stream is seed-derived) twice:
 
-* **baseline** — faults kill every session they disrupt;
-* **resilient** — disrupted sessions enter ``RECOVERING`` and are
+* **kill-on-fault** — faults kill every session they disrupt;
+* **recovery** — disrupted sessions enter ``RECOVERING`` and are
   re-composed against the live topology within the recovery deadline.
 
-It checks the resilient run's session survival rate strictly exceeds the
-baseline's, that a zero-fault :class:`FaultPlan` is decision-identical
-to a fault-free spec (the fault plumbing must be invisible when off),
-and writes
+It checks the recovery run's session survival rate strictly exceeds the
+kill-on-fault run's, that a zero-fault :class:`FaultPlan` is
+decision-identical to a fault-free spec (the fault plumbing must be
+invisible when off), and writes
 
     benchmarks/results/BENCH_faults.json
 
@@ -22,76 +22,28 @@ with the survival figures EXPERIMENTS.md quotes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
-from repro.experiments import (
-    EVALUATION_DEPLOYMENT,
-    FaultsResult,
-    RunSpec,
-    faults_to_dict,
-    format_faults_table,
-    run_spec,
-)
-from repro.middleware import RecoveryPolicy
-from repro.simulation import FaultPlan, RateSchedule
-from repro.simulation.system import SystemConfig
+from repro.experiments import EXPERIMENTS, run_spec
+from repro.simulation import FaultPlan
 
-#: One fault-heavy macro point: mid-size mesh, 3-phase load, a fault
-#: round every 15 simulated seconds.  All seeds fixed — the baseline and
-#: resilient runs must see byte-identical systems, workloads, and fault
-#: schedules; the recovery policy is the only difference.
-FAULT_CONFIG = dict(
-    num_routers=800,
-    num_nodes=400,
-    seed=11,
-    workload_seed=1011,
-    duration_s=900.0,
-    sampling_period_s=150.0,
-    probing_ratio=0.3,
+FAULTS = EXPERIMENTS["faults"]
+
+#: the cocktail on a smaller mesh and a shorter horizon, for the
+#: invisibility and replay guards
+SMALL = dict(
+    scale=replace(
+        FAULTS.scale, num_routers=400, duration_s=600.0, adaptability_duration_s=600.0
+    ),
+    num_nodes=200,
 )
 
-#: The full cocktail: node crashes, link flaps, lossy delayed probes, and
-#: state-update loss, all at once.
-COCKTAIL = FaultPlan(
-    node_fail_probability=0.02,
-    node_recover_probability=0.5,
-    link_fail_probability=0.01,
-    link_recover_probability=0.5,
-    probe_loss_probability=0.05,
-    probe_delay_ms=2.0,
-    max_probe_retries=2,
-    state_update_loss_probability=0.10,
-    period_s=15.0,
-)
 
-RECOVERY = RecoveryPolicy(recovery_deadline_s=30.0, detection_delay_s=2.0)
-
-
-def _base_spec(num_routers=None, num_nodes=None, duration_s=None) -> RunSpec:
-    duration = duration_s or FAULT_CONFIG["duration_s"]
-    return RunSpec(
-        algorithm="ACP",
-        system=SystemConfig(
-            num_routers=num_routers or FAULT_CONFIG["num_routers"],
-            num_nodes=num_nodes or FAULT_CONFIG["num_nodes"],
-            deployment=EVALUATION_DEPLOYMENT,
-            seed=FAULT_CONFIG["seed"],
-        ),
-        schedule=RateSchedule.steps(  # Fig. 8's 3-phase shape, scaled down
-            (0.0, 6.0), (duration / 3.0, 12.0), (2.0 * duration / 3.0, 9.0)
-        ),
-        probing_ratio=FAULT_CONFIG["probing_ratio"],
-        duration_s=duration,
-        sampling_period_s=FAULT_CONFIG["sampling_period_s"],
-        workload_seed=FAULT_CONFIG["workload_seed"],
-    )
-
-
-def test_macro_faults_survival(results_dir):
-    base = _base_spec()
-    baseline = run_spec(base.with_faults(COCKTAIL))
-    resilient = run_spec(base.with_faults(COCKTAIL, RECOVERY))
+def test_macro_faults_survival(publish):
+    outcome = FAULTS.run()
+    publish(outcome)
+    baseline = outcome.report("kill-on-fault")
+    resilient = outcome.report("recovery")
 
     # the cocktail actually bit: sessions were disrupted, probes were
     # lost, and state updates went missing in both runs
@@ -108,14 +60,6 @@ def test_macro_faults_survival(results_dir):
     assert resilient.mean_recovery_latency_s > 0.0
     assert resilient.recovery_probe_messages > 0
 
-    result = FaultsResult(COCKTAIL, baseline, resilient)
-    payload = faults_to_dict(result)
-    payload["config"] = FAULT_CONFIG
-    (results_dir / "BENCH_faults.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-    print(f"\n{format_faults_table(result)}\n")
-
 
 def test_zero_fault_plan_is_invisible():
     """A zero plan must not perturb a run: same decisions, same report.
@@ -125,17 +69,15 @@ def test_zero_fault_plan_is_invisible():
     router, and state layers must leave fault-free runs byte-identical.
     (``tests/test_determinism.py`` holds the unit-scale version.)
     """
-    base = _base_spec(num_routers=400, num_nodes=200, duration_s=600.0)
-    plain = run_spec(base)
-    zeroed = run_spec(base.with_faults(FaultPlan.none()))
+    kill_on_fault, _recovery = FAULTS.arms(**SMALL)
+    plain = run_spec(kill_on_fault.spec.with_faults(None))
+    zeroed = run_spec(kill_on_fault.spec.with_faults(FaultPlan.none()))
     assert repr(plain) == repr(zeroed)
 
 
 def test_cocktail_is_deterministic():
     """Same seed + same plan ⇒ byte-identical fault-cocktail reports."""
-    spec = _base_spec(
-        num_routers=400, num_nodes=200, duration_s=600.0
-    ).with_faults(replace(COCKTAIL, period_s=20.0), RECOVERY)
-    first = run_spec(spec)
-    second = run_spec(spec)
-    assert repr(first) == repr(second)
+    _kill_on_fault, recovery = FAULTS.arms(**SMALL)
+    plan = replace(recovery.spec.faults, period_s=20.0)
+    spec = recovery.spec.with_faults(plan, recovery.spec.recovery)
+    assert repr(run_spec(spec)) == repr(run_spec(spec))

@@ -4,10 +4,10 @@ The live-migration subsystem only earns its keep if moving sessions off
 sustained-hot nodes measurably helps the *next* requests — fewer probes
 dropped at saturated nodes, higher composition success, no worse setup
 latency — after paying its own honestly-reported costs (paused-stream
-time, slack aborts, probe traffic).  This harness runs the *same*
-Fig. 8-style simulation (identical system, diurnal + regional-spike
-workload, and light fault cocktail — every stream is seed-derived)
-twice:
+time, slack aborts, probe traffic).  The ``migrate`` experiment runs the
+*same* Fig. 8-style simulation (identical system, diurnal +
+regional-spike workload, and light fault cocktail — every stream is
+seed-derived) twice:
 
 * **recover-only** — faults trigger re-composition, but sessions stay
   pinned to whatever nodes the spike heated up;
@@ -22,77 +22,29 @@ decision-identical to no plan at macro scale, and writes
     benchmarks/results/BENCH_migration.json
 
 with the figures EXPERIMENTS.md quotes.
-
-``BENCH_MIGRATION_DURATION`` (seconds) and ``BENCH_MIGRATION_NODES``
-override the horizon and system size for smoke runs — CI uses a light
-pair and the output lands in ``BENCH_migration_smoke.json`` so a smoke
-run can never clobber the committed full result.  Smoke runs keep the
-plumbing assertions but skip the win/cost margins (a short horizon may
-see no sustained hotspot at all).
 """
 
 from __future__ import annotations
 
-import json
-import os
+from dataclasses import replace
 
-from repro.experiments import (
-    format_migration_table,
-    migration_to_dict,
-    run_migration,
-)
-from repro.experiments.config import ExperimentScale
+from repro.experiments import EXPERIMENTS, run_spec
 from repro.middleware.migration import MigrationPlan
 
-#: One macro point: the population substrate at a 30-minute horizon.
-#: The diurnal curve at 0.75x load keeps the mesh moderately contended
-#: (recover-only success ~0.59) while the 4x regional spike heats a
-#: subset of nodes past the high watermark — the regime where proactive
-#: migration has both a reason to fire and cool targets to fire at.
-BENCH_CONFIG = dict(
-    num_routers=800,
-    num_nodes=400,
-    duration_s=1800.0,
-    sampling_period_s=60.0,
-    seed=0,
-    load_multiplier=0.75,
-    spike_peak=4.0,
+MIGRATE = EXPERIMENTS["migrate"]
+
+#: a 10-minute horizon on 200 nodes, for the invisibility and replay guards
+SMALL = dict(
+    scale=replace(MIGRATE.scale, duration_s=600.0, adaptability_duration_s=600.0),
+    num_nodes=200,
 )
 
 
-def bench_dimensions():
-    """(duration_s, num_nodes, smoke?) — env-overridable for smoke runs."""
-    duration = os.environ.get("BENCH_MIGRATION_DURATION")
-    nodes = os.environ.get("BENCH_MIGRATION_NODES")
-    smoke = duration is not None or nodes is not None
-    return (
-        float(duration) if duration else BENCH_CONFIG["duration_s"],
-        int(nodes) if nodes else BENCH_CONFIG["num_nodes"],
-        smoke,
-    )
-
-
-def _scale(duration_s: float) -> ExperimentScale:
-    return ExperimentScale(
-        name="migration-bench",
-        num_routers=BENCH_CONFIG["num_routers"],
-        duration_s=duration_s,
-        adaptability_duration_s=duration_s,
-        sampling_period_s=BENCH_CONFIG["sampling_period_s"],
-        optimal_max_explored=30_000,
-    )
-
-
-def test_macro_migration(results_dir):
-    duration_s, num_nodes, smoke = bench_dimensions()
-    result = run_migration(
-        scale=_scale(duration_s),
-        num_nodes=num_nodes,
-        seed=BENCH_CONFIG["seed"],
-        load_multiplier=BENCH_CONFIG["load_multiplier"],
-        spike_peak=BENCH_CONFIG["spike_peak"],
-    )
-    recover_only, proactive = result.recover_only, result.proactive
+def test_macro_migration(publish):
+    outcome = MIGRATE.run()
+    publish(outcome)
+    recover_only = outcome.report("recover-only")
+    proactive = outcome.report("proactive+recover")
 
     # both arms saw the identical workload and stayed exercised
     assert recover_only.total_requests == proactive.total_requests > 0
@@ -102,27 +54,16 @@ def test_macro_migration(results_dir):
     assert recover_only.sessions_migrated == 0
     assert recover_only.migration_probe_messages == 0
 
-    if not smoke:
-        # the win: strictly better success, p99 setup no worse
-        assert proactive.success_rate > recover_only.success_rate
-        assert (
-            proactive.p99_setup_latency_ms <= recover_only.p99_setup_latency_ms
-        )
-        # ... and it was not free: sessions actually moved, streams
-        # actually paused, and the slack gate actually rejected some
-        # transfers (graceful degradation is exercised, not vestigial)
-        assert proactive.sessions_migrated > 0
-        assert proactive.migration_paused_stream_s > 0.0
-        assert proactive.migrations_aborted_on_slack > 0
-        assert proactive.migration_probe_messages > 0
-
-    payload = migration_to_dict(result)
-    payload["config"] = dict(
-        BENCH_CONFIG, duration_s=duration_s, num_nodes=num_nodes
-    )
-    name = "BENCH_migration_smoke.json" if smoke else "BENCH_migration.json"
-    (results_dir / name).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\n{format_migration_table(result)}\n")
+    # the win: strictly better success, p99 setup no worse
+    assert proactive.success_rate > recover_only.success_rate
+    assert proactive.p99_setup_latency_ms <= recover_only.p99_setup_latency_ms
+    # ... and it was not free: sessions actually moved, streams actually
+    # paused, and the slack gate actually rejected some transfers
+    # (graceful degradation is exercised, not vestigial)
+    assert proactive.sessions_migrated > 0
+    assert proactive.migration_paused_stream_s > 0.0
+    assert proactive.migrations_aborted_on_slack > 0
+    assert proactive.migration_probe_messages > 0
 
 
 def test_zero_migration_plan_is_invisible():
@@ -133,34 +74,15 @@ def test_zero_migration_plan_is_invisible():
     simulator must leave migration-free runs byte-identical.
     (``tests/test_migration_live.py`` holds the unit-scale version.)
     """
-    duration_s, num_nodes, _ = bench_dimensions()
-    scale = _scale(min(duration_s, 600.0))
-    kwargs = dict(
-        scale=scale,
-        num_nodes=min(num_nodes, 200),
-        seed=BENCH_CONFIG["seed"],
-        load_multiplier=BENCH_CONFIG["load_multiplier"],
-        spike_peak=BENCH_CONFIG["spike_peak"],
-        plan=MigrationPlan.none(),
-    )
-    zeroed = run_migration(**kwargs)
+    recover_only, proactive = MIGRATE.arms(**SMALL)
     # with a zero plan the "proactive" arm builds no migration manager,
-    # so both arms of the same harness run must be byte-identical
-    assert repr(zeroed.recover_only) == repr(zeroed.proactive)
+    # so both arms of the same experiment must be byte-identical
+    zeroed = proactive.spec.with_migration(MigrationPlan.none())
+    assert repr(run_spec(recover_only.spec)) == repr(run_spec(zeroed))
 
 
 def test_migration_run_is_deterministic():
-    """Same seed + same plan => byte-identical proactive reports."""
-    duration_s, num_nodes, _ = bench_dimensions()
-    scale = _scale(min(duration_s, 600.0))
-    kwargs = dict(
-        scale=scale,
-        num_nodes=min(num_nodes, 200),
-        seed=BENCH_CONFIG["seed"],
-        load_multiplier=BENCH_CONFIG["load_multiplier"],
-        spike_peak=BENCH_CONFIG["spike_peak"],
-    )
-    first = run_migration(**kwargs)
-    second = run_migration(**kwargs)
-    assert repr(first.proactive) == repr(second.proactive)
-    assert repr(first.recover_only) == repr(second.recover_only)
+    """Same seed + same plan => byte-identical reports on both arms."""
+    first = MIGRATE.run(**SMALL)
+    second = MIGRATE.run(**SMALL)
+    assert repr(first.reports) == repr(second.reports)

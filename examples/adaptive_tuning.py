@@ -10,21 +10,21 @@ success rate, and falls back to cheaper probing once load recedes.
 Run:  python examples/adaptive_tuning.py
 """
 
-from repro.experiments import FAST_SCALE, format_fig8_table, run_fig8
+from repro.experiments import EXPERIMENTS
 
 
 def main() -> None:
-    scale = FAST_SCALE
+    fig8 = EXPERIMENTS["fig8"]
+    scale = fig8.scale
     print(
         f"dynamic workload over {scale.adaptability_duration_s / 60:.0f} "
         f"simulated minutes: 40 -> 80 -> 60 requests/min "
         f"(steps at 1/3 and 2/3 of the horizon)\n"
     )
-    fixed, adaptive = run_fig8(scale=scale, seed=3)
+    outcome = fig8.run()
+    fixed, adaptive = outcome.figures
 
-    print(format_fig8_table(fixed))
-    print()
-    print(format_fig8_table(adaptive))
+    print(outcome.text)
     print()
 
     fixed_rates = [s.success_rate for s in fixed.samples]

@@ -11,22 +11,12 @@ algorithm's exhaustive search dominates the few minutes of wall time.
 Run:  python examples/algorithm_comparison.py
 """
 
-from repro.experiments import (
-    ALGORITHMS,
-    FAST_SCALE,
-    default_spec,
-    format_report_summary,
-    run_spec,
-)
+from repro.experiments import EXPERIMENTS
 
 
 def main() -> None:
-    spec = default_spec(
-        scale=FAST_SCALE,
-        num_nodes=200,
-        rate_per_min=60.0,
-        seed=2,
-    )
+    compare = EXPERIMENTS["compare"]
+    spec = compare.arms(num_nodes=200, seed=2)[0].spec
     print(
         f"system: {spec.system.num_nodes} nodes, "
         f"workload: {spec.schedule.rate_at(0):g} requests/min for "
@@ -35,18 +25,11 @@ def main() -> None:
     )
     print("running all six algorithms on identical request sequences...\n")
 
-    reports = []
-    for algorithm in ALGORITHMS:
-        report = run_spec(spec.with_algorithm(algorithm))
-        reports.append(report)
-        print(f"  {algorithm}: done ({report.total_requests} requests)")
-
-    print()
-    print(format_report_summary(reports))
+    outcome = compare.run(num_nodes=200, seed=2)
+    print(outcome.text)
     print()
 
-    by_name = {report.algorithm: report for report in reports}
-    acp, optimal, rp = by_name["ACP"], by_name["Optimal"], by_name["RP"]
+    acp, optimal, rp = (outcome.report(name) for name in ("ACP", "Optimal", "RP"))
     reduction = 100.0 * (1.0 - acp.overhead_per_min / optimal.overhead_per_min)
     print(f"ACP reaches {100 * acp.success_rate:.1f}% success vs the optimal "
           f"algorithm's {100 * optimal.success_rate:.1f}% while sending "

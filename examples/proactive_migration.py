@@ -19,54 +19,13 @@ and shows what rebalancing buys and what it costs:
 Run:  python examples/proactive_migration.py     (~1 minute)
 """
 
-from dataclasses import replace
-
-from repro.experiments import (
-    DEFAULT_MIGRATION_PLAN,
-    MIGRATION_FAULT_PLAN,
-    default_spec,
-)
-from repro.experiments.config import ExperimentScale
-from repro.experiments.figures import population_scenarios
+from repro.experiments import EXPERIMENTS
 from repro.experiments.runner import build_simulator
-from repro.middleware import RecoveryPolicy
 from repro.model.qos_model import LoadDependentQoSModel
-from repro.simulation.population import TrafficEvent
 
-SCALE = ExperimentScale(
-    name="example",
-    num_routers=800,
-    duration_s=1800.0,  # 30 simulated minutes
-    adaptability_duration_s=1800.0,
-    sampling_period_s=60.0,
-    optimal_max_explored=30_000,
-)
-SPIKE_START = 0.45 * SCALE.duration_s
-
-
-def make_spec():
-    profiles = population_scenarios(
-        SCALE.duration_s, num_client_routers=SCALE.num_routers
-    )
-    skewed = replace(
-        profiles["diurnal"],
-        events=(
-            TrafficEvent.regional_spike(
-                start_s=SPIKE_START,
-                peak_multiplier=4.0,
-                region=(0, SCALE.num_routers // 4),
-                ramp_s=0.05 * SCALE.duration_s,
-                plateau_s=0.25 * SCALE.duration_s,
-                decay_s=0.05 * SCALE.duration_s,
-            ),
-        ),
-    ).scaled(0.75)
-    return (
-        default_spec(scale=SCALE, algorithm="ACP", num_nodes=400, seed=0)
-        .with_qos("normal")
-        .with_population(skewed)
-        .with_faults(MIGRATION_FAULT_PLAN, RecoveryPolicy())
-    )
+MIGRATE = EXPERIMENTS["migrate"]
+DURATION = MIGRATE.scale.duration_s  # 30 simulated minutes
+SPIKE_START = 0.45 * DURATION
 
 
 def run(spec):
@@ -97,11 +56,11 @@ def run(spec):
 
 
 def main() -> None:
-    base = make_spec()
+    recover_only_arm, proactive_arm = MIGRATE.arms()
     print("running 30 simulated minutes twice (diurnal + 4x regional "
           "spike at t=810s)...\n")
-    recover_only, spread_without = run(base)
-    proactive, spread_with = run(base.with_migration(DEFAULT_MIGRATION_PLAN))
+    recover_only, spread_without = run(recover_only_arm.spec)
+    proactive, spread_with = run(proactive_arm.spec)
 
     print("node-utilisation spread, recover-only vs proactive "
           "(one row per 3 minutes):")
@@ -110,7 +69,7 @@ def main() -> None:
     for (t, mean0, p950, max0), (_, mean1, p951, max1) in list(
         zip(spread_without, spread_with)
     )[::3]:
-        marker = "  <- spike" if SPIKE_START <= t <= 0.75 * SCALE.duration_s else ""
+        marker = "  <- spike" if SPIKE_START <= t <= 0.75 * DURATION else ""
         print(f"{t:>6.0f}  {mean0:>5.2f} {p950:>5.2f} {max0:>5.2f}   "
               f"{mean1:>5.2f} {p951:>5.2f} {max1:>5.2f}{marker}")
 

@@ -1,16 +1,17 @@
 """Command-line interface for the reproduction experiments.
 
-Regenerate any evaluation figure, or run a one-point algorithm comparison,
-without writing Python::
+One subcommand per entry of :data:`repro.experiments.EXPERIMENTS`.  With
+no flags, each regenerates the entry's committed result files::
 
-    repro-experiments fig6 --scale fast
-    repro-experiments fig8 --scale paper --seed 3 -o fig8.txt
+    repro-experiments fig6 -o benchmarks/results
+    repro-experiments fig8 --scale paper -o out
     repro-experiments compare --rate 60 --nodes 200
     repro-experiments fig5a --rates 50,100 --ratios 0.1,0.3,1.0
 
-``--scale paper`` runs Section 4.1's full setup (3200 routers, 100-minute
-horizons) and can take tens of minutes per figure; ``--scale fast`` (the
-default) shrinks the substrate and horizon while preserving every shape.
+A subcommand runs at the entry's committed scale unless ``--scale`` picks
+``paper`` (Section 4.1's full setup: 3200 routers, 100-minute horizons;
+tens of minutes per figure) or ``fast``.  ``trace`` records one traced
+run and ``trace-summary`` summarises a recorded trace.
 """
 
 from __future__ import annotations
@@ -19,35 +20,10 @@ import argparse
 import sys
 from dataclasses import replace
 from types import MappingProxyType
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from repro.experiments import (
-    ALGORITHMS,
-    DEFAULT_FAULT_PLAN,
-    DEFAULT_LOAD_MULTIPLIERS,
-    DEFAULT_MIGRATION_PLAN,
-    FAST_SCALE,
-    PAPER_SCALE,
-    POPULATION_SCENARIOS,
-    default_spec,
-    format_faults_table,
-    format_fig8_table,
-    format_figure_table,
-    format_migration_table,
-    format_population_table,
-    format_report_summary,
-    run_faults,
-    run_fig5a,
-    run_fig5b,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_migration,
-    run_population,
-    run_specs,
-)
+from repro.experiments import EXPERIMENTS, FAST_SCALE, PAPER_SCALE, default_spec
 from repro.experiments.runner import build_simulator
-from repro.middleware import RecoveryPolicy
 from repro.observability import (
     TraceRecorder,
     format_trace_summary,
@@ -57,161 +33,63 @@ from repro.observability import (
 )
 
 # read-only by construction: a worker mutating its copy of the scale map
-# would silently diverge from its siblings under sharded runs
+# would silently diverge from its siblings
 SCALES = MappingProxyType({"paper": PAPER_SCALE, "fast": FAST_SCALE})
 
 
-def _floats(text: str) -> List[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _ints(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _like(default: Any) -> Callable[[str], Any]:
+    """A parser of values like ``default``: comma-separated for a tuple."""
+    if not isinstance(default, tuple):
+        return type(default)
+    item = type(default[0])
+    return lambda text: [item(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The repro-experiments argument parser (one subcommand per figure)."""
+    """The repro-experiments argument parser (one subcommand per entry)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--scale", choices=sorted(SCALES), default="fast",
-        help="experiment scale (default: fast)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument(
-        "--nodes", type=int, default=400,
-        help="overlay node count where the figure fixes it (default: 400)",
+        "--scale", choices=sorted(SCALES),
+        help="experiment scale (default: the committed one)",
     )
     common.add_argument(
-        "-o", "--output", default=None,
-        help="also write the rendered tables to this file",
+        "--seed", type=int, help="master seed (default: the committed one)"
     )
     common.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run the figure's independent simulation points on N worker "
-        "processes (results are identical to a serial run; default: serial)",
+        "--nodes", type=int,
+        help="overlay node count where the experiment fixes it (default: 400)",
     )
-
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the evaluation figures of 'Optimal Component "
         "Composition for Scalable Stream Processing' (ICDCS 2005).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    for entry in EXPERIMENTS.values():
+        command = commands.add_parser(entry.name, help=entry.help, parents=[common])
+        command.add_argument(
+            "-o", "--output", metavar="DIR",
+            help=f"write {', '.join(entry.view.files)} into DIR, replacing them",
+        )
+        command.add_argument(
+            "--workers", type=int, metavar="N",
+            help="run the independent simulation runs on N worker processes "
+            "(results are identical to a serial run; default: serial)",
+        )
+        for flag, default in entry.params.items():
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            command.add_argument(
+                f"--{flag}", type=_like(default), default=default,
+                help=f"default: {shown}",
+            )
 
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        return commands.add_parser(name, help=help_text, parents=[common])
-
-    fig5a = add_command("fig5a", "success vs probing ratio by load")
-    fig5a.add_argument("--rates", type=_floats, default=[50.0, 100.0])
-    fig5a.add_argument(
-        "--ratios", type=_floats, default=[0.1, 0.2, 0.3, 0.5, 0.7, 1.0]
+    trace = commands.add_parser(
+        "trace", parents=[common],
+        help="run one traced simulation (fast scale, seed 0 unless set), export JSONL",
     )
-
-    fig5b = add_command("fig5b", "success vs probing ratio by QoS")
-    fig5b.add_argument("--levels", default="high,very_high")
-    fig5b.add_argument("--rate", type=float, default=50.0)
-    fig5b.add_argument(
-        "--ratios", type=_floats, default=[0.1, 0.2, 0.3, 0.5, 0.7, 1.0]
+    trace.add_argument(
+        "-o", "--output", help="also write the rendered summary to this file"
     )
-
-    fig6 = add_command("fig6", "efficiency vs request rate")
-    fig6.add_argument(
-        "--rates", type=_floats, default=[20.0, 40.0, 60.0, 80.0, 100.0]
-    )
-    fig6.add_argument("--algorithms", default=",".join(ALGORITHMS))
-
-    fig7 = add_command("fig7", "scalability vs node count")
-    fig7.add_argument("--counts", type=_ints, default=[200, 300, 400, 500, 600])
-    fig7.add_argument("--rate", type=float, default=80.0)
-    fig7.add_argument("--algorithms", default=",".join(ALGORITHMS))
-
-    fig8 = add_command("fig8", "adaptability under dynamic load")
-    fig8.add_argument("--target", type=float, default=0.75)
-
-    faults = add_command("faults", "session survival under the fault cocktail")
-    faults.add_argument(
-        "--node-fail", type=float, default=DEFAULT_FAULT_PLAN.node_fail_probability,
-        help="per-round node crash probability",
-    )
-    faults.add_argument(
-        "--link-fail", type=float, default=DEFAULT_FAULT_PLAN.link_fail_probability,
-        help="per-round overlay link failure probability",
-    )
-    faults.add_argument(
-        "--probe-loss", type=float,
-        default=DEFAULT_FAULT_PLAN.probe_loss_probability,
-        help="per-message probe loss probability on the control plane",
-    )
-    faults.add_argument(
-        "--state-loss", type=float,
-        default=DEFAULT_FAULT_PLAN.state_update_loss_probability,
-        help="per-message state-update loss probability",
-    )
-    faults.add_argument(
-        "--recovery-deadline", type=float, default=30.0,
-        help="seconds a disrupted session may spend recovering (default: 30)",
-    )
-    faults.add_argument(
-        "--detection-delay", type=float, default=2.0,
-        help="seconds between a fault and the recovery sweep (default: 2)",
-    )
-
-    migrate = add_command(
-        "migrate", "proactive live migration vs recover-only under load drift"
-    )
-    migrate.add_argument(
-        "--load", type=float, default=0.75,
-        help="population load multiplier on the diurnal curve (default: 0.75; "
-        "higher drowns the whole system and leaves no cool targets)",
-    )
-    migrate.add_argument(
-        "--spike-peak", type=float, default=4.0,
-        help="regional flash-crowd peak multiplier driving the hotspot "
-        "(default: 4)",
-    )
-    migrate.add_argument(
-        "--high-watermark", type=float,
-        default=DEFAULT_MIGRATION_PLAN.policy.high_watermark,
-        help="sustained-EWMA utilisation above which a node is hot",
-    )
-    migrate.add_argument(
-        "--sustain", type=int,
-        default=DEFAULT_MIGRATION_PLAN.policy.sustain_rounds,
-        help="consecutive hot rounds before migration triggers",
-    )
-    migrate.add_argument(
-        "--round-cap", type=int,
-        default=DEFAULT_MIGRATION_PLAN.policy.max_session_migrations_per_round,
-        help="max session migrations per rebalance round",
-    )
-
-    population = add_command(
-        "population", "population-scale workloads: overload, diurnal, flash crowds"
-    )
-    population.add_argument(
-        "--scenarios", default=",".join(POPULATION_SCENARIOS),
-        help="comma-separated scenario names "
-        f"(default: {','.join(POPULATION_SCENARIOS)})",
-    )
-    population.add_argument(
-        "--multipliers", type=_floats,
-        default=list(DEFAULT_LOAD_MULTIPLIERS),
-        help="load multipliers on the mean population (default: 1,10,100)",
-    )
-    population.add_argument(
-        "--users", type=float, default=25.0,
-        help="mean active users at 1x load (default: 25)",
-    )
-    population.add_argument(
-        "--user-rate", type=float, default=2.0,
-        help="requests per user per minute (default: 2)",
-    )
-
-    compare = add_command("compare", "all algorithms at one workload point")
-    compare.add_argument("--rate", type=float, default=60.0)
-    compare.add_argument("--algorithms", default=",".join(ALGORITHMS))
-
-    trace = add_command("trace", "run one traced simulation, export JSONL")
     trace.add_argument("--rate", type=float, default=60.0)
     trace.add_argument(
         "--adaptive", action="store_true",
@@ -220,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--target", type=float, default=0.75)
     trace.add_argument(
         "--faults", action="store_true",
-        help="inject the default fault cocktail with session recovery "
+        help="inject the faults experiment's cocktail with session recovery "
         "(fault and recovery events land in the trace)",
     )
     trace.add_argument(
@@ -246,152 +124,52 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, output: Optional[str]) -> None:
     print(text)
     if output:
-        with open(output, "a", encoding="utf-8") as sink:
+        with open(output, "w", encoding="utf-8") as sink:
             sink.write(text + "\n")
 
 
+def _trace(args: argparse.Namespace) -> None:
+    spec = default_spec(
+        scale=SCALES[args.scale or "fast"], num_nodes=args.nodes or 400,
+        rate_per_min=args.rate, seed=args.seed or 0,
+    )
+    if args.adaptive:
+        spec = replace(spec, adaptive=True, target_success_rate=args.target)
+    if args.faults:
+        _kill_on_fault, recovery = EXPERIMENTS["faults"].arms()
+        spec = spec.with_faults(recovery.spec.faults, recovery.spec.recovery)
+    if args.duration is not None:
+        spec = replace(spec, duration_s=args.duration)
+    recorder = TraceRecorder()
+    build_simulator(spec, recorder=recorder).run(spec.duration_s)
+    records = write_jsonl(args.trace_out, recorder)
+    print(f"wrote {records} records to {args.trace_out}")
+    _emit(
+        format_trace_summary(summarize_trace(read_trace(args.trace_out))),
+        args.output,
+    )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point: parse, run the requested experiment, emit tables."""
+    """Entry point: parse, run the requested experiment, emit its results."""
     args = build_parser().parse_args(argv)
     if args.command == "trace-summary":
         summary = summarize_trace(read_trace(args.trace_file))
         _emit(format_trace_summary(summary), args.output)
-        return 0
-    scale = SCALES[args.scale]
-
-    if args.command == "fig5a":
-        result = run_fig5a(
-            scale=scale, request_rates=args.rates, probing_ratios=args.ratios,
-            num_nodes=args.nodes, seed=args.seed, workers=args.workers,
-        )
-        _emit(format_figure_table(result), args.output)
-    elif args.command == "fig5b":
-        result = run_fig5b(
-            scale=scale,
-            qos_levels=args.levels.split(","),
-            request_rate=args.rate,
-            probing_ratios=args.ratios,
-            num_nodes=args.nodes,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        _emit(format_figure_table(result), args.output)
-    elif args.command == "fig6":
-        success, overhead = run_fig6(
-            scale=scale,
-            request_rates=args.rates,
-            algorithms=args.algorithms.split(","),
-            num_nodes=args.nodes,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        _emit(format_figure_table(success), args.output)
-        _emit("", args.output)
-        _emit(format_figure_table(overhead, percent=False), args.output)
-    elif args.command == "fig7":
-        success, overhead = run_fig7(
-            scale=scale,
-            node_counts=args.counts,
-            algorithms=args.algorithms.split(","),
-            request_rate=args.rate,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        _emit(format_figure_table(success), args.output)
-        _emit("", args.output)
-        _emit(format_figure_table(overhead, percent=False), args.output)
-    elif args.command == "fig8":
-        fixed, adaptive = run_fig8(
-            scale=scale, target_success_rate=args.target,
-            num_nodes=args.nodes, seed=args.seed, workers=args.workers,
-        )
-        _emit(format_fig8_table(fixed), args.output)
-        _emit("", args.output)
-        _emit(format_fig8_table(adaptive), args.output)
-    elif args.command == "faults":
-        plan = replace(
-            DEFAULT_FAULT_PLAN,
-            node_fail_probability=args.node_fail,
-            link_fail_probability=args.link_fail,
-            probe_loss_probability=args.probe_loss,
-            state_update_loss_probability=args.state_loss,
-        )
-        result = run_faults(
-            scale=scale,
-            num_nodes=args.nodes,
-            seed=args.seed,
-            plan=plan,
-            recovery=RecoveryPolicy(
-                recovery_deadline_s=args.recovery_deadline,
-                detection_delay_s=args.detection_delay,
-            ),
-            workers=args.workers,
-        )
-        _emit(format_faults_table(result), args.output)
-    elif args.command == "migrate":
-        plan = replace(
-            DEFAULT_MIGRATION_PLAN,
-            policy=replace(
-                DEFAULT_MIGRATION_PLAN.policy,
-                high_watermark=args.high_watermark,
-                sustain_rounds=args.sustain,
-                max_session_migrations_per_round=args.round_cap,
-            ),
-        )
-        result = run_migration(
-            scale=scale,
-            num_nodes=args.nodes,
-            seed=args.seed,
-            load_multiplier=args.load,
-            spike_peak=args.spike_peak,
-            plan=plan,
-            workers=args.workers,
-        )
-        _emit(format_migration_table(result), args.output)
-    elif args.command == "population":
-        result = run_population(
-            scale=scale,
-            scenarios=args.scenarios.split(","),
-            multipliers=args.multipliers,
-            mean_active_users=args.users,
-            requests_per_user_per_min=args.user_rate,
-            num_nodes=args.nodes,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        _emit(format_population_table(result), args.output)
-    elif args.command == "compare":
-        base = default_spec(
-            scale=scale, num_nodes=args.nodes, rate_per_min=args.rate,
-            seed=args.seed,
-        )
-        reports = run_specs(
-            [base.with_algorithm(name) for name in args.algorithms.split(",")],
-            workers=args.workers,
-        )
-        _emit(format_report_summary(reports), args.output)
     elif args.command == "trace":
-        spec = default_spec(
-            scale=scale, num_nodes=args.nodes, rate_per_min=args.rate,
+        _trace(args)
+    else:
+        entry = EXPERIMENTS[args.command]
+        outcome = entry.run(
+            scale=SCALES[args.scale] if args.scale else None,
+            num_nodes=args.nodes,
             seed=args.seed,
+            workers=args.workers,
+            **{flag: getattr(args, flag) for flag in entry.params},
         )
-        if args.adaptive:
-            spec = replace(
-                spec, adaptive=True, target_success_rate=args.target
-            )
-        if args.faults:
-            spec = spec.with_faults(DEFAULT_FAULT_PLAN, RecoveryPolicy())
-        if args.duration is not None:
-            spec = replace(spec, duration_s=args.duration)
-        recorder = TraceRecorder()
-        simulator = build_simulator(spec, recorder=recorder)
-        simulator.run(spec.duration_s)
-        records = write_jsonl(args.trace_out, recorder)
-        print(f"wrote {records} records to {args.trace_out}")
-        _emit(
-            format_trace_summary(summarize_trace(read_trace(args.trace_out))),
-            args.output,
-        )
+        print(outcome.text)
+        if args.output:
+            outcome.write(args.output)
     return 0
 
 

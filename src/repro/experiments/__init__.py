@@ -1,4 +1,8 @@
-"""Experiment harnesses regenerating every figure of the paper's evaluation."""
+"""Experiments regenerating every figure of the paper's evaluation.
+
+:data:`EXPERIMENTS` (``repro.experiments.registry``) defines each
+experiment once; the CLI, the benchmarks and the examples run its entries.
+"""
 
 from repro.experiments.config import (
     ALGORITHMS,
@@ -10,43 +14,21 @@ from repro.experiments.config import (
     default_spec,
 )
 from repro.experiments.figures import (
-    DEFAULT_FAULT_PLAN,
-    DEFAULT_LOAD_MULTIPLIERS,
-    DEFAULT_MIGRATION_PLAN,
-    DEFAULT_NODE_COUNTS,
-    DEFAULT_PROBING_RATIOS,
-    DEFAULT_REQUEST_RATES,
-    MIGRATION_FAULT_PLAN,
-    POPULATION_SCENARIOS,
-    FaultsResult,
     Fig8Result,
     FigureResult,
-    MigrationResult,
-    PopulationResult,
-    PopulationScenario,
     Series,
     population_scenarios,
-    run_faults,
-    run_fig5a,
-    run_fig5b,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_migration,
-    run_population,
+)
+from repro.experiments.registry import (
+    DEFAULT_MIGRATION_PLAN,
+    EXPERIMENTS,
+    MIGRATION_FAULT_PLAN,
+    Experiment,
+    Outcome,
 )
 from repro.experiments.reporting import (
-    faults_to_dict,
-    fig8_to_csv,
-    figure_to_csv,
-    format_faults_table,
     format_fig8_table,
     format_figure_table,
-    format_migration_table,
-    format_population_table,
-    format_report_summary,
-    migration_to_dict,
-    population_to_dict,
     report_to_dict,
 )
 from repro.experiments.runner import (
@@ -54,7 +36,6 @@ from repro.experiments.runner import (
     build_simulator,
     make_composer,
     parallel_map,
-    run_comparison,
     run_spec,
     run_specs,
 )
@@ -67,45 +48,20 @@ __all__ = [
     "FAST_SCALE",
     "RunSpec",
     "default_spec",
+    "EXPERIMENTS",
+    "Experiment",
+    "Outcome",
     "FigureResult",
     "Fig8Result",
-    "FaultsResult",
     "Series",
-    "DEFAULT_FAULT_PLAN",
-    "DEFAULT_LOAD_MULTIPLIERS",
-    "POPULATION_SCENARIOS",
-    "PopulationResult",
-    "PopulationScenario",
     "population_scenarios",
-    "run_population",
-    "format_population_table",
-    "population_to_dict",
-    "run_faults",
     "DEFAULT_MIGRATION_PLAN",
     "MIGRATION_FAULT_PLAN",
-    "MigrationResult",
-    "run_migration",
-    "format_migration_table",
-    "migration_to_dict",
-    "run_fig5a",
-    "run_fig5b",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8",
-    "DEFAULT_PROBING_RATIOS",
-    "DEFAULT_REQUEST_RATES",
-    "DEFAULT_NODE_COUNTS",
     "format_figure_table",
     "format_fig8_table",
-    "format_faults_table",
-    "faults_to_dict",
-    "figure_to_csv",
-    "fig8_to_csv",
     "report_to_dict",
-    "format_report_summary",
     "run_spec",
     "run_specs",
-    "run_comparison",
     "parallel_map",
     "ParallelExperimentError",
     "build_simulator",

@@ -1,45 +1,26 @@
-"""Per-figure experiment harnesses (paper Section 4.2).
+"""Building blocks of the evaluation's experiments (paper Section 4.2).
 
-One function per evaluation figure.  Each returns plain data — series of
-(x, y) points or sampled time series — that ``repro.experiments.reporting``
-renders as the same rows the paper plots:
+The plotted data — :class:`Series` and :class:`FigureResult` for the
+swept Figs. 5–7, :class:`Fig8Result` for the adaptability time series —
+and the helpers the experiment registry (:mod:`repro.experiments.registry`)
+builds its arms from:
 
-* :func:`run_fig5a` — success rate vs probing ratio at request rates
-  {50, 100} req/min (Fig. 5(a));
-* :func:`run_fig5b` — success rate vs probing ratio at QoS stringency
-  {high, very high} (Fig. 5(b));
-* :func:`run_fig6`  — success rate (6(a)) and overhead (6(b)) vs request
-  rate {20..100} for Optimal/ACP/SP/RP/Random/Static at 400 nodes, α = 0.3;
-* :func:`run_fig7`  — the same pair vs node count {200..600} at
-  80 req/min (Fig. 7);
-* :func:`run_fig8`  — success-rate time series under the dynamic workload
-  40 → 80 → 60 req/min with a fixed α = 0.3 (8(a)) and with adaptive
-  tuning toward a 90 % target (8(b)).
+* :func:`sweep` — the grid of a Figs. 5–7 panel, one arm per
+  (series, x) cell;
+* :func:`population_scenarios` — the population experiment's scenarios.
 
-All harnesses accept an :class:`ExperimentScale` so benchmarks can run the
-same code at reduced fidelity, and a ``workers`` count that fans the
-figure's independent simulation points out over a process pool via
-:func:`repro.experiments.runner.run_specs` — every point is
-self-seeding, so the parallel results are identical to the serial ones.
+Every arm is a self-seeding :class:`~repro.experiments.config.RunSpec`,
+so an experiment's arms run serially or on a process pool
+(:func:`repro.experiments.runner.run_specs`) with identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, TypeVar
 
-from repro.experiments.config import (
-    ALGORITHMS,
-    ExperimentScale,
-    PAPER_SCALE,
-    RunSpec,
-    default_spec,
-)
-from repro.experiments.runner import run_specs
-from repro.middleware.migration import LiveMigrationPolicy, MigrationPlan
-from repro.middleware.session import RecoveryPolicy
-from repro.simulation.failures import FaultPlan
-from repro.simulation.metrics import SimulationReport, WindowSample
+from repro.experiments.config import RunSpec
+from repro.simulation.metrics import WindowSample
 from repro.simulation.population import (
     DiurnalCurve,
     PopulationProfile,
@@ -47,19 +28,18 @@ from repro.simulation.population import (
 )
 from repro.simulation.workload import RateSchedule
 
-#: x-axis defaults straight from the paper
-DEFAULT_PROBING_RATIOS: Tuple[float, ...] = tuple(
-    round(0.1 * step, 1) for step in range(1, 11)
-)
-DEFAULT_REQUEST_RATES: Tuple[float, ...] = (20.0, 40.0, 60.0, 80.0, 100.0)
-DEFAULT_NODE_COUNTS: Tuple[int, ...] = (200, 300, 400, 500, 600)
-#: overhead is only plotted for these in Figs. 6(b)/7(b)
-OVERHEAD_ALGORITHMS: Tuple[str, ...] = ("Optimal", "ACP", "RP")
+V = TypeVar("V")
+X = TypeVar("X", bound=float)
 
-#: The evaluation's default QoS stringency.  "normal" (slack ~1.8 over the
-#: expected critical-path cost) reproduces the paper's Fig. 6 success-rate
-#: levels most closely; Fig. 5(b) tightens to "high"/"very_high".
-DEFAULT_QOS = "normal"
+
+@dataclass(frozen=True)
+class Arm:
+    """One labelled run of an experiment: a table row and JSON block, or
+    one point of a plotted series at sweep coordinate ``x``."""
+
+    label: str
+    spec: RunSpec
+    x: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -85,165 +65,6 @@ class FigureResult:
     y_label: str
     series: Dict[str, Series]
 
-    def series_labels(self) -> Tuple[str, ...]:
-        return tuple(self.series)
-
-
-# -- Fig. 5: probing ratio tuning effect ------------------------------------------
-
-
-def _fig5_base(scale: ExperimentScale, seed: int, num_nodes: int) -> RunSpec:
-    return default_spec(
-        scale=scale, algorithm="ACP", num_nodes=num_nodes, seed=seed
-    ).with_qos(DEFAULT_QOS)
-
-
-def run_fig5a(
-    scale: ExperimentScale = PAPER_SCALE,
-    request_rates: Sequence[float] = (50.0, 100.0),
-    probing_ratios: Sequence[float] = DEFAULT_PROBING_RATIOS,
-    num_nodes: int = 400,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> FigureResult:
-    """Fig. 5(a): success rate vs probing ratio under increasing workload."""
-    base = _fig5_base(scale, seed, num_nodes)
-    specs = [
-        base.with_rate(rate).with_ratio(ratio)
-        for rate in request_rates
-        for ratio in probing_ratios
-    ]
-    reports = iter(run_specs(specs, workers=workers))
-    series: Dict[str, Series] = {}
-    for rate in request_rates:
-        points = [
-            (ratio, next(reports).success_rate) for ratio in probing_ratios
-        ]
-        label = f"{rate:g} reqs/min"
-        series[label] = Series(label, tuple(points))
-    return FigureResult("5a", "probing ratio", "success rate (%)", series)
-
-
-def run_fig5b(
-    scale: ExperimentScale = PAPER_SCALE,
-    qos_levels: Sequence[str] = ("high", "very_high"),
-    request_rate: float = 50.0,
-    probing_ratios: Sequence[float] = DEFAULT_PROBING_RATIOS,
-    num_nodes: int = 400,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> FigureResult:
-    """Fig. 5(b): success rate vs probing ratio under QoS stringency."""
-    base = default_spec(
-        scale=scale, algorithm="ACP", num_nodes=num_nodes, seed=seed
-    ).with_rate(request_rate)
-    specs = [
-        base.with_qos(level).with_ratio(ratio)
-        for level in qos_levels
-        for ratio in probing_ratios
-    ]
-    reports = iter(run_specs(specs, workers=workers))
-    series: Dict[str, Series] = {}
-    for level in qos_levels:
-        points = [
-            (ratio, next(reports).success_rate) for ratio in probing_ratios
-        ]
-        label = f"{level} QoS"
-        series[label] = Series(label, tuple(points))
-    return FigureResult("5b", "probing ratio", "success rate (%)", series)
-
-
-# -- Fig. 6: efficiency ------------------------------------------------------------
-
-
-def run_fig6(
-    scale: ExperimentScale = PAPER_SCALE,
-    request_rates: Sequence[float] = DEFAULT_REQUEST_RATES,
-    algorithms: Sequence[str] = ALGORITHMS,
-    probing_ratio: float = 0.3,
-    num_nodes: int = 400,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> Tuple[FigureResult, FigureResult]:
-    """Fig. 6: (a) success rate and (b) overhead vs request rate, 400 nodes."""
-    base = (
-        default_spec(scale=scale, num_nodes=num_nodes, seed=seed)
-        .with_qos(DEFAULT_QOS)
-        .with_ratio(probing_ratio)
-    )
-    specs = [
-        base.with_algorithm(algorithm).with_rate(rate)
-        for algorithm in algorithms
-        for rate in request_rates
-    ]
-    reports = iter(run_specs(specs, workers=workers))
-    success: Dict[str, Series] = {}
-    overhead: Dict[str, Series] = {}
-    for algorithm in algorithms:
-        success_points = []
-        overhead_points = []
-        for rate in request_rates:
-            report = next(reports)
-            success_points.append((rate, report.success_rate))
-            overhead_points.append((rate, report.overhead_per_min))
-        success[algorithm] = Series(algorithm, tuple(success_points))
-        if algorithm in OVERHEAD_ALGORITHMS:
-            overhead[algorithm] = Series(algorithm, tuple(overhead_points))
-    return (
-        FigureResult("6a", "request rate (reqs/min)", "success rate (%)", success),
-        FigureResult("6b", "request rate (reqs/min)", "overhead (msgs/min)", overhead),
-    )
-
-
-# -- Fig. 7: scalability -------------------------------------------------------------
-
-
-def run_fig7(
-    scale: ExperimentScale = PAPER_SCALE,
-    node_counts: Sequence[int] = DEFAULT_NODE_COUNTS,
-    algorithms: Sequence[str] = ALGORITHMS,
-    request_rate: float = 80.0,
-    probing_ratio: float = 0.3,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> Tuple[FigureResult, FigureResult]:
-    """Fig. 7: (a) success rate and (b) overhead vs system size at
-    80 req/min; candidate pools scale with the node count (the deployment
-    places components per node)."""
-    specs = [
-        default_spec(
-            scale=scale,
-            algorithm=algorithm,
-            num_nodes=node_count,
-            rate_per_min=request_rate,
-            seed=seed,
-        )
-        .with_qos(DEFAULT_QOS)
-        .with_ratio(probing_ratio)
-        for algorithm in algorithms
-        for node_count in node_counts
-    ]
-    reports = iter(run_specs(specs, workers=workers))
-    success: Dict[str, Series] = {}
-    overhead: Dict[str, Series] = {}
-    for algorithm in algorithms:
-        success_points = []
-        overhead_points = []
-        for node_count in node_counts:
-            report = next(reports)
-            success_points.append((node_count, report.success_rate))
-            overhead_points.append((node_count, report.overhead_per_min))
-        success[algorithm] = Series(algorithm, tuple(success_points))
-        if algorithm in OVERHEAD_ALGORITHMS:
-            overhead[algorithm] = Series(algorithm, tuple(overhead_points))
-    return (
-        FigureResult("7a", "node number", "success rate (%)", success),
-        FigureResult("7b", "node number", "overhead (msgs/min)", overhead),
-    )
-
-
-# -- Fig. 8: adaptability ----------------------------------------------------------
-
 
 @dataclass(frozen=True)
 class Fig8Result:
@@ -255,132 +76,28 @@ class Fig8Result:
     target_success_rate: Optional[float]
 
 
-def _dynamic_schedule(duration_s: float) -> RateSchedule:
-    """The paper's dynamic workload: 40 → 80 (at 1/3) → 60 (at 2/3)."""
-    return RateSchedule.steps(
-        (0.0, 40.0),
-        (duration_s / 3.0, 80.0),
-        (2.0 * duration_s / 3.0, 60.0),
+def sweep(
+    base: RunSpec,
+    series: Sequence[V],
+    label: str,
+    vary: Callable[[RunSpec, V], RunSpec],
+    xs: Sequence[X],
+    at: Callable[[RunSpec, X], RunSpec],
+) -> Tuple[Arm, ...]:
+    """The arms of a figure grid, series-major: ``at(vary(base, value), x)``
+    for every series value and x, labelled ``label.format(value)``."""
+    return tuple(
+        Arm(label.format(value), at(vary(base, value), x), x)
+        for value in series
+        for x in xs
     )
-
-
-def run_fig8(
-    scale: ExperimentScale = PAPER_SCALE,
-    target_success_rate: float = 0.75,
-    fixed_ratio: float = 0.3,
-    num_nodes: int = 400,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> Tuple[Fig8Result, Fig8Result]:
-    """Fig. 8: (a) fixed probing ratio vs (b) adaptive tuning under the
-    dynamic workload.
-
-    The paper targets a 90 % success rate; in its simulator the 40 and 60
-    req/min phases saturate near 100 % and the 80 req/min phase near 90 %.
-    Our calibration saturates lower (≈85 / 70 / 78 % for the three phases),
-    so the default target is 75 % — the same *relative* position (just
-    under the low-load saturation, above what a fixed α sustains at the
-    load peak) that makes the paper's dynamic visible: α rises on the load
-    step, success recovers to the target, α falls back when load drops.
-    Pass ``target_success_rate=0.9`` to reproduce the paper's literal
-    setting (the tuner then rails at α = 1 during the overload phase)."""
-    duration = scale.adaptability_duration_s
-    schedule = _dynamic_schedule(duration)
-    base = default_spec(
-        scale=scale, algorithm="ACP", num_nodes=num_nodes, seed=seed
-    ).with_qos(DEFAULT_QOS)
-    base = replace(
-        base,
-        schedule=schedule,
-        duration_s=duration,
-        target_success_rate=target_success_rate,
-    )
-
-    fixed_report, adaptive_report = run_specs(
-        [base.with_ratio(fixed_ratio), replace(base, adaptive=True)],
-        workers=workers,
-    )
-    return (
-        Fig8Result("8a", fixed_report.window_samples, schedule, None),
-        Fig8Result("8b", adaptive_report.window_samples, schedule, target_success_rate),
-    )
-
-
-# -- Fault tolerance: survival under the full fault cocktail ----------------------
-
-#: The standard fault cocktail of the fault-tolerance experiment: node
-#: churn and link flaps every minute, a lossy/laggy probe control plane,
-#: and a lossy management plane for state updates.
-DEFAULT_FAULT_PLAN = FaultPlan(
-    node_fail_probability=0.05,
-    node_recover_probability=0.5,
-    link_fail_probability=0.02,
-    link_recover_probability=0.5,
-    probe_loss_probability=0.05,
-    probe_delay_ms=2.0,
-    max_probe_retries=2,
-    state_update_loss_probability=0.10,
-    period_s=60.0,
-)
-
-
-@dataclass(frozen=True)
-class FaultsResult:
-    """Two identical runs under one fault cocktail: the baseline kills
-    disrupted sessions (the legacy behaviour); the resilient run
-    re-composes them under a :class:`~repro.middleware.session.RecoveryPolicy`."""
-
-    plan: FaultPlan
-    baseline: SimulationReport
-    resilient: SimulationReport
-
-
-def run_faults(
-    scale: ExperimentScale = PAPER_SCALE,
-    num_nodes: int = 400,
-    seed: int = 0,
-    plan: Optional[FaultPlan] = None,
-    recovery: Optional[RecoveryPolicy] = None,
-    workers: Optional[int] = None,
-) -> FaultsResult:
-    """Fig. 8-style adaptability run under the full fault cocktail.
-
-    Both runs see the identical system, workload, and fault schedule
-    (same seeds); the only difference is the recovery policy — so any
-    survival-rate gap is attributable to crash-triggered re-composition.
-    """
-    plan = plan if plan is not None else DEFAULT_FAULT_PLAN
-    recovery = recovery if recovery is not None else RecoveryPolicy()
-    duration = scale.adaptability_duration_s
-    schedule = _dynamic_schedule(duration)
-    base = default_spec(
-        scale=scale, algorithm="ACP", num_nodes=num_nodes, seed=seed
-    ).with_qos(DEFAULT_QOS)
-    base = replace(base, schedule=schedule, duration_s=duration)
-    baseline_report, resilient_report = run_specs(
-        [base.with_faults(plan), base.with_faults(plan, recovery)],
-        workers=workers,
-    )
-    return FaultsResult(plan, baseline_report, resilient_report)
-
-
-# -- Population-scale workloads: overload, diurnal curves, flash crowds ------------
-
-#: Load multipliers of the population sweep — the paper's regime (1×),
-#: sustained heavy load (10×), and deep overload (100×).
-DEFAULT_LOAD_MULTIPLIERS: Tuple[float, ...] = (1.0, 10.0, 100.0)
-
-#: Scenario names the sweep knows how to build.
-POPULATION_SCENARIOS: Tuple[str, ...] = ("steady", "diurnal", "flash_crowd")
 
 
 def population_scenarios(
-    duration_s: float,
-    mean_active_users: float = 25.0,
-    requests_per_user_per_min: float = 2.0,
-    num_client_routers: int = 800,
+    duration_s: float, num_client_routers: int
 ) -> Dict[str, PopulationProfile]:
-    """The standard scenario set at 1× load, compressed into the horizon.
+    """The standard scenario set at 1× load (25 users × 2 req/min),
+    compressed into the horizon.
 
     * ``steady`` — the population process alone (Poisson-resampled users,
       no modulation): the paper's flat regime, but rate now emerges from
@@ -414,190 +131,9 @@ def population_scenarios(
         plateau_s=0.10 * duration_s,
         decay_s=0.05 * duration_s,
     )
-    base = PopulationProfile(
-        mean_active_users=mean_active_users,
-        requests_per_user_per_min=requests_per_user_per_min,
-    )
+    base = PopulationProfile(mean_active_users=25.0, requests_per_user_per_min=2.0)
     return {
         "steady": base,
         "diurnal": replace(base, diurnal=curve),
         "flash_crowd": replace(base, events=(flash, spike)),
     }
-
-
-@dataclass(frozen=True)
-class PopulationScenario:
-    """One scenario's sweep: the 1× profile plus per-multiplier reports."""
-
-    name: str
-    profile: PopulationProfile
-    points: Tuple[Tuple[float, SimulationReport], ...]
-
-    def report_at(self, multiplier: float) -> SimulationReport:
-        for point_multiplier, report in self.points:
-            if point_multiplier == multiplier:
-                return report
-        raise KeyError(f"no report at multiplier {multiplier}")
-
-
-@dataclass(frozen=True)
-class PopulationResult:
-    """The population sweep: scenarios × load multipliers."""
-
-    scenarios: Tuple[PopulationScenario, ...]
-
-    def scenario(self, name: str) -> PopulationScenario:
-        for scenario in self.scenarios:
-            if scenario.name == name:
-                return scenario
-        raise KeyError(f"no scenario {name!r}")
-
-
-def run_population(
-    scale: ExperimentScale = PAPER_SCALE,
-    scenarios: Sequence[str] = POPULATION_SCENARIOS,
-    multipliers: Sequence[float] = DEFAULT_LOAD_MULTIPLIERS,
-    mean_active_users: float = 25.0,
-    requests_per_user_per_min: float = 2.0,
-    algorithm: str = "ACP",
-    num_nodes: int = 400,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> PopulationResult:
-    """Sweep population scenarios across load multipliers.
-
-    Every run shares the system seed and workload seed, so two points
-    differ only in their population profile — success-rate and latency
-    deltas are attributable to load alone.  The interesting regime is the
-    top multiplier, where admission pressure and queue depth become
-    visible in the per-window SLO series.
-    """
-    profiles = population_scenarios(
-        scale.duration_s,
-        mean_active_users=mean_active_users,
-        requests_per_user_per_min=requests_per_user_per_min,
-        num_client_routers=scale.num_routers,
-    )
-    unknown = [name for name in scenarios if name not in profiles]
-    if unknown:
-        raise ValueError(
-            f"unknown scenarios {unknown}; pick from {sorted(profiles)}"
-        )
-    base = default_spec(
-        scale=scale, algorithm=algorithm, num_nodes=num_nodes, seed=seed
-    ).with_qos(DEFAULT_QOS)
-    specs = [
-        base.with_population(profiles[name].scaled(multiplier))
-        for name in scenarios
-        for multiplier in multipliers
-    ]
-    reports = iter(run_specs(specs, workers=workers))
-    results = []
-    for name in scenarios:
-        points = tuple(
-            (multiplier, next(reports)) for multiplier in multipliers
-        )
-        results.append(PopulationScenario(name, profiles[name], points))
-    return PopulationResult(tuple(results))
-
-
-# -- Proactive reconfiguration: live migration under sustained load drift ----------
-
-#: The migration experiment's live-migration configuration.  The stock
-#: :class:`LiveMigrationPolicy` is deliberately conservative (half the
-#: QoS slack, strict 0.45 cool bar); under a diurnal peak it aborts
-#: nearly every transfer, so the experiment plan loosens exactly the
-#: knobs the cost model gates on: the full slack budget may be spent on
-#: a pause, any node below 0.6 utilisation counts as a target, rounds
-#: come every 30 s with a 16-session budget, and two sustained-hot
-#: rounds (one simulated minute) trigger.  Costs stay fully accounted —
-#: the aborted/paused/probe counters report whatever this plan spends.
-DEFAULT_MIGRATION_PLAN = MigrationPlan(
-    policy=LiveMigrationPolicy(
-        low_watermark=0.6,
-        sustain_rounds=2,
-        max_session_migrations_per_round=16,
-        candidate_sample=8,
-        pause_slack_fraction=1.0,
-    ),
-    period_s=30.0,
-)
-
-#: Light fault cocktail for the migration experiment: enough churn that
-#: the recovery machinery stays exercised on both arms, mild enough that
-#: load drift — not crashes — dominates the outcome.
-MIGRATION_FAULT_PLAN = FaultPlan(
-    node_fail_probability=0.01,
-    node_recover_probability=0.5,
-    link_fail_probability=0.01,
-    link_recover_probability=0.5,
-    period_s=120.0,
-)
-
-
-@dataclass(frozen=True)
-class MigrationResult:
-    """Two identical runs under diurnal + regionally-skewed load and a
-    light fault cocktail: ``recover_only`` reacts to faults but leaves
-    sessions pinned to hot nodes; ``proactive`` adds the live-migration
-    plan on top of the same recovery policy."""
-
-    plan: MigrationPlan
-    faults: FaultPlan
-    recover_only: SimulationReport
-    proactive: SimulationReport
-
-
-def run_migration(
-    scale: ExperimentScale = PAPER_SCALE,
-    num_nodes: int = 400,
-    seed: int = 0,
-    load_multiplier: float = 0.75,
-    spike_peak: float = 4.0,
-    plan: Optional[MigrationPlan] = None,
-    faults: Optional[FaultPlan] = None,
-    recovery: Optional[RecoveryPolicy] = None,
-    workers: Optional[int] = None,
-) -> MigrationResult:
-    """Recover-only vs proactive+recover under skewed diurnal load.
-
-    The workload is the population engine's diurnal curve plus a regional
-    flash-crowd spike (``spike_peak`` times the region's base rate),
-    scaled by ``load_multiplier`` so the peak drives a *subset* of nodes
-    over the migration high watermark while the rest stay cool enough to
-    receive sessions — deep uniform overload leaves no targets and the
-    plan degrades to recover-only.  Both runs see the identical system,
-    workload, and fault schedule (same seeds); the only difference is
-    the migration plan — so any gap in success rate or setup latency is
-    attributable to proactive reconfiguration, and its cost
-    (paused-stream time, slack aborts) is reported alongside.
-    """
-    plan = plan if plan is not None else DEFAULT_MIGRATION_PLAN
-    faults = faults if faults is not None else MIGRATION_FAULT_PLAN
-    recovery = recovery if recovery is not None else RecoveryPolicy()
-    profiles = population_scenarios(
-        scale.duration_s, num_client_routers=scale.num_routers
-    )
-    skewed = replace(
-        profiles["diurnal"],
-        events=(
-            TrafficEvent.regional_spike(
-                start_s=0.45 * scale.duration_s,
-                peak_multiplier=spike_peak,
-                region=(0, max(1, scale.num_routers // 4)),
-                ramp_s=0.05 * scale.duration_s,
-                plateau_s=0.25 * scale.duration_s,
-                decay_s=0.05 * scale.duration_s,
-            ),
-        ),
-    ).scaled(load_multiplier)
-    base = (
-        default_spec(scale=scale, algorithm="ACP", num_nodes=num_nodes, seed=seed)
-        .with_qos(DEFAULT_QOS)
-        .with_population(skewed)
-        .with_faults(faults, recovery)
-    )
-    recover_only_report, proactive_report = run_specs(
-        [base, base.with_migration(plan)], workers=workers
-    )
-    return MigrationResult(plan, faults, recover_only_report, proactive_report)

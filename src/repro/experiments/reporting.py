@@ -1,21 +1,17 @@
-"""Rendering experiment results as the paper's rows.
+"""Rendering experiment results as the paper's rows and as JSON.
 
 Plain-text tables: one row per x value, one column per series — the same
-numbers the paper plots in Figs. 5–8, printable from benchmarks and the
-examples without any plotting dependency.
+numbers the paper plots in Figs. 5–8 — and arms tables, one row per
+labelled run with declared report columns.  Printable from benchmarks and
+the examples without any plotting dependency.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.experiments.figures import (
-    FaultsResult,
-    FigureResult,
-    Fig8Result,
-    MigrationResult,
-    PopulationResult,
-)
+from repro.experiments.figures import Fig8Result, FigureResult
 from repro.simulation.metrics import SimulationReport
 
 
@@ -48,7 +44,7 @@ def format_figure_table(result: FigureResult, percent: bool = True) -> str:
                 row.append(f"{y:.1f}")
         rows.append(row)
     title = f"Figure {result.figure}: {result.y_label} vs {result.x_label}"
-    return title + "\n" + _align([header] + rows)
+    return title + "\n" + align_rows([header] + rows)
 
 
 def format_fig8_table(result: Fig8Result) -> str:
@@ -69,308 +65,59 @@ def format_fig8_table(result: Fig8Result) -> str:
         title += f" (adaptive, target {100 * result.target_success_rate:.0f}%)"
     else:
         title += " (fixed probing ratio)"
-    return title + "\n" + _align([header] + rows)
+    return title + "\n" + align_rows([header] + rows)
 
 
-def format_faults_table(result: FaultsResult) -> str:
-    """Render the fault-tolerance comparison: kill-on-fault vs recovery."""
-    header = [
-        "mode",
-        "sessions",
-        "disrupted",
-        "recovered",
-        "killed",
-        "survival (%)",
-        "mean recovery (s)",
-        "recovery probes",
-    ]
-    rows = []
-    for label, report in (
-        ("kill-on-fault", result.baseline),
-        ("recovery", result.resilient),
-    ):
-        rows.append(
-            [
-                label,
-                str(report.sessions_opened),
-                str(report.sessions_disrupted),
-                str(report.sessions_recovered),
-                str(report.sessions_killed),
-                f"{100.0 * report.session_survival_rate:.1f}",
-                f"{report.mean_recovery_latency_s:.1f}",
-                str(report.recovery_probe_messages),
-            ]
-        )
-    plan = result.plan
-    title = (
-        "Fault tolerance: session survival under the fault cocktail\n"
-        f"(node fail p={plan.node_fail_probability:g}, "
-        f"link fail p={plan.link_fail_probability:g}, "
-        f"probe loss p={plan.probe_loss_probability:g}, "
-        f"state-update loss p={plan.state_update_loss_probability:g})"
-    )
-    return title + "\n" + _align([header] + rows)
+@dataclass(frozen=True)
+class Column:
+    """One arms-table column: a report field and how its cell prints."""
+
+    header: str
+    field: str
+    #: format spec of the value, e.g. ".1f"
+    spec: str = ""
+    #: print the fraction as a percentage
+    percent: bool = False
+
+    def cell(self, report: SimulationReport) -> str:
+        value = getattr(report, self.field)
+        if value is None:
+            return "-"
+        return format(100.0 * value if self.percent else value, self.spec)
 
 
-def faults_to_dict(result: FaultsResult) -> dict:
-    """A fault-tolerance comparison as a JSON-serialisable dict
-    (the ``BENCH_faults.json`` payload shape)."""
-    plan = result.plan
-
-    def _mode(report: SimulationReport) -> dict:
-        payload = report_to_dict(report)
-        payload.update(
-            {
-                "sessions_opened": report.sessions_opened,
-                "sessions_disrupted": report.sessions_disrupted,
-                "sessions_recovered": report.sessions_recovered,
-                "sessions_killed": report.sessions_killed,
-                "session_survival_rate": report.session_survival_rate,
-                "recovery_probe_messages": report.recovery_probe_messages,
-                "mean_recovery_latency_s": report.mean_recovery_latency_s,
-                "state_updates_lost": report.state_updates_lost,
-                "probe_messages_lost": report.probe_messages_lost,
-            }
-        )
-        return payload
-
-    return {
-        "plan": {
-            "node_fail_probability": plan.node_fail_probability,
-            "node_recover_probability": plan.node_recover_probability,
-            "link_fail_probability": plan.link_fail_probability,
-            "link_recover_probability": plan.link_recover_probability,
-            "probe_loss_probability": plan.probe_loss_probability,
-            "probe_delay_ms": plan.probe_delay_ms,
-            "max_probe_retries": plan.max_probe_retries,
-            "state_update_loss_probability": plan.state_update_loss_probability,
-            "max_concurrent_failures": plan.max_concurrent_failures,
-            "period_s": plan.period_s,
-        },
-        "baseline": _mode(result.baseline),
-        "resilient": _mode(result.resilient),
-    }
+def format_arms_table(
+    title: str,
+    label: str,
+    columns: Sequence[Column],
+    arms: Iterable[Tuple[str, SimulationReport]],
+) -> str:
+    """Render labelled reports under ``title``, one row each: the arm's
+    label under the ``label`` header, then one cell per column."""
+    rows = [[label] + [column.header for column in columns]]
+    for arm_label, report in arms:
+        rows.append([arm_label] + [column.cell(report) for column in columns])
+    return title + "\n" + align_rows(rows)
 
 
-def format_migration_table(result: MigrationResult) -> str:
-    """Render the proactive-reconfiguration comparison, costs included."""
-    header = [
-        "mode",
-        "requests",
-        "success (%)",
-        "p99 setup (ms)",
-        "survival (%)",
-        "migrated",
-        "slack aborts",
-        "paused (s)",
-        "probes",
-    ]
-    rows = []
-    for label, report in (
-        ("recover-only", result.recover_only),
-        ("proactive+recover", result.proactive),
-    ):
-        rows.append(
-            [
-                label,
-                str(report.total_requests),
-                f"{100.0 * report.success_rate:.1f}",
-                "-"
-                if report.p99_setup_latency_ms is None
-                else f"{report.p99_setup_latency_ms:.1f}",
-                f"{100.0 * report.session_survival_rate:.1f}",
-                str(report.sessions_migrated),
-                str(report.migrations_aborted_on_slack),
-                f"{report.migration_paused_stream_s:.2f}",
-                str(report.migration_probe_messages),
-            ]
-        )
-    policy = result.plan.policy
-    title = (
-        "Proactive reconfiguration: recover-only vs proactive+recover\n"
-        f"(watermarks {policy.low_watermark:g}/{policy.high_watermark:g}, "
-        f"sustain {policy.sustain_rounds} rounds, "
-        f"round cap {policy.max_session_migrations_per_round}, "
-        f"pause budget {policy.pause_slack_fraction:g}x slack)"
-    )
-    return title + "\n" + _align([header] + rows)
+def arms_to_dict(
+    config: Mapping[str, Any],
+    arms: Iterable[Tuple[str, SimulationReport]],
+    fields: Sequence[str] = (),
+) -> Dict[str, Any]:
+    """Labelled reports as one JSON payload: ``config`` echoes the
+    parameters (dataclass values serialise with ``json.dumps(...,
+    default=dataclasses.asdict)``), then one block per arm keyed by its
+    label, holding :func:`report_to_dict` plus the report ``fields``."""
+    payload: Dict[str, Any] = {"config": dict(config)}
+    for arm_label, report in arms:
+        block = report_to_dict(report)
+        block.update((name, getattr(report, name)) for name in fields)
+        payload[arm_label] = block
+    return payload
 
 
-def migration_to_dict(result: MigrationResult) -> dict:
-    """A proactive-reconfiguration comparison as a JSON-serialisable dict
-    (the ``BENCH_migration.json`` payload shape)."""
-    policy = result.plan.policy
-
-    def _mode(report: SimulationReport) -> dict:
-        payload = report_to_dict(report)
-        payload.update(
-            {
-                "sessions_opened": report.sessions_opened,
-                "sessions_disrupted": report.sessions_disrupted,
-                "sessions_recovered": report.sessions_recovered,
-                "sessions_killed": report.sessions_killed,
-                "session_survival_rate": report.session_survival_rate,
-                "sessions_migrated": report.sessions_migrated,
-                "migrations_aborted_on_slack": (
-                    report.migrations_aborted_on_slack
-                ),
-                "migration_paused_stream_s": report.migration_paused_stream_s,
-                "migration_probe_messages": report.migration_probe_messages,
-            }
-        )
-        return payload
-
-    return {
-        "plan": {
-            "period_s": result.plan.period_s,
-            "ewma_alpha": policy.ewma_alpha,
-            "high_watermark": policy.high_watermark,
-            "low_watermark": policy.low_watermark,
-            "sustain_rounds": policy.sustain_rounds,
-            "min_admission_pressure": policy.min_admission_pressure,
-            "max_session_migrations_per_round": (
-                policy.max_session_migrations_per_round
-            ),
-            "candidate_sample": policy.candidate_sample,
-            "state_kb_per_unit": policy.state_kb_per_unit,
-            "transfer_kbps": policy.transfer_kbps,
-            "pause_slack_fraction": policy.pause_slack_fraction,
-        },
-        "faults": {
-            "node_fail_probability": result.faults.node_fail_probability,
-            "link_fail_probability": result.faults.link_fail_probability,
-            "period_s": result.faults.period_s,
-        },
-        "recover_only": _mode(result.recover_only),
-        "proactive": _mode(result.proactive),
-    }
-
-
-def format_population_table(result: PopulationResult) -> str:
-    """Render the population sweep: one row per scenario × multiplier."""
-    header = [
-        "scenario",
-        "load",
-        "requests",
-        "success (%)",
-        "p50 setup (ms)",
-        "p99 setup (ms)",
-        "admission pressure (%)",
-        "peak sessions",
-        "peak queue",
-    ]
-    rows = []
-    for scenario in result.scenarios:
-        for multiplier, report in scenario.points:
-            rows.append(
-                [
-                    scenario.name,
-                    f"{multiplier:g}x",
-                    str(report.total_requests),
-                    f"{100.0 * report.success_rate:.1f}",
-                    "-"
-                    if report.p50_setup_latency_ms is None
-                    else f"{report.p50_setup_latency_ms:.1f}",
-                    "-"
-                    if report.p99_setup_latency_ms is None
-                    else f"{report.p99_setup_latency_ms:.1f}",
-                    f"{100.0 * report.admission_pressure:.1f}",
-                    str(report.peak_open_sessions),
-                    str(report.peak_transient_reservations),
-                ]
-            )
-    title = "Population-scale workloads: SLO summary by scenario and load"
-    return title + "\n" + _align([header] + rows)
-
-
-def population_to_dict(result: PopulationResult) -> dict:
-    """A population sweep as a JSON-serialisable dict (the
-    ``BENCH_population.json`` payload shape)."""
-    scenarios = {}
-    for scenario in result.scenarios:
-        profile = scenario.profile
-        scenarios[scenario.name] = {
-            "profile": {
-                "mean_active_users": profile.mean_active_users,
-                "requests_per_user_per_min": profile.requests_per_user_per_min,
-                "distribution": profile.distribution,
-                "user_sampling_window_s": profile.user_sampling_window_s,
-                "diurnal": profile.diurnal is not None,
-                "events": len(profile.events),
-            },
-            "loads": {
-                f"{multiplier:g}x": report_to_dict(report)
-                for multiplier, report in scenario.points
-            },
-        }
-    return {"scenarios": scenarios}
-
-
-def format_report_summary(reports: Sequence[SimulationReport]) -> str:
-    """One line per algorithm: the whole-run summary comparison."""
-    header = [
-        "algorithm",
-        "requests",
-        "success (%)",
-        "probes/min",
-        "state msgs/min",
-        "overhead/min",
-        "mean phi",
-    ]
-    rows = []
-    for report in reports:
-        rows.append(
-            [
-                report.algorithm,
-                str(report.total_requests),
-                f"{100.0 * report.success_rate:.1f}",
-                f"{report.probe_messages_per_min:.0f}",
-                f"{report.state_messages_per_min:.0f}",
-                f"{report.overhead_per_min:.0f}",
-                "-" if report.mean_phi is None else f"{report.mean_phi:.2f}",
-            ]
-        )
-    return _align([header] + rows)
-
-
-def figure_to_csv(result: FigureResult) -> str:
-    """The figure's series as CSV: one row per x, one column per series.
-
-    Missing points (a series without that x) are empty cells.  Y values
-    are raw fractions/values — no percent scaling — so downstream plotting
-    owns the formatting.
-    """
-    labels = list(result.series)
-    xs: List[float] = []
-    for series in result.series.values():
-        for x, _y in series.points:
-            if x not in xs:
-                xs.append(x)
-    xs.sort()
-    lines = [",".join([_csv_cell(result.x_label)] + [_csv_cell(l) for l in labels])]
-    for x in xs:
-        row = [f"{x:g}"]
-        for label in labels:
-            lookup = dict(result.series[label].points)
-            y = lookup.get(x)
-            row.append("" if y is None else f"{y:.6g}")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def fig8_to_csv(result: Fig8Result) -> str:
-    """An adaptability time series as CSV."""
-    lines = ["time_s,load_reqs_per_min,success_rate,probing_ratio"]
-    for sample in result.samples:
-        ratio = "" if sample.probing_ratio is None else f"{sample.probing_ratio:.3f}"
-        lines.append(
-            f"{sample.time:g},{result.schedule.rate_at(sample.time):g},"
-            f"{sample.success_rate:.6g},{ratio}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def report_to_dict(report: SimulationReport) -> dict:
+def report_to_dict(report: SimulationReport) -> Dict[str, Any]:
     """A simulation report as a JSON-serialisable dict."""
     return {
         "algorithm": report.algorithm,
@@ -407,14 +154,8 @@ def report_to_dict(report: SimulationReport) -> dict:
     }
 
 
-def _csv_cell(text: str) -> str:
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _align(rows: Sequence[Sequence[str]]) -> str:
-    """Column-align rows of strings."""
+def align_rows(rows: Sequence[Sequence[str]]) -> str:
+    """Column-align rows of strings (right-justified, two-space gaps)."""
     widths = [0] * max(len(row) for row in rows)
     for row in rows:
         for index, cell in enumerate(row):

@@ -21,7 +21,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.core.acp import ACPComposer
 from repro.core.baselines import (
@@ -200,10 +200,3 @@ def run_specs(
     """
     return parallel_map(run_spec, specs, workers=workers)
 
-
-def run_comparison(
-    base: RunSpec, algorithms: Tuple[str, ...], workers: Optional[int] = None
-) -> Dict[str, SimulationReport]:
-    """Run several algorithms against identical systems and workloads."""
-    specs = [base.with_algorithm(algorithm) for algorithm in algorithms]
-    return dict(zip(algorithms, run_specs(specs, workers=workers)))

@@ -11,7 +11,8 @@ import dataclasses
 
 from repro.discovery.deployment import DeploymentProfile
 from repro.experiments.config import ExperimentScale, default_spec
-from repro.experiments.reporting import format_report_summary
+from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.reporting import format_arms_table
 from repro.experiments.runner import run_spec
 from repro.middleware.session import RecoveryPolicy
 from repro.simulation.failures import FaultPlan
@@ -49,7 +50,10 @@ class TestSameSeedByteIdentical:
         first = run_spec(_spec())
         second = run_spec(_spec())
         assert repr(first) == repr(second)
-        assert format_report_summary([first]) == format_report_summary([second])
+        columns = EXPERIMENTS["compare"].view.columns
+        assert format_arms_table("", "", columns, [("", first)]) == (
+            format_arms_table("", "", columns, [("", second)])
+        )
 
     def test_adaptive_run_replays_exactly(self):
         # the tuner feedback loop folds measured rates back into decisions;

@@ -1,7 +1,7 @@
-"""Tests for the experiment harness (specs, runner, figures, reporting).
+"""Tests for the experiment harness (specs, runner, registry, reporting).
 
-Figure harnesses are exercised at a tiny custom scale so the whole file
-stays fast; the real-scale runs live in benchmarks/.
+Registry entries are exercised at a tiny custom scale so the whole file
+stays fast; the committed-scale runs live in benchmarks/.
 """
 
 import dataclasses
@@ -14,25 +14,18 @@ from repro.experiments.config import (
     ExperimentScale,
     FAST_SCALE,
     PAPER_SCALE,
-    RunSpec,
     default_spec,
 )
-from repro.experiments.figures import (
-    Fig8Result,
-    FigureResult,
-    Series,
-    run_fig5a,
-    run_fig6,
-    run_fig8,
-)
+from repro.experiments.figures import Fig8Result, FigureResult, Series
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.reporting import (
+    format_arms_table,
     format_fig8_table,
     format_figure_table,
-    format_report_summary,
 )
-from repro.experiments.runner import make_composer, run_comparison, run_spec
+from repro.experiments.runner import make_composer, run_spec
 from repro.simulation.system import SystemConfig
-from repro.simulation.workload import QOS_LEVELS, RateSchedule
+from repro.simulation.workload import RateSchedule
 
 TINY_SCALE = ExperimentScale(
     name="tiny",
@@ -99,41 +92,31 @@ class TestRunner:
         assert report.total_requests > 0
         assert 0.0 <= report.success_rate <= 1.0
 
-    def test_run_comparison_shares_workload(self):
-        reports = run_comparison(tiny_spec(), ("ACP", "Static"))
-        assert set(reports) == {"ACP", "Static"}
-        assert (
-            reports["ACP"].total_requests == reports["Static"].total_requests
-        )
-
 
 class TestFigureHarnesses:
     def test_fig5a_tiny(self):
-        result = run_fig5a(
-            scale=TINY_SCALE,
-            request_rates=(30.0,),
-            probing_ratios=(0.2, 1.0),
-            num_nodes=80,
-            seed=1,
+        outcome = EXPERIMENTS["fig5a"].run(
+            scale=TINY_SCALE, num_nodes=80, seed=1, rates=(30.0,),
+            ratios=(0.2, 1.0),
         )
+        (result,) = outcome.figures
         assert isinstance(result, FigureResult)
         series = result.series["30 reqs/min"]
         assert series.xs() == (0.2, 1.0)
         assert all(0.0 <= y <= 1.0 for y in series.ys())
 
     def test_fig6_tiny(self):
-        success, overhead = run_fig6(
-            scale=TINY_SCALE,
-            request_rates=(30.0,),
+        success, overhead = EXPERIMENTS["fig6"].run(
+            scale=TINY_SCALE, num_nodes=80, seed=1, rates=(30.0,),
             algorithms=("ACP", "RP"),
-            num_nodes=80,
-            seed=1,
-        )
+        ).figures
         assert set(success.series) == {"ACP", "RP"}
         assert set(overhead.series) == {"ACP", "RP"}
 
     def test_fig8_tiny(self):
-        fixed, adaptive = run_fig8(scale=TINY_SCALE, num_nodes=80, seed=1)
+        fixed, adaptive = EXPERIMENTS["fig8"].run(
+            scale=TINY_SCALE, num_nodes=80, seed=1
+        ).figures
         assert isinstance(fixed, Fig8Result)
         assert fixed.target_success_rate is None
         assert adaptive.target_success_rate is not None
@@ -184,57 +167,13 @@ class TestReporting:
 
     def test_report_summary(self):
         report = run_spec(tiny_spec())
-        table = format_report_summary([report])
+        columns = EXPERIMENTS["compare"].view.columns
+        table = format_arms_table("", "algorithm", columns, [("ACP", report)])
         assert "ACP" in table
         assert "success (%)" in table
 
 
 class TestExports:
-    def test_figure_to_csv_round_trips_values(self):
-        from repro.experiments.reporting import figure_to_csv
-
-        result = FigureResult(
-            "6a",
-            "rate",
-            "success",
-            {
-                "ACP": Series("ACP", ((20.0, 0.9), (40.0, 0.825))),
-                "Static": Series("Static", ((20.0, 0.5),)),
-            },
-        )
-        csv = figure_to_csv(result)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "rate,ACP,Static"
-        assert lines[1] == "20,0.9,0.5"
-        assert lines[2] == "40,0.825,"  # missing point -> empty cell
-
-    def test_csv_quotes_commas(self):
-        from repro.experiments.reporting import figure_to_csv
-
-        result = FigureResult(
-            "x", "rate, per min", "y", {"A": Series("A", ((1.0, 0.5),))}
-        )
-        assert figure_to_csv(result).startswith('"rate, per min",A')
-
-    def test_fig8_to_csv(self):
-        from repro.experiments.reporting import fig8_to_csv
-        from repro.simulation.metrics import WindowSample
-
-        result = Fig8Result(
-            "8b",
-            (
-                WindowSample(300.0, 0.9, 10, 0.3),
-                WindowSample(600.0, 0.8, 12, None),
-            ),
-            RateSchedule.constant(40.0),
-            0.9,
-        )
-        csv = fig8_to_csv(result)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "time_s,load_reqs_per_min,success_rate,probing_ratio"
-        assert lines[1] == "300,40,0.9,0.300"
-        assert lines[2] == "600,40,0.8,"
-
     def test_report_to_dict_is_json_serialisable(self):
         import json
 

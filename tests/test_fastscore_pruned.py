@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ACPComposer
-from repro.experiments import EVALUATION_DEPLOYMENT, run_fig7
+from repro.experiments import EVALUATION_DEPLOYMENT, EXPERIMENTS
 from repro.experiments.config import ExperimentScale
 from repro.simulation import SystemConfig, build_system
 from tests.test_fastscore import outcome_signature, requests_for
@@ -159,8 +159,8 @@ class TestDefaultPathUntouched:
             sampling_period_s=60.0,
             optimal_max_explored=3000,
         )
-        success, overhead = run_fig7(
-            scale=tiny, node_counts=(80,), algorithms=("ACP",), seed=1
-        )
+        success, overhead = EXPERIMENTS["fig7"].run(
+            scale=tiny, counts=(80,), algorithms=("ACP",), seed=1
+        ).figures
         assert success.series["ACP"].points == ((80, 0.31085043988269795),)
         assert overhead.series["ACP"].points == ((80, 371.75),)
