@@ -57,7 +57,7 @@ trace-demo:
 
 # Scale curve: compose p50/p99, overlay build time, and per-subsystem
 # memory at N in {600, 2k, 5k, 10k, 50k} overlay nodes under the bounded
-# configuration (LRU router caches, deduped batched topology build,
+# configuration (LRU router caches, triangle-bounded topology build,
 # locality-pruned candidate scoring at candidate_prune_k=auto), plus a
 # prune-k ablation at N=5k.  Results land in
 # benchmarks/results/BENCH_scale.json; EXPERIMENTS.md's Scalability

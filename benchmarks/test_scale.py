@@ -3,7 +3,7 @@
 The paper evaluates up to ~500 overlay nodes (Fig. 7); the seed repo's
 eager all-pairs router and unbounded per-source caches hit an O(N²)
 memory wall around 600.  This harness measures the bounded configuration
-(LRU tree cache, deduped batched topology build, incremental routing)
+(LRU tree cache, triangle-bounded topology build, incremental routing)
 across N ∈ {600, 2000, 5000, 10000} and records, per point,
 
 * overlay build time and router/scorer/global-state memory footprints,

@@ -282,6 +282,28 @@ class PopulationProfile:
         return self.mean_active_users * self.requests_per_user_per_min
 
 
+def _never_arrives(profile: PopulationProfile) -> bool:
+    """Whether no (window, slot) cell can ever have a positive rate.
+
+    A curve whose control points are all 0 interpolates to 0 everywhere,
+    and event multipliers (at least 1) cannot lift it; a user process
+    that can only draw 0 users gives rate 0 in every window.  Either way
+    the boundary walk would only step slot by slot to its cut.
+    """
+    diurnal = profile.diurnal
+    if diurnal is not None and all(m == 0.0 for _t, m in diurnal.points):
+        return True
+    mean = profile.mean_active_users
+    if profile.distribution == "poisson":
+        return mean == 0.0
+    if profile.distribution == "normal":
+        std = profile.std_active_users
+        if (math.sqrt(mean) if std is None else std) > 0.0:
+            return False
+    # a fixed count, or a normal draw with sigma 0, is the rounded mean
+    return round(mean) == 0
+
+
 class PopulationWorkload:
     """A population-driven arrival process over an inner request factory.
 
@@ -320,6 +342,7 @@ class PopulationWorkload:
         # slot boundaries only matter while a curve or event modulates the
         # rate; a plain steady population only changes at window edges
         self._modulated = profile.diurnal is not None or bool(profile.events)
+        self._silent = _never_arrives(profile)
 
     # -- the population process ----------------------------------------------
 
@@ -390,6 +413,8 @@ class PopulationWorkload:
         (boundary-truncated redraw, as in ``WorkloadGenerator``).  Returns
         :data:`FAR_FUTURE_S` when the rate stays zero past any plausible
         horizon, so the simulator's ``run_until`` drains cleanly."""
+        if self._silent:
+            return FAR_FUTURE_S
         t = now_s
         elapsed = 0.0
         while True:

@@ -77,9 +77,6 @@ class SystemConfig:
     #: bound on the neighbourhood index's (source, k) entry cache; each
     #: entry is O(k), so index memory is O(bound × k)
     neighborhood_cache_size: int = 1024
-    #: sources per batched Dijkstra call during overlay construction; caps
-    #: peak build memory at O(batch × routers) instead of O(nodes × routers)
-    dijkstra_batch_size: int = 512
     seed: int = 0
     #: observability sink wired through every layer built from this
     #: config (router, composers, simulator); None means the shared
@@ -186,7 +183,6 @@ def build_system(config: SystemConfig) -> StreamSystem:
         neighbors_per_node=config.neighbors_per_node,
         bandwidth_range_kbps=config.overlay_bandwidth_kbps,
         rng=random.Random(config.seed * 7 + 3),
-        dijkstra_batch_size=config.dijkstra_batch_size,
     )
     overlay_router = OverlayRouter(
         network, recorder=recorder, tree_cache_size=config.router_cache_size

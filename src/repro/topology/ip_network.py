@@ -40,6 +40,12 @@ class IPNetwork:
     def num_routers(self) -> int:
         return self.graph.num_routers
 
+    @property
+    def matrix(self) -> csr_matrix:
+        """The symmetric CSR delay graph (both directions of every link);
+        treat as read-only."""
+        return self._matrix
+
     def delays_from(self, sources: Sequence[int]) -> np.ndarray:
         """Shortest-path delay (ms) from each source router to every router.
 

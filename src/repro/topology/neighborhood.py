@@ -10,26 +10,41 @@ itself first), in nondecreasing-delay order, with the delay, composed
 loss, arriving tree link and predecessor position of each.  Entries
 are O(k), never O(N), and LRU-bounded
 (``SystemConfig.neighborhood_cache_size``), so resident memory is
-O(cache × k) and :meth:`memory_footprint` attributes it for BENCH_scale.
+O(cache × k) plus one O(N) bound array, and :meth:`memory_footprint`
+attributes it for BENCH_scale.
 
 A cold entry comes from the router's own tree pipeline, in three steps:
 
-1. :meth:`OverlayRouter.solve_tree` — scipy's C Dijkstra over the live
-   CSR graph (down nodes and down links already removed), O(L + N log N);
-2. :func:`~repro.topology.overlay.k_smallest_stable` — the first ``k``
-   reachable nodes of the stable distance sort, an O(N) partial sort;
+1. :func:`~repro.topology.overlay.nearest_targets` — scipy's C Dijkstra
+   over the router's live CSR graph (down nodes and down links already
+   removed), stopped at a distance limit;
+2. the first ``k`` reached nodes in (distance, node id) order, a partial
+   sort over the reached nodes only;
 3. :meth:`OverlayRouter.annotate` on that k-prefix — arriving link ids by
    one searchsorted, loss folded parent-first, O(k log L).
 
-The full solve costs more asymptotically than a Dijkstra that stops
-after ``k`` settles, but it runs in C where the stopped search ran one
-Python heap operation at a time, and it is the cheaper of the two at
-every measured N (EXPERIMENTS.md, Scalability).
+The limit comes from the triangle inequality and needs no tuning.  A
+solve of v whose k-th member lies at delay r(v) bounds every node u it
+reached: u's own k-th member lies within r(v) + d(v, u).  The index
+keeps one O(N) array of such bounds for its configured ``k``
+(:func:`~repro.topology.overlay.tighten_bounds`) and solves u only that
+far.  A source no solve has reached yet (in practice only an epoch's
+first) is solved in full, and so are the widen-retry sizes, which the
+bounds do not cover.  The bounds are valid for one router epoch: a
+crash can lengthen paths, so they reset when the epoch moves.
+
+The limit decides only the cost, never the entry.  Delays are positive,
+so every node within the limit settles through the same relaxations as
+in the full solve, with the same distance float and the same
+predecessor, and every node beyond it is farther than every reached
+one; a row that reaches ``k`` nodes therefore holds the full solve's
+k-prefix, and a row cut short (fewer than ``k`` nodes within the limit)
+is solved again with no limit.
 
 Byte-identity contract: overlay delays are positive and continuous, so
 shortest paths are unique, the source is the only node at distance 0,
 and the entry is a prefix of the full tree in (distance, node id) order.
-The router's rows come from the same solve and the same fold, so every
+The router's rows come from the full solve and the same fold, so every
 figure the index answers for a member (delay, loss, path links,
 bottleneck bandwidth) equals the full router's float for float — which
 is what makes pruned candidate scoring decision-identical to the full
@@ -53,7 +68,7 @@ from repro.model.component_graph import VirtualLinkPath
 from repro.model.lru import LRUDict
 from repro.model.qos import QoSVector
 from repro.observability import NULL_RECORDER, Recorder
-from repro.topology.overlay import k_smallest_stable
+from repro.topology.overlay import BOUND_SLACK, nearest_targets, tighten_bounds
 from repro.topology.routing import OverlayRouter
 
 #: ``SystemConfig.candidate_prune_k`` accepts ``None`` (full scan), the
@@ -214,6 +229,10 @@ class NeighborhoodIndex:
         self._entries: LRUDict[Tuple[int, int], NeighborhoodEntry] = LRUDict(
             capacity=capacity, on_evict=self._on_evicted
         )
+        #: per node, an upper bound on its k-th member delay from earlier
+        #: solves (triangle inequality), valid for one router epoch
+        self._bounds = np.full(len(self.network), math.inf)
+        self._bounds_epoch = router.epoch
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -237,15 +256,20 @@ class NeighborhoodIndex:
             self.recorder.inc("neighborhood.evictions")
 
     def memory_footprint(self) -> Dict[str, int]:
-        """Resident bytes of the cached entries (O(cache × k)): their tree
-        arrays, and the stale bandwidth rows cached on them."""
+        """Resident bytes of the index (O(cache × k) + O(N)): the cached
+        entries' tree arrays, the stale bandwidth rows cached on them, and
+        the per-node solve bounds."""
         entries = 0
         bandwidth_rows = 0
         for _, entry in self._entries.items():
             entries += entry.nbytes()
             if entry.bw_row is not None:
                 bandwidth_rows += int(entry.bw_row.nbytes)
-        footprint = {"entries": entries, "bandwidth_rows": bandwidth_rows}
+        footprint = {
+            "entries": entries,
+            "bandwidth_rows": bandwidth_rows,
+            "bounds": int(self._bounds.nbytes),
+        }
         footprint["total"] = sum(footprint.values())
         return footprint
 
@@ -276,9 +300,17 @@ class NeighborhoodIndex:
         """The first ``k`` reachable nodes of the router's tree for
         ``source``, annotated (see the module docstring)."""
         router = self.router
-        distances, predecessors = router.solve_tree(source)
-        members = k_smallest_stable(distances, k)
-        members = members[np.isfinite(distances[members])]
+        if self._bounds_epoch != router.epoch:
+            # churn may lengthen paths: an older bound could cut rows short
+            self._bounds.fill(math.inf)
+            self._bounds_epoch = router.epoch
+        bounded = k == self.k
+        limit = self._bounds[source] * (1.0 + BOUND_SLACK) if bounded else math.inf
+        distances, reached, members, predecessors = nearest_targets(
+            router.live_graph, source, k, limit
+        )
+        if bounded:
+            tighten_bounds(self._bounds, distances, reached, members, k)
         parents, links, loss = router.annotate(predecessors, members[1:])
         position_of = np.empty(len(distances), dtype=np.int64)
         position_of[members] = np.arange(len(members))

@@ -20,10 +20,13 @@ queries; end-to-end *virtual links* (overlay paths) live in
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from repro.model.node import Node
 from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSSchema, QoSVector
@@ -330,6 +333,79 @@ def k_smallest_stable(row: np.ndarray, count: int) -> np.ndarray:
     return order[:count]
 
 
+#: relative slack on a triangle-inequality limit, covering the rounding of
+#: the float sum ``radius + delay`` (a row cut short falls back anyway)
+BOUND_SLACK = 1e-9
+
+
+def nearest_targets(
+    graph: csr_matrix,
+    source: int,
+    count: int,
+    limit: float = math.inf,
+    targets: Optional[np.ndarray] = None,
+    must_reach: Sequence[int] = (),
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``count`` targets of ``source``'s shortest-path tree,
+    solving only as far as ``limit`` when that suffices.
+
+    ``graph`` is a symmetric CSR delay graph with positive weights, solved
+    directed (it already holds both directions of every edge).  Target
+    columns index ``targets`` (graph nodes; every node when None).
+    Returns ``(row, reached, nearest, predecessors)``: the delay to each
+    target column (``inf`` beyond the limit), the reached columns in
+    ascending order, the first ``count`` of them in (delay, column) order,
+    and scipy's predecessor array over all graph nodes.
+
+    Exact whatever the limit: delays are positive, so every node within
+    the limit is settled through the same relaxations as in the full
+    solve, with the same distance float and (paths being unique) the same
+    predecessor; every node beyond it is farther than every reached one.
+    The bounded row is accepted once it reaches ``count`` targets and
+    every ``must_reach`` column, so its (delay, column) prefix is the full
+    solve's.  A row cut short is solved again with no limit; the limit
+    only decides the cost.
+    """
+    while True:
+        distances, predecessors = dijkstra(
+            graph,
+            directed=True,
+            indices=source,
+            limit=limit,
+            return_predecessors=True,
+        )
+        row = distances if targets is None else distances[targets]
+        reached = np.flatnonzero(np.isfinite(row))
+        if limit == math.inf or (
+            len(reached) >= count and bool(np.isfinite(row[list(must_reach)]).all())
+        ):
+            break
+        limit = math.inf
+    nearest = reached[k_smallest_stable(row[reached], count)]
+    return row, reached, nearest, predecessors
+
+
+def tighten_bounds(
+    bounds: np.ndarray,
+    row: np.ndarray,
+    reached: np.ndarray,
+    nearest: np.ndarray,
+    count: int,
+) -> None:
+    """Lower each reached target's bound on its own ``count``-th-nearest
+    delay, after one :func:`nearest_targets` solve of size ``count``.
+
+    By the triangle inequality, the ``count`` targets within radius r(v)
+    of the solved source v all lie within r(v) + d(v, u) of every target
+    u, so that sum bounds u's ``count``-th-nearest delay (for v itself it
+    is r(v)).  A row with fewer than ``count`` targets bounds nothing.
+    """
+    if len(nearest) < count:
+        return
+    radius = row[nearest[-1]]
+    bounds[reached] = np.minimum(bounds[reached], radius + row[reached])
+
+
 def build_overlay_network(
     ip_network: IPNetwork,
     num_nodes: int,
@@ -340,7 +416,6 @@ def build_overlay_network(
         default_node_capacity_sampler
     ),
     rng: Optional[random.Random] = None,
-    dijkstra_batch_size: int = 512,
 ) -> OverlayNetwork:
     """Build the overlay mesh over an IP network (Section 4.1's recipe).
 
@@ -349,19 +424,19 @@ def build_overlay_network(
     delay.  Overlay link delay is the IP shortest-path delay between the
     endpoints' routers; loss grows with delay; capacity is drawn uniformly.
 
-    Construction is streamed: Dijkstra runs in batches of
-    ``dijkstra_batch_size`` deduplicated attachment routers, and each
-    node's delay row is discarded as soon as its nearest neighbours and
-    link delays are recorded — peak memory is O(batch × routers), never
-    the dense O(nodes × routers) (or O(nodes²)) matrix the old build
-    materialised.  The stream of drawn random numbers and every link's
-    float delay are byte-identical to the dense build: a link's delay is
-    always read from its *lower-id endpoint's* Dijkstra row (the row the
-    dense matrix indexed via ``delays[a, b]`` with ``a < b``), which is
-    why the sweep below visits nodes in descending id order — when node
-    ``u`` is processed, every mesh pair whose lower id is ``u`` already
-    exists (created by ``u``'s own picks or by higher-id nodes picking
-    ``u``) and is resolved from ``u``'s freshly computed row.
+    Construction is streamed: each node's router is solved once, by a
+    :func:`nearest_targets` solve bounded by the triangle inequality
+    (:func:`tighten_bounds` over the earlier solves, count ``k + 1`` with
+    the node itself), and its row is discarded as soon as its nearest
+    neighbours and link delays are recorded — peak memory is O(routers)
+    per source, never the dense O(nodes × routers) matrix.  The stream of
+    drawn random numbers and every link's float delay are byte-identical
+    to the dense full-solve build: a link's delay is always read from its
+    *lower-id endpoint's* row, which is why the sweep below visits nodes
+    in descending id order — when node ``u`` is solved, every pair a
+    higher-id node opened to ``u`` already exists, so its limit also
+    covers the largest such delay (read from the higher-id row) and those
+    partners are must-reach columns of its solve.
     """
     # explicit fixed seed when the caller doesn't care about the stream;
     # never the process-global RNG, so builds replay byte-identically
@@ -375,10 +450,6 @@ def build_overlay_network(
         )
     if neighbors_per_node < 1:
         raise ValueError("neighbors_per_node must be ≥ 1")
-    if dijkstra_batch_size < 1:
-        raise ValueError(
-            f"dijkstra_batch_size must be ≥ 1, got {dijkstra_batch_size}"
-        )
 
     routers = rng.sample(range(ip_network.num_routers), num_nodes)
     nodes = [
@@ -387,51 +458,48 @@ def build_overlay_network(
     ]
 
     def rows_for(node_ids: Sequence[int]) -> np.ndarray:
-        """Delay rows (one per requested node) over the overlay columns,
-        solved per *unique* attachment router in dijkstra-batched calls."""
-        unique = sorted({routers[node_id] for node_id in node_ids})
-        row_of: Dict[int, np.ndarray] = {}
-        for start in range(0, len(unique), dijkstra_batch_size):
-            batch = unique[start : start + dijkstra_batch_size]
-            solved = ip_network.delays_from(batch)[:, routers]
-            for offset, router_id in enumerate(batch):
-                row_of[router_id] = solved[offset]
-        return np.stack([row_of[routers[node_id]] for node_id in node_ids])
+        """Full delay rows (one per requested node) over the overlay
+        columns, in one solve."""
+        return ip_network.delays_from([routers[node_id] for node_id in node_ids])[
+            :, routers
+        ]
 
     pairs: Set[Tuple[int, int]] = set()
-    # higher-id endpoint → lower-id endpoint's pairs awaiting their delay
+    # lower-id endpoint → higher-id partners whose pair awaits its delay
     by_min: Dict[int, List[int]] = {}
     pair_delay: Dict[Tuple[int, int], float] = {}
     k = min(neighbors_per_node, num_nodes - 1)
+    targets = np.asarray(routers)
+    bounds = np.full(num_nodes, math.inf)
+    # largest delay of a pair a higher-id node opened, per lower-id node
+    opened_reach = np.zeros(num_nodes)
 
-    def add_pair(node_a: int, node_b: int) -> None:
-        pair = (min(node_a, node_b), max(node_a, node_b))
-        if pair not in pairs:
-            pairs.add(pair)
-            by_min.setdefault(pair[0], []).append(pair[1])
-
-    for chunk_end in range(num_nodes - 1, -1, -dijkstra_batch_size):
-        chunk = list(range(chunk_end, max(-1, chunk_end - dijkstra_batch_size), -1))
-        chunk_rows = ip_network.delays_from([routers[u] for u in chunk])[:, routers]
-        for row_index, node_id in enumerate(chunk):
-            row = chunk_rows[row_index]
-            # the pick loop consumes at most k+1 entries (k picks plus the
-            # skipped self), so a stable partial sort replaces the full
-            # O(N log N) argsort with identical picks
-            order = k_smallest_stable(row, k + 1)
-            picked = 0
-            for neighbor in order:
-                neighbor = int(neighbor)
-                if neighbor == node_id:
-                    continue
-                add_pair(node_id, neighbor)
-                picked += 1
-                if picked >= k:
-                    break
-            # all pairs keyed by this node exist now (descending sweep):
-            # resolve their authoritative delays from this node's row
-            for other in by_min.pop(node_id, ()):
-                pair_delay[(node_id, other)] = float(row[other])
+    for node_id in range(num_nodes - 1, -1, -1):
+        partners = by_min.pop(node_id, [])
+        limit = max(bounds[node_id], opened_reach[node_id]) * (1.0 + BOUND_SLACK)
+        row, reached, nearest, _ = nearest_targets(
+            ip_network.matrix, routers[node_id], k + 1, limit, targets, partners
+        )
+        tighten_bounds(bounds, row, reached, nearest, k + 1)
+        picked = 0
+        for neighbor in nearest.tolist():
+            if neighbor == node_id:
+                continue
+            pair = (min(node_id, neighbor), max(node_id, neighbor))
+            if pair not in pairs:
+                pairs.add(pair)
+                if neighbor < node_id:
+                    by_min.setdefault(neighbor, []).append(node_id)
+                    opened_reach[neighbor] = max(opened_reach[neighbor], row[neighbor])
+                else:
+                    partners.append(neighbor)
+            picked += 1
+            if picked >= k:
+                break
+        # every pair keyed by this node exists now (descending sweep):
+        # resolve their authoritative delays from this node's row
+        for other in partners:
+            pair_delay[(node_id, other)] = float(row[other])
 
     _bridge_components(pairs, num_nodes, rows_for)
 

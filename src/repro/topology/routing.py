@@ -35,9 +35,12 @@ exactly like a link adjacent to a down endpoint:
   endpoint.
 
 Every tree, cached here or bounded in :mod:`repro.topology.neighborhood`,
-comes from one pipeline: :meth:`solve_tree` (scipy's C Dijkstra) and
-:meth:`annotate` (arriving link ids through a sorted pair-key array, loss
-folded parent-first), so both answer the same floats.
+comes from one pipeline: scipy's C Dijkstra over :attr:`live_graph` (in
+full by :meth:`solve_tree` here, up to a distance limit by
+:func:`~repro.topology.overlay.nearest_targets` there, which settles
+every node within the limit identically) and :meth:`annotate` (arriving
+link ids through a sorted pair-key array, loss folded parent-first), so
+both answer the same floats.
 
 Each tree carries a **row version** (the topology epoch it was solved at);
 derived caches (``repro.core.fastscore``) key per-source state on
@@ -377,6 +380,13 @@ class OverlayRouter:
             ),
             shape=(n, n),
         )
+
+    @property
+    def live_graph(self) -> csr_matrix:
+        """The CSR routing graph of the current down sets (both directions
+        of every live link), rebuilt whenever :attr:`epoch` moves; treat
+        as read-only."""
+        return self._matrix
 
     def solve_tree(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
         """Uncached shortest-path tree of ``source`` on the live graph:

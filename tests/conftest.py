@@ -16,7 +16,7 @@ import pytest
 
 from repro.allocation.allocator import ResourceAllocator
 from repro.core.composer import CompositionContext
-from repro.discovery.deployment import ComponentDeployer, DeploymentProfile
+from repro.discovery.deployment import DeploymentProfile
 from repro.discovery.registry import ComponentRegistry
 from repro.model.component import Component
 from repro.model.function_graph import FunctionGraph

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core.baselines import RandomComposer, StaticComposer
 from repro.model.function_graph import FunctionGraph
 from tests.conftest import make_request, rv

@@ -6,8 +6,7 @@ import pytest
 
 from repro.model.component_graph import ComponentGraph, VirtualLinkPath
 from repro.model.function_graph import FunctionGraph
-from repro.model.qos import QoSVector
-from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceSchema, ResourceSpec, ResourceVector
+from repro.model.resources import ResourceSchema, ResourceSpec, ResourceVector
 from tests.conftest import make_component, make_request, qv, rv
 
 

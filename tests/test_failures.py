@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import ACPComposer, OptimalComposer, RandomComposer
-from repro.middleware.session import SessionManager, SessionState
+from repro.middleware.session import SessionManager
 from repro.model.node import InsufficientResourcesError
 from repro.simulation import (
     FailureInjector,

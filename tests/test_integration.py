@@ -15,7 +15,7 @@ from repro.core import (
 from repro.core.tuning import ProbingRatioTuner
 from repro.simulation.simulator import StreamProcessingSimulator
 from repro.simulation.workload import QOS_LEVELS, RateSchedule, WorkloadGenerator
-from tests.conftest import build_small_system, rv
+from tests.conftest import build_small_system
 
 COMPOSER_MAKERS = {
     "ACP": lambda ctx: ACPComposer(ctx, probing_ratio=0.5),

@@ -13,15 +13,19 @@ compares every entry array with the heap-based bounded Dijkstra in
 ``tests/oracles/bounded_dijkstra.py``, which shares no code with either.
 Churn tests are differential: after an arbitrary fault/recovery sequence
 the index must answer identically to an index built fresh against the
-same router.
+same router.  The solve-bound tests check that the triangle-inequality
+limits decide only how far each scipy solve goes, and live for one
+router epoch.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.topology import overlay
 from repro.topology.neighborhood import (
     AUTO_PRUNE_FLOOR,
     NeighborhoodIndex,
@@ -248,6 +252,86 @@ class TestChurnMaintenance:
             index.close()
 
 
+class TestSolveBounds:
+    """The index solves a cold entry only as far as a triangle-inequality
+    bound from its earlier solves; the bound decides the cost, never the
+    entry, and lives for one router epoch."""
+
+    @staticmethod
+    def record_limits(monkeypatch):
+        """The ``limit`` of every scipy solve the index runs from now on."""
+        limits = []
+        solve = overlay.dijkstra
+
+        def recording(*args, **kwargs):
+            limits.append(kwargs["limit"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(overlay, "dijkstra", recording)
+        return limits
+
+    @staticmethod
+    def assert_matches_oracle(entry, network, source, k, down_nodes=frozenset()):
+        want = bounded_dijkstra(network, source, k, down_nodes)
+        got = (entry.members, entry.delay, entry.loss, entry.uplink, entry.parent_pos)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_warm_entries_solve_once_within_their_bound(self, monkeypatch):
+        """Only the first entry has no bound; every later one is one
+        bounded solve that reaches its k members (no fallback)."""
+        network = random_mesh(21, num_nodes=30, extra_edges=40)
+        with OverlayRouter(network) as router:
+            index = NeighborhoodIndex(router, k=6)
+            limits = self.record_limits(monkeypatch)
+            for source in range(len(network)):
+                self.assert_matches_oracle(index.entry(source), network, source, 6)
+            assert limits[0] == math.inf
+            assert len(limits) == len(network)
+            assert all(math.isfinite(limit) for limit in limits[1:])
+            index.close()
+
+    def test_churn_resets_bounds(self, monkeypatch):
+        """A crash on the source's paths lengthens them past its cached
+        bound: the next entry is solved in full at the new epoch (the old
+        bound is not tried) and equals a fresh solve."""
+        network = random_mesh(13, num_nodes=30, extra_edges=40)
+        with OverlayRouter(network) as router:
+            index = NeighborhoodIndex(router, k=8)
+            for source in range(len(network)):
+                index.entry(source)
+            before = index.entry(0)
+            crashed = set(before.members[1:5].tolist())
+            router.set_down_nodes(crashed)
+            # the old k-th member delay no longer covers k live nodes
+            distances, _ = router.solve_tree(0)
+            assert np.count_nonzero(distances <= before.delay[-1]) < 8
+            limits = self.record_limits(monkeypatch)
+            entry = index.entry(0)
+            assert limits == [math.inf]
+            self.assert_matches_oracle(entry, network, 0, 8, crashed)
+            fresh = NeighborhoodIndex(router, k=8)
+            assert np.array_equal(entry.members, fresh.entry(0).members)
+            fresh.close()
+            index.close()
+
+    def test_widen_sizes_solve_in_full(self, monkeypatch):
+        """Widen-retry sizes bypass the configured-size bounds: each is
+        one full solve, equal to the oracle's entry of that size."""
+        network = random_mesh(8, num_nodes=30, extra_edges=40)
+        with OverlayRouter(network) as router:
+            index = NeighborhoodIndex(router, k=4)
+            for source in range(len(network)):
+                index.entry(source)
+            limits = self.record_limits(monkeypatch)
+            for source in range(len(network)):
+                self.assert_matches_oracle(
+                    index.entry(source, 16), network, source, 16
+                )
+            assert limits == [math.inf] * len(network)
+            index.close()
+
+
 class TestBounding:
     def test_lru_capacity_holds_and_evictions_count(self):
         network = random_mesh(4, num_nodes=20, extra_edges=20)
@@ -272,8 +356,9 @@ class TestBounding:
             for source in range(10):
                 index.entry(source)
             loaded = index.memory_footprint()
-            assert set(loaded) == {"entries", "bandwidth_rows", "total"}
-            assert empty["total"] == 0
+            assert set(loaded) == {"entries", "bandwidth_rows", "bounds", "total"}
+            # the per-node solve bounds are the index's only O(N) state
+            assert empty["total"] == empty["bounds"] == 8 * len(network)
             assert loaded["entries"] > 0
             assert loaded["bandwidth_rows"] == 0
             stale = np.ones(len(network.links))

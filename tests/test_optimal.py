@@ -14,7 +14,7 @@ from repro.core.baselines import RandomComposer
 from repro.core.composer import CompositionEvaluator
 from repro.core.optimal import OptimalComposer
 from repro.model.function_graph import FunctionGraph
-from tests.conftest import build_small_system, make_request, rv
+from tests.conftest import build_small_system, make_request
 
 
 def brute_force_best(context, request):

@@ -1,10 +1,12 @@
 """Unit tests for the overlay mesh and overlay links."""
 
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.topology import overlay
 from repro.topology.ip_network import IPNetwork
@@ -14,10 +16,38 @@ from repro.topology.overlay import (
     OverlayNetwork,
     build_overlay_network,
     k_smallest_stable,
+    nearest_targets,
+    tighten_bounds,
 )
 from repro.topology.powerlaw import PowerLawTopologyGenerator
 from repro.model.node import Node
+from repro.topology.routing import OverlayRouter
 from tests.conftest import rv
+from tests.test_routing_differential import random_mesh
+
+#: (overlay nodes, build seeds) of the end-to-end build differentials
+BUILD_SIZES = [(60, (1, 2, 3)), (600, (1, 2)), (2048, (1,))]
+
+
+@functools.lru_cache(maxsize=None)
+def ip_for(num_nodes):
+    """The IP network the build differentials place ``num_nodes`` on."""
+    return IPNetwork(
+        PowerLawTopologyGenerator(
+            num_routers=max(120, math.ceil(num_nodes * 1.2)), seed=num_nodes
+        ).generate()
+    )
+
+
+def overlay_figures(network):
+    """Node placement, then every link's pair, delay, loss and capacity."""
+    return (
+        [(n.router_id, n.capacity) for n in network.nodes],
+        [
+            (l.endpoints, l.delay_ms, l.loss_rate, l.capacity_kbps)
+            for l in network.links
+        ],
+    )
 
 
 @pytest.fixture
@@ -146,8 +176,6 @@ class TestBuildOverlayNetwork:
         """k-nearest unions can isolate clusters; the builder must bridge
         them — an unreachable node pair would make compositions
         structurally impossible."""
-        from repro.topology.routing import OverlayRouter
-
         network = build_overlay_network(
             ip, 25, neighbors_per_node=2, rng=random.Random(seed)
         )
@@ -160,27 +188,6 @@ class TestBuildOverlayNetwork:
         assert [l.endpoints for l in a.links] == [l.endpoints for l in b.links]
         assert [n.capacity for n in a.nodes] == [n.capacity for n in b.nodes]
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 512])
-    def test_dijkstra_batch_size_is_build_invariant(self, ip, batch_size):
-        """The chunked, deduped build must produce a byte-identical
-        network for ANY batch size — batching is a cost knob, never a
-        semantic one.  Compares endpoints, delay, loss, capacity per link
-        and router/capacity per node against the default build."""
-        reference = build_overlay_network(ip, 30, rng=random.Random(6))
-        network = build_overlay_network(
-            ip, 30, rng=random.Random(6), dijkstra_batch_size=batch_size
-        )
-        assert [
-            (l.endpoints, l.delay_ms, l.loss_rate, l.capacity_kbps)
-            for l in network.links
-        ] == [
-            (l.endpoints, l.delay_ms, l.loss_rate, l.capacity_kbps)
-            for l in reference.links
-        ]
-        assert [(n.router_id, n.capacity) for n in network.nodes] == [
-            (n.router_id, n.capacity) for n in reference.nodes
-        ]
-
     def test_link_delays_match_pairwise_solver(self, ip):
         """Every link's delay equals the independently-computed pairwise
         router distance — the deduped/batched path reads the same floats
@@ -192,12 +199,6 @@ class TestBuildOverlayNetwork:
                 network.node(link.node_b).router_id,
             )
             assert link.delay_ms == expected
-
-    def test_batch_size_validated(self, ip):
-        with pytest.raises(ValueError, match="dijkstra_batch_size"):
-            build_overlay_network(
-                ip, 10, rng=random.Random(1), dijkstra_batch_size=0
-            )
 
 
 class TestPartialSortNeighborSelection:
@@ -226,22 +227,14 @@ class TestPartialSortNeighborSelection:
         row = np.zeros(9)
         assert k_smallest_stable(row, 4).tolist() == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize(
-        "num_nodes,seeds",
-        [(60, (1, 2, 3)), (600, (1, 2)), (2048, (1,))],
-    )
+    @pytest.mark.parametrize("num_nodes,seeds", BUILD_SIZES)
     def test_build_identical_to_full_argsort_path(
         self, num_nodes, seeds, monkeypatch
     ):
         """End to end: the partial-sort build and the old full-argsort
         build produce identical overlays (same node placement, same
         neighbour pairs, same link figures) for every seed and size."""
-        num_routers = max(120, math.ceil(num_nodes * 1.2))
-        ip = IPNetwork(
-            PowerLawTopologyGenerator(
-                num_routers=num_routers, seed=num_nodes
-            ).generate()
-        )
+        ip = ip_for(num_nodes)
         for seed in seeds:
             fast = build_overlay_network(ip, num_nodes, rng=random.Random(seed))
             with monkeypatch.context() as m:
@@ -253,13 +246,135 @@ class TestPartialSortNeighborSelection:
                 full = build_overlay_network(
                     ip, num_nodes, rng=random.Random(seed)
                 )
-            assert [(n.router_id, n.capacity) for n in fast.nodes] == [
-                (n.router_id, n.capacity) for n in full.nodes
-            ]
-            assert [
-                (l.endpoints, l.delay_ms, l.loss_rate, l.capacity_kbps)
-                for l in fast.links
-            ] == [
-                (l.endpoints, l.delay_ms, l.loss_rate, l.capacity_kbps)
-                for l in full.links
-            ]
+            assert overlay_figures(fast) == overlay_figures(full)
+
+
+class TestNearestTargets:
+    """``nearest_targets`` must return exactly the full solve's (delay,
+    column) prefix whatever its limit: a limit that cuts the row short of
+    ``count`` targets or of a must-reach column falls back to the full
+    solve, so the limit decides only the cost."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_nodes=st.integers(min_value=2, max_value=30),
+        extra_edges=st.integers(min_value=0, max_value=40),
+        down_share=st.floats(min_value=0.0, max_value=0.4),
+        link_share=st.floats(min_value=0.0, max_value=0.4),
+        size=st.sampled_from(["one", "small", "all"]),
+        limit_kind=st.sampled_from(["zero", "below", "at", "above", "inf"]),
+        subset=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_matches_full_solve(
+        self, seed, num_nodes, extra_edges, down_share, link_share, size,
+        limit_kind, subset,
+    ):
+        """Under random down nodes (crashed sources included) and down
+        links, every prefix, its delays and its predecessors equal the
+        full scipy solve's, and so does every delay the row reached."""
+        spanning = num_nodes - 1
+        extra_edges = min(extra_edges, num_nodes * spanning // 2 - spanning)
+        network = random_mesh(seed, num_nodes, extra_edges)
+        rng = random.Random(seed)
+        down_nodes = {v for v in range(num_nodes) if rng.random() < down_share}
+        down_links = {
+            link.link_id for link in network.links if rng.random() < link_share
+        }
+        count = {
+            "one": 1,
+            "small": rng.randint(2, 8),
+            "all": num_nodes + rng.randint(0, 5),
+        }[size]
+        targets = (
+            np.array(sorted(rng.sample(range(num_nodes), rng.randint(1, num_nodes))))
+            if subset
+            else None
+        )
+        with OverlayRouter(network) as router:
+            router.set_down_nodes(down_nodes)
+            router.set_down_links(down_links)
+            for source in range(num_nodes):
+                distances, predecessors = router.solve_tree(source)
+                full_row = distances if targets is None else distances[targets]
+                want = k_smallest_stable(full_row, count)
+                want = want[np.isfinite(full_row[want])]
+                radius = float(full_row[want[-1]]) if len(want) else 0.0
+                limit = {
+                    "zero": 0.0,
+                    "below": radius * rng.random(),
+                    "at": radius,
+                    "above": radius * (1.0 + rng.random()),
+                    "inf": math.inf,
+                }[limit_kind]
+                must_reach = rng.sample(
+                    range(len(full_row)), rng.randint(0, min(3, len(full_row)))
+                )
+                row, reached, nearest, got_predecessors = nearest_targets(
+                    router.live_graph, source, count, limit, targets, must_reach
+                )
+                assert np.array_equal(nearest, want), (source, limit)
+                assert np.array_equal(row[nearest], full_row[want])
+                nodes = nearest if targets is None else targets[nearest]
+                assert np.array_equal(got_predecessors[nodes], predecessors[nodes])
+                assert np.array_equal(reached, np.flatnonzero(np.isfinite(row)))
+                assert np.array_equal(row[reached], full_row[reached])
+                assert np.array_equal(row[must_reach], full_row[must_reach])
+
+    def test_partitioned_graph_returns_every_reachable_target(self):
+        """Fewer reachable targets than ``count``: the row falls back to
+        the full solve and returns all of them, nearest first."""
+        network = random_mesh(3, num_nodes=12, extra_edges=0)
+        with OverlayRouter(network) as router:
+            # a spanning tree: any down link splits it in two
+            router.set_down_links({network.links[4].link_id})
+            distances, _ = router.solve_tree(0)
+            reachable = np.flatnonzero(np.isfinite(distances))
+            assert 0 < len(reachable) < len(network)
+            for limit in (0.0, 1.0, math.inf):
+                _, reached, nearest, _ = nearest_targets(
+                    router.live_graph, 0, len(network), limit
+                )
+                assert np.array_equal(reached, reachable)
+                assert np.array_equal(
+                    nearest, reachable[np.argsort(distances[reachable], kind="stable")]
+                )
+
+    def test_bounds_shrink_to_the_triangle_inequality(self):
+        """After a solve of v with count-th delay r(v), each reached node
+        u is bounded by r(v) + d(v, u), and v itself by r(v)."""
+        network = random_mesh(5, num_nodes=15, extra_edges=10)
+        with OverlayRouter(network) as router:
+            bounds = np.full(len(network), math.inf)
+            row, reached, nearest, _ = nearest_targets(router.live_graph, 2, 4)
+            tighten_bounds(bounds, row, reached, nearest, 4)
+            radius = row[nearest[-1]]
+            assert bounds[2] == radius
+            assert np.array_equal(bounds, radius + row)
+            # a shorter row than the count bounds nothing
+            before = bounds.copy()
+            tighten_bounds(bounds, row, reached, nearest[:3], 4)
+            assert np.array_equal(bounds, before)
+
+    @pytest.mark.parametrize("num_nodes,seeds", BUILD_SIZES)
+    def test_bounded_build_identical_to_full_solves(
+        self, num_nodes, seeds, monkeypatch
+    ):
+        """End to end: a build whose every solve runs with no limit yields
+        the identical overlay (node placement, pairs, delays, losses and
+        capacities) — the triangle-inequality limits and the must-reach
+        partners only decide how far each solve goes."""
+        ip = ip_for(num_nodes)
+        unbounded = overlay.nearest_targets
+
+        def full_solve(graph, source, count, limit, *rest):
+            return unbounded(graph, source, count, math.inf, *rest)
+
+        for seed in seeds:
+            bounded = build_overlay_network(ip, num_nodes, rng=random.Random(seed))
+            with monkeypatch.context() as m:
+                m.setattr(overlay, "nearest_targets", full_solve)
+                full = build_overlay_network(
+                    ip, num_nodes, rng=random.Random(seed)
+                )
+            assert overlay_figures(bounded) == overlay_figures(full)

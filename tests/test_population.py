@@ -1,12 +1,12 @@
 """Unit tests for the population-scale workload model."""
 
-import math
 import random
 
 import pytest
 
 from repro.model.functions import FunctionCatalog
 from repro.model.templates import TemplateLibrary
+from repro.simulation import population
 from repro.simulation.population import (
     FAR_FUTURE_S,
     DiurnalCurve,
@@ -341,8 +341,8 @@ class TestPopulationWorkload:
             assert a.client_router_id == b.client_router_id
 
     def test_interarrival_walk_terminates_on_long_idle(self, templates):
-        """A population that collapses to zero mid-run walks window
-        boundaries without drawing and eventually yields the sentinel."""
+        """A population whose curve is zero everywhere can never arrive:
+        it yields the sentinel at once instead of walking to the cut."""
         curve = DiurnalCurve(((0.0, 0.0),), period_s=600.0)  # always zero
         profile = PopulationProfile(
             mean_active_users=50.0,
@@ -350,6 +350,46 @@ class TestPopulationWorkload:
             distribution="fixed",
             diurnal=curve,
         )
+        workload = PopulationWorkload(make_inner(templates), profile, seed=2)
+        assert workload.next_interarrival(0.0) == FAR_FUTURE_S
+
+    @pytest.mark.parametrize(
+        "distribution,mean,std",
+        [("poisson", 0.0, None), ("fixed", 0.4, None),
+         ("normal", 0.0, None), ("normal", 0.3, 0.0)],
+    )
+    def test_user_process_that_only_draws_zero_never_arrives(
+        self, templates, distribution, mean, std
+    ):
+        profile = PopulationProfile(
+            mean_active_users=mean,
+            requests_per_user_per_min=1.0,
+            distribution=distribution,
+            std_active_users=std,
+        )
+        workload = PopulationWorkload(make_inner(templates), profile, seed=2)
+        assert workload.next_interarrival(0.0) == FAR_FUTURE_S
+
+    def test_zero_stretch_longer_than_the_cut_still_reaches_it(
+        self, templates, monkeypatch
+    ):
+        """A curve that is zero only for a while is walked slot by slot:
+        past the cut it yields the sentinel, within it the first arrival
+        after the zero stretch."""
+        curve = DiurnalCurve(
+            ((0.0, 0.0), (500.0, 0.0), (600.0, 1.0)), period_s=1000.0
+        )
+        profile = PopulationProfile(
+            mean_active_users=50.0,
+            requests_per_user_per_min=1.0,
+            distribution="fixed",
+            diurnal=curve,
+        )
+        gap = PopulationWorkload(
+            make_inner(templates), profile, seed=2
+        ).next_interarrival(0.0)
+        assert 500.0 < gap < 1000.0
+        monkeypatch.setattr(population, "_MAX_WALK_S", 200.0)
         workload = PopulationWorkload(make_inner(templates), profile, seed=2)
         assert workload.next_interarrival(0.0) == FAR_FUTURE_S
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.acp import ACPComposer
 from repro.core.baselines import RandomProbingComposer, SelectiveProbingComposer
-from repro.core.probe import Probe, ProbeFactory
+from repro.core.probe import ProbeFactory
 from repro.core.prober import FinalSelectionPolicy, HopSelectionPolicy
 from repro.model.function_graph import FunctionGraph
 from tests.conftest import make_request, qv, rv

@@ -10,7 +10,7 @@ from repro.middleware.session import (
     SessionState,
 )
 from repro.model.function_graph import FunctionGraph
-from tests.conftest import make_request, rv
+from tests.conftest import make_request
 
 
 @pytest.fixture

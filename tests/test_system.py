@@ -1,8 +1,6 @@
 """Unit tests for system assembly."""
 
-import pytest
-
-from repro.simulation.system import SystemConfig, build_system
+from repro.simulation.system import SystemConfig
 from tests.conftest import build_small_system
 
 
