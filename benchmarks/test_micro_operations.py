@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.experiments import EVALUATION_DEPLOYMENT
 from repro.model.request import StreamRequest, derive_bandwidth_requirements
-from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSVector
+from repro.model.qos import QoSVector
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.simulation import SystemConfig, build_system
 
@@ -47,7 +47,7 @@ def request_for(system, request_id=0):
     return StreamRequest(
         request_id=request_id,
         function_graph=graph,
-        qos_requirement=QoSVector(DEFAULT_QOS_SCHEMA, [500.0, 0.2]),
+        qos_requirement=QoSVector(500.0, 0.2),
         node_requirements={
             i: ResourceVector(DEFAULT_RESOURCE_SCHEMA, [4.0, 25.0])
             for i in range(len(graph))
@@ -106,7 +106,7 @@ def test_virtual_link_query_latency(benchmark, system):
     def query():
         total = 0.0
         for a, b in pairs:
-            total += router.virtual_link_qos(a, b)["delay"]
+            total += router.virtual_link_qos(a, b).delay
         return total
 
     assert benchmark(query) >= 0.0

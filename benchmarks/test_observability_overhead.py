@@ -29,7 +29,7 @@ from time import perf_counter
 from repro.core import ACPComposer
 from repro.experiments import EVALUATION_DEPLOYMENT
 from repro.model.request import StreamRequest, derive_bandwidth_requirements
-from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSVector
+from repro.model.qos import QoSVector
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.observability import NULL_RECORDER, TraceRecorder
 from repro.simulation import SystemConfig, build_system
@@ -45,7 +45,7 @@ def _request_for(system, request_id=0):
     return StreamRequest(
         request_id=request_id,
         function_graph=graph,
-        qos_requirement=QoSVector(DEFAULT_QOS_SCHEMA, [500.0, 0.2]),
+        qos_requirement=QoSVector(500.0, 0.2),
         node_requirements={
             i: ResourceVector(DEFAULT_RESOURCE_SCHEMA, [4.0, 25.0])
             for i in range(len(graph))

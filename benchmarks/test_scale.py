@@ -41,7 +41,7 @@ import resource
 import time
 
 from repro.core import ACPComposer
-from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSVector
+from repro.model.qos import QoSVector
 from repro.model.request import StreamRequest, derive_bandwidth_requirements
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.simulation import SystemConfig, build_system
@@ -110,7 +110,7 @@ def request_for(system, request_id):
     return StreamRequest(
         request_id=request_id,
         function_graph=graph,
-        qos_requirement=QoSVector(DEFAULT_QOS_SCHEMA, [500.0, 0.2]),
+        qos_requirement=QoSVector(500.0, 0.2),
         node_requirements={
             i: ResourceVector(DEFAULT_RESOURCE_SCHEMA, [4.0, 25.0])
             for i in range(len(graph))

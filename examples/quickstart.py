@@ -20,7 +20,6 @@ import random
 from repro.core import ACPComposer
 from repro.middleware import SessionManager
 from repro.model import derive_bandwidth_requirements, QoSVector, ResourceVector
-from repro.model.qos import DEFAULT_QOS_SCHEMA
 from repro.model.request import StreamRequest
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA
 from repro.simulation import SystemConfig, build_system
@@ -54,7 +53,7 @@ def main() -> None:
     request = StreamRequest(
         request_id=0,
         function_graph=graph,
-        qos_requirement=QoSVector(DEFAULT_QOS_SCHEMA, [400.0, 0.15]),
+        qos_requirement=QoSVector(400.0, 0.15),
         node_requirements={
             i: ResourceVector(DEFAULT_RESOURCE_SCHEMA, [4.0, 25.0])
             for i in range(len(graph))
@@ -82,19 +81,19 @@ def main() -> None:
     for index in sorted(range(len(graph))):
         component = composition.component(index)
         print(f"  F{index} -> c{component.component_id} on node "
-              f"v{component.node_id} (delay {component.qos['delay']:.1f} ms)")
+              f"v{component.node_id} (delay {component.qos.delay:.1f} ms)")
     for edge, link in sorted(composition.virtual_links.items()):
         if link.co_located:
             print(f"  link {edge}: co-located (0 ms)")
         else:
             print(f"  link {edge}: {len(link.overlay_link_ids)} overlay hops, "
-                  f"{link.qos['delay']:.1f} ms")
+                  f"{link.qos.delay:.1f} ms")
     print(f"  congestion aggregation phi = {outcome.phi:.3f}")
     worst = composer.evaluator.worst_effective_qos(composition)
-    print(f"  end-to-end QoS: {worst['delay']:.1f} ms delay, "
-          f"{100 * worst['loss_rate']:.2f}% loss "
-          f"(budget {request.qos_requirement['delay']:.0f} ms / "
-          f"{100 * request.qos_requirement['loss_rate']:.1f}%)")
+    print(f"  end-to-end QoS: {worst.delay:.1f} ms delay, "
+          f"{100 * worst.loss_rate:.2f}% loss "
+          f"(budget {request.qos_requirement.delay:.0f} ms / "
+          f"{100 * request.qos_requirement.loss_rate:.1f}%)")
 
     # -- 4. Process(): push data through the composed application -------------
     result = sessions.process(session_id, units_in=10_000.0)

@@ -26,7 +26,6 @@ from repro.model import (
     StreamRequest,
     derive_bandwidth_requirements,
 )
-from repro.model.qos import DEFAULT_QOS_SCHEMA
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA
 from repro.simulation import SystemConfig, build_system
 
@@ -57,7 +56,7 @@ def surveillance_request(request_id: int, graph: FunctionGraph) -> StreamRequest
     return StreamRequest(
         request_id=request_id,
         function_graph=graph,
-        qos_requirement=QoSVector(DEFAULT_QOS_SCHEMA, [450.0, 0.12]),
+        qos_requirement=QoSVector(450.0, 0.12),
         node_requirements={
             i: ResourceVector(DEFAULT_RESOURCE_SCHEMA, [5.0, 30.0])
             for i in range(len(graph))

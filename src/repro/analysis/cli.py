@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Determinism, layering, recorder-discipline, RNG-provenance, "
-            "shard-safety, and hot-path-budget linter for the repro codebase."
+            "listener-teardown, and hot-path-budget linter for the repro codebase."
         ),
     )
     parser.add_argument(

@@ -2,7 +2,7 @@
 call-graph resolver.
 
 PR 4's engine ran each rule family over one file at a time; the
-dataflow rule families (RNG provenance, shard safety, hot-path budgets)
+dataflow rule families (RNG provenance, listener teardown, hot-path budgets)
 need to see *across* files — which module a call lands in, what class a
 parameter annotation names, which methods a class defines.
 :class:`AnalysisContext` is that shared view:

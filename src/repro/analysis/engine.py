@@ -10,8 +10,8 @@ self-tests use.  Given files and/or directories it:
    discipline);
 3. assembles the parsed modules into one
    :class:`~repro.analysis.context.AnalysisContext` and runs the
-   whole-program families: layering, RNG provenance (DET15x), shard
-   safety (SHR4xx), hot-path budgets (HOT5xx);
+   whole-program families: layering, RNG provenance (DET15x), listener
+   teardown (SHR403), hot-path budgets (HOT5xx);
 4. filters everything through ``# repro-lint: disable=...`` line
    suppressions.
 
@@ -38,10 +38,10 @@ from repro.analysis.context import AnalysisContext, ModuleInfo
 from repro.analysis.determinism import check_determinism
 from repro.analysis.hotpath import check_hot_paths
 from repro.analysis.layering import ImportEdge, check_layering, collect_import_edges
+from repro.analysis.listeners import check_listener_teardown
 from repro.analysis.recorder_discipline import check_recorder_discipline
 from repro.analysis.rngflow import check_rngflow
 from repro.analysis.seeds import REGISTRY, SeedSlot
-from repro.analysis.shard_safety import check_shard_safety
 from repro.analysis.violations import (
     Violation,
     apply_suppressions,
@@ -201,7 +201,7 @@ def lint_paths(
             "rng-provenance", lambda: check_rngflow(context, registry)
         )
         program += run_family(
-            "shard-safety", lambda: check_shard_safety(context)
+            "listener-teardown", lambda: check_listener_teardown(context)
         )
         program += run_family("hot-path", lambda: check_hot_paths(context))
 

@@ -48,21 +48,9 @@ ALL_RULES: Dict[str, str] = {
         "recorder.emit/inc/observe/set_gauge call on a hot path "
         "(repro.core, repro.topology.routing) without an `.enabled` guard"
     ),
-    "SHR401": (
-        "module-level mutable container in a runtime package — "
-        "process-global state that diverges per worker under sharding"
-    ),
-    "SHR402": (
-        "instance cache (self.*cache*/*memo*) on a bare dict instead of "
-        "repro.model.lru.LRUDict (the bounded-cache rule)"
-    ),
     "SHR403": (
         "add_*_listener registration in a class with no matching "
         "remove_*_listener teardown (the PR 6 leak class)"
-    ),
-    "SHR404": (
-        "attribute write on an object owned by another subsystem, "
-        "bypassing the GlobalStateManager funnel"
     ),
     "HOT501": (
         "list/tuple/sorted materialisation of an O(N)-shaped iterable "

@@ -34,21 +34,16 @@ from __future__ import annotations
 import random
 from typing import Optional, Tuple
 
-from repro.model.qos import MetricKind, QoSVector
+from repro.model.qos import QoSVector
 
 
 def delay_slack_ms(accumulated: QoSVector, requirement: QoSVector) -> float:
     """Remaining delay budget of a probe, in milliseconds.
 
-    The slack is measured on the schema's first additive (delay-like)
-    metric: requirement minus the QoS accumulated up to and including the
-    candidate under consideration.  Schemas without an additive metric
-    have no delay notion, so the slack is unbounded.
+    The requirement's delay minus the delay accumulated up to and including
+    the candidate under consideration.
     """
-    for index, kind in enumerate(requirement.schema.kinds):
-        if kind is MetricKind.ADDITIVE:
-            return requirement.values[index] - accumulated.values[index]
-    return float("inf")
+    return requirement.delay - accumulated.delay
 
 
 class ControlChannel:

@@ -39,9 +39,9 @@ divergence is ``np.log1p`` vs ``math.log1p`` in the risk transform, which
 can differ in the last ulp; it can only matter when a risk ratio lands
 exactly on a tie-bucket boundary.
 
-The scorer is specialised to the default (delay, loss) metric pair and
-the stock :class:`~repro.model.qos_model.LoadDependentQoSModel`;
-:meth:`FastScorer.begin_request` rejects anything else with a
+The scorer is specialised to the stock
+:class:`~repro.model.qos_model.LoadDependentQoSModel`;
+:meth:`FastScorer.begin_request` rejects any other QoS model with a
 ``ValueError``.
 """
 
@@ -62,7 +62,7 @@ from repro.core.selection import (
 from repro.model.lru import LRUDict
 from repro.observability.hotpath import hot_path
 from repro.model.component import Component
-from repro.model.qos import MetricKind, QoSVector
+from repro.model.qos import QoSVector
 from repro.model.qos_model import LoadDependentQoSModel
 from repro.model.request import StreamRequest
 from repro.model.resources import ResourceVector
@@ -73,14 +73,6 @@ if TYPE_CHECKING:  # runtime import would cycle: composer lazily imports us
 #: Loss values are clamped just below 1 before the additive transform,
 #: matching ``QoSVector.additive_values``.
 _MAX_LOSS = 1.0 - 1e-12
-
-#: Schema layout the scorer is specialised to (the default delay/loss
-#: metric pair); :meth:`FastScorer.begin_request` rejects anything else.
-_SUPPORTED_KINDS = (MetricKind.ADDITIVE, MetricKind.MULTIPLICATIVE_LOSS)
-
-
-def _kind_names(kinds: Tuple[MetricKind, ...]) -> str:
-    return "(" + ", ".join(kind.name for kind in kinds) + ")"
 
 
 class _CandidateTable:
@@ -227,7 +219,6 @@ class LevelPool:
 
     def __init__(
         self,
-        scorer: "FastScorer",
         table: _CandidateTable,
         probes: Sequence[object],
         predecessors: Tuple[int, ...],
@@ -240,7 +231,6 @@ class LevelPool:
         pre_delay: Optional[np.ndarray],
         pre_loss: Optional[np.ndarray],
     ) -> None:
-        self._scorer = scorer
         self._table = table
         self._probes = probes
         self._predecessors = predecessors
@@ -289,7 +279,6 @@ class LevelPool:
     def take(self, indices: Sequence[int]) -> List[ScoredCandidate]:
         """Materialise ``ScoredCandidate`` entries for pool positions, in
         the given order (the random hop policy samples positions)."""
-        schema = self._scorer.schema
         entries = []
         for index in indices:
             probe = self._probes[int(self._probe_index[index])]
@@ -298,8 +287,7 @@ class LevelPool:
                 pre_qos = None
             else:
                 pre_qos = QoSVector(
-                    schema,
-                    [float(self._pre_delay[index]), float(self._pre_loss[index])],
+                    float(self._pre_delay[index]), float(self._pre_loss[index])
                 )
             entries.append(
                 ScoredCandidate(
@@ -307,11 +295,8 @@ class LevelPool:
                     risk=float(self._risk[index]),
                     congestion=float(self._congestion[index]),
                     accumulated_qos=QoSVector(
-                        schema,
-                        [
-                            float(self._accumulated_delay[index]),
-                            float(self._accumulated_loss[index]),
-                        ],
+                        float(self._accumulated_delay[index]),
+                        float(self._accumulated_loss[index]),
                     ),
                     parent=probe,
                     pre_qos=pre_qos,
@@ -325,7 +310,6 @@ class FastScorer:
 
     def __init__(self, context: "CompositionContext") -> None:
         self.context = context
-        self.schema = None
         self._tables: Dict[int, _CandidateTable] = {}
         #: upstream node -> (link_version, row_version, full row of stale
         #: bottleneck kbps per destination node, -inf where unreachable).
@@ -394,18 +378,10 @@ class FastScorer:
         every node.
 
         Raises:
-            ValueError: if the request's QoS schema is not the (additive
-                delay, multiplicative loss) pair, or the context's QoS
-                model is not exactly :class:`LoadDependentQoSModel` (whose
+            ValueError: if the context's QoS model is not exactly
+                :class:`LoadDependentQoSModel` (whose
                 ``effective_qos_arrays`` mirrors ``effective_qos``).
         """
-        kinds = request.qos_requirement.schema.kinds
-        if kinds != _SUPPORTED_KINDS:
-            raise ValueError(
-                f"FastScorer scores only the {_kind_names(_SUPPORTED_KINDS)} "
-                f"QoS schema; request {request.request_id} has "
-                f"{_kind_names(kinds)}"
-            )
         model_type = type(self.context.qos_model)
         if model_type is not LoadDependentQoSModel:
             raise ValueError(
@@ -424,8 +400,6 @@ class FastScorer:
             alive = np.ones(len(network), dtype=bool)
             alive[list(down)] = False
             self._alive = alive
-        if self.schema is None:
-            self.schema = request.qos_requirement.schema
 
     # -- caches ---------------------------------------------------------------
 
@@ -575,7 +549,6 @@ class FastScorer:
                 empty_int = np.empty(0, dtype=np.int64)
                 empty = np.empty(0)
                 return LevelPool(
-                    self,
                     table,
                     probes,
                     predecessors,
@@ -792,7 +765,6 @@ class FastScorer:
             candidate_index = sub[candidate_index]
 
         return LevelPool(
-            self,
             table,
             probes,
             predecessors,

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 from repro.discovery.registry import ComponentRegistry
 from repro.model.component import Component
 from repro.model.functions import FunctionCatalog, StreamFunction
-from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSSchema, QoSVector
+from repro.model.qos import QoSVector
 from repro.topology.overlay import OverlayNetwork
 
 
@@ -81,11 +81,9 @@ class ComponentDeployer:
         self,
         catalog: FunctionCatalog,
         profile: DeploymentProfile = DeploymentProfile(),
-        qos_schema: QoSSchema = DEFAULT_QOS_SCHEMA,
     ) -> None:
         self.catalog = catalog
         self.profile = profile
-        self.qos_schema = qos_schema
         self._next_component_id = 0
 
     def _make_component(
@@ -93,11 +91,8 @@ class ComponentDeployer:
     ) -> Component:
         profile = self.profile
         qos = QoSVector(
-            self.qos_schema,
-            [
-                rng.uniform(*profile.processing_delay_ms),
-                rng.uniform(*profile.loss_rate),
-            ],
+            rng.uniform(*profile.processing_delay_ms),
+            rng.uniform(*profile.loss_rate),
         )
         formats = sorted(function.input_formats)
         if rng.random() < profile.input_format_restriction_prob:

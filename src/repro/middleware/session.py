@@ -225,12 +225,12 @@ class SessionManager:
         worst_qos = self.composer.evaluator.worst_effective_qos(
             session.composition
         )
-        loss = worst_qos["loss_rate"]
+        loss = worst_qos.loss_rate
         result = ProcessingResult(
             session_id=session_id,
             units_in=units_in,
             units_out=units_out * (1.0 - loss),
-            expected_delay_ms=worst_qos["delay"],
+            expected_delay_ms=worst_qos.delay,
             expected_loss_rate=loss,
         )
         session.units_processed += units_in

@@ -11,14 +11,7 @@ from repro.model.component_graph import ComponentGraph, VirtualLinkPath
 from repro.model.function_graph import FunctionGraph, FunctionNode
 from repro.model.functions import DEFAULT_CATEGORIES, FunctionCatalog, StreamFunction
 from repro.model.node import InsufficientResourcesError, Node
-from repro.model.qos import (
-    DEFAULT_QOS_SCHEMA,
-    MetricKind,
-    MetricSpec,
-    QoSSchema,
-    QoSVector,
-    combine_all,
-)
+from repro.model.qos import QoSVector, combine_all
 from repro.model.request import (
     DEFAULT_KBPS_PER_UNIT,
     StreamRequest,
@@ -44,11 +37,7 @@ __all__ = [
     "DEFAULT_CATEGORIES",
     "Node",
     "InsufficientResourcesError",
-    "QoSSchema",
     "QoSVector",
-    "MetricKind",
-    "MetricSpec",
-    "DEFAULT_QOS_SCHEMA",
     "combine_all",
     "StreamRequest",
     "derive_bandwidth_requirements",

@@ -139,7 +139,7 @@ class ComponentGraph:
         """
         result: Dict[Tuple[int, ...], QoSVector] = {}
         for path in self.request.function_graph.all_paths():
-            total = QoSVector.zero(self.request.qos_requirement.schema)
+            total = QoSVector.zero()
             for position, index in enumerate(path):
                 if component_qos is not None:
                     stage_qos = component_qos[index]
@@ -165,11 +165,10 @@ class ComponentGraph:
         self, component_qos: Optional[Mapping[int, QoSVector]] = None
     ) -> QoSVector:
         """Per-metric worst accumulation over all paths (critical path)."""
-        schema = self.request.qos_requirement.schema
-        worst = [0.0] * len(schema)
+        worst = [0.0, 0.0]
         for qos in self.path_qos(component_qos).values():
             worst = [max(w, v) for w, v in zip(worst, qos.values)]
-        return QoSVector(schema, worst)
+        return QoSVector(*worst)
 
     def worst_link_delay_ms(self) -> float:
         """Max over source-to-sink paths of the summed virtual-link delay.
@@ -185,7 +184,7 @@ class ComponentGraph:
             total = 0.0
             for position in range(len(path) - 1):
                 edge = (path[position], path[position + 1])
-                total += self._links[edge].qos["delay"]
+                total += self._links[edge].qos.delay
             worst = max(worst, total)
         return worst
 

@@ -1,4 +1,4 @@
-"""QoS metric schemas and vectors.
+"""QoS vectors: the paper's (delay, loss rate) pair.
 
 The paper (Section 2.1) associates a QoS vector ``[q_1, ..., q_m]`` with every
 component and every (virtual) link, and accumulates QoS along a composed
@@ -9,223 +9,104 @@ implements:
     non-additive metrics (e.g., loss rate), we can make them additive and
     minimum-optimal using logarithm and inverse transformations."
 
-Concretely, a *delay*-like metric accumulates by plain summation, while a
-*loss-rate*-like metric accumulates multiplicatively (the probability a data
-unit survives a pipeline is the product of per-stage survival probabilities)
-and becomes additive in ``-log(1 - p)`` space.  Both kinds are
-minimum-optimal: smaller is better, and a user requirement is an upper bound.
+Concretely, the delay accumulates by plain summation, while the loss rate
+accumulates multiplicatively (the probability a data unit survives a
+pipeline is the product of per-stage survival probabilities) and becomes
+additive in ``-log(1 - p)`` space.  Both are minimum-optimal: smaller is
+better, and a user requirement is an upper bound.
 
-The schema abstraction keeps the rest of the system generic over the metric
-set; the default schema matches the paper's running examples (processing
-time and loss rate).
+The vector is fixed to the paper's running pair, processing/network delay
+in milliseconds and data-unit loss rate in [0, 1), because nothing varies
+it: every producer (overlay links, deployed components, the load-dependent
+QoS model, workload requirements) writes exactly that pair, and the
+vectorised scorer and the router's per-source rows carry one delay and one
+loss array.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
-
-
-class MetricKind(enum.Enum):
-    """How a QoS metric accumulates along a composition."""
-
-    #: Accumulates by summation (e.g. processing delay, network delay).
-    ADDITIVE = "additive"
-    #: Accumulates multiplicatively on the *survival* probability
-    #: (e.g. loss rate); additive in ``-log(1 - p)`` space.
-    MULTIPLICATIVE_LOSS = "multiplicative_loss"
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """Definition of one QoS metric.
-
-    Attributes:
-        name: Human-readable metric name, unique within a schema.
-        kind: Accumulation rule for the metric.
-        unit: Unit string used only for reporting.
-    """
-
-    name: str
-    kind: MetricKind
-    unit: str = ""
-
-
-class QoSSchema:
-    """An ordered, immutable set of :class:`MetricSpec` definitions.
-
-    All :class:`QoSVector` instances are interpreted against a schema; mixing
-    vectors from different schemas raises ``ValueError``.
-    """
-
-    __slots__ = ("_specs", "_names", "_kinds", "_index")
-
-    def __init__(self, specs: Iterable[MetricSpec]) -> None:
-        self._specs: Tuple[MetricSpec, ...] = tuple(specs)
-        names = [spec.name for spec in self._specs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate metric names in schema: {names}")
-        self._names: Tuple[str, ...] = tuple(names)
-        self._kinds: Tuple[MetricKind, ...] = tuple(s.kind for s in self._specs)
-        self._index: Dict[str, int] = {name: i for i, name in enumerate(names)}
-
-    @property
-    def specs(self) -> Tuple[MetricSpec, ...]:
-        return self._specs
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return self._names
-
-    @property
-    def kinds(self) -> Tuple[MetricKind, ...]:
-        return self._kinds
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def index_of(self, name: str) -> int:
-        """Return the position of metric ``name``, raising on unknown names."""
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unknown QoS metric {name!r}; schema has {self._names}") from None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QoSSchema) and self._specs == other._specs
-
-    def __hash__(self) -> int:
-        return hash(self._specs)
-
-    def __repr__(self) -> str:
-        return f"QoSSchema({', '.join(self._names)})"
-
-
-#: The paper's running metric set: per-stage processing/network delay in
-#: milliseconds, and data-unit loss rate as a probability in [0, 1).
-DEFAULT_QOS_SCHEMA = QoSSchema(
-    [
-        MetricSpec("delay", MetricKind.ADDITIVE, "ms"),
-        MetricSpec("loss_rate", MetricKind.MULTIPLICATIVE_LOSS, "fraction"),
-    ]
-)
+from typing import Iterable, Tuple
 
 #: Loss rates at or above this value are treated as total loss; the additive
 #: transform diverges at p = 1 so we clamp slightly below.
 _MAX_LOSS = 1.0 - 1e-12
 
 
-def _check_same_schema(a: "QoSVector", b: "QoSVector") -> None:
-    schema_a = a._schema
-    schema_b = b._schema
-    if schema_a is schema_b:  # the common case — skip the structural compare
-        return
-    if schema_a != schema_b:
-        raise ValueError(f"QoS schema mismatch: {schema_a!r} vs {schema_b!r}")
-
-
 class QoSVector:
-    """An immutable vector of QoS metric values against a schema.
+    """An immutable (delay, loss rate) QoS vector.
 
     Supports accumulation (:meth:`combine`), requirement checks
     (:meth:`satisfies`), and the additive-space transform used by the ACP
     risk function (:meth:`additive_values`).
     """
 
-    __slots__ = ("_schema", "_values")
+    __slots__ = ("_values",)
 
-    def __init__(self, schema: QoSSchema, values: Sequence[float]) -> None:
-        values = tuple(map(float, values))
-        if len(values) != len(schema):
-            raise ValueError(
-                f"expected {len(schema)} values for schema {schema!r}, got {len(values)}"
-            )
-        for kind, value in zip(schema.kinds, values):
-            if value < 0.0 or (
-                kind is MetricKind.MULTIPLICATIVE_LOSS and value >= 1.0
-            ):
-                self._raise_invalid(schema, values)
-        self._schema = schema
-        self._values = values
-
-    @staticmethod
-    def _raise_invalid(schema: QoSSchema, values: Tuple[float, ...]) -> None:
-        """Re-derive which value failed validation and raise for it."""
-        for spec, value in zip(schema.specs, values):
-            if value < 0.0:
-                raise ValueError(f"negative QoS value {value} for metric {spec.name!r}")
-            if spec.kind is MetricKind.MULTIPLICATIVE_LOSS and value >= 1.0:
-                raise ValueError(
-                    f"loss-kind metric {spec.name!r} must be in [0, 1), got {value}"
-                )
-        raise AssertionError("unreachable: _raise_invalid called on valid values")
+    def __init__(self, delay: float, loss_rate: float) -> None:
+        delay = float(delay)
+        loss_rate = float(loss_rate)
+        if delay < 0.0:
+            raise ValueError(f"negative QoS value {delay} for metric 'delay'")
+        if loss_rate < 0.0 or loss_rate >= 1.0:
+            raise ValueError(f"loss rate must be in [0, 1), got {loss_rate}")
+        self._values = (delay, loss_rate)
 
     @classmethod
-    def zero(cls, schema: QoSSchema = DEFAULT_QOS_SCHEMA) -> "QoSVector":
+    def zero(cls) -> "QoSVector":
         """The identity element of :meth:`combine`: zero delay, zero loss."""
-        return cls(schema, [0.0] * len(schema))
+        return cls(0.0, 0.0)
 
     @classmethod
-    def _raw(cls, schema: QoSSchema, values: Tuple[float, ...]) -> "QoSVector":
+    def _raw(cls, values: Tuple[float, float]) -> "QoSVector":
         """Internal fast constructor skipping conversion and validation.
 
         Only for callers that can *prove* the values pass ``__init__``'s
-        checks (already floats, correct width, in-range) — e.g. the
+        checks (two floats, delay ≥ 0, loss in [0, 1)) — e.g. the
         load-dependent QoS model, whose outputs are clamped below 1.
         """
         self = object.__new__(cls)
-        self._schema = schema
         self._values = values
         return self
 
     @property
-    def schema(self) -> QoSSchema:
-        return self._schema
-
-    @property
-    def values(self) -> Tuple[float, ...]:
+    def values(self) -> Tuple[float, float]:
+        """``(delay, loss_rate)`` as Python floats."""
         return self._values
 
-    def __getitem__(self, name: str) -> float:
-        return self._values[self._schema.index_of(name)]
+    @property
+    def delay(self) -> float:
+        return self._values[0]
+
+    @property
+    def loss_rate(self) -> float:
+        return self._values[1]
 
     def combine(self, other: "QoSVector") -> "QoSVector":
         """Accumulate ``other`` after ``self`` along a composition.
 
-        Additive metrics sum; loss metrics compose as
-        ``1 - (1 - a)(1 - b)``.
+        Delays sum; loss rates compose as ``1 - (1 - a)(1 - b)``.
         """
-        _check_same_schema(self, other)
-        out = []
-        for kind, a, b in zip(self._schema.kinds, self._values, other._values):
-            if kind is MetricKind.ADDITIVE:
-                out.append(a + b)
-            else:
-                out.append(1.0 - (1.0 - a) * (1.0 - b))
-        return QoSVector(self._schema, out)
+        delay, loss = self._values
+        other_delay, other_loss = other._values
+        return QoSVector(delay + other_delay, 1.0 - (1.0 - loss) * (1.0 - other_loss))
 
     def satisfies(self, requirement: "QoSVector") -> bool:
-        """True iff every metric is within the (upper-bound) requirement."""
-        _check_same_schema(self, requirement)
-        return all(a <= r + 1e-12 for a, r in zip(self._values, requirement._values))
+        """True iff both metrics are within the (upper-bound) requirement."""
+        delay, loss = self._values
+        max_delay, max_loss = requirement._values
+        return delay <= max_delay + 1e-12 and loss <= max_loss + 1e-12
 
-    def additive_values(self) -> Tuple[float, ...]:
+    def additive_values(self) -> Tuple[float, float]:
         """Metric values mapped into the additive space (footnote 3).
 
-        Additive metrics pass through; loss metrics map to ``-log(1 - p)``.
+        The delay passes through; the loss rate maps to ``-log(1 - p)``.
         The ACP risk function (Eq. 9) compares accumulated QoS against the
-        requirement in this space so that ratios are meaningful for all
-        metric kinds.
+        requirement in this space so that ratios are meaningful for both
+        metrics.
         """
-        out = []
-        for kind, value in zip(self._schema.kinds, self._values):
-            if kind is MetricKind.ADDITIVE:
-                out.append(value)
-            else:
-                out.append(-math.log1p(-min(value, _MAX_LOSS)))
-        return tuple(out)
+        delay, loss = self._values
+        return (delay, -math.log1p(-min(loss, _MAX_LOSS)))
 
     def utilization(self, requirement: "QoSVector") -> Tuple[float, ...]:
         """Per-metric fraction of the requirement consumed, in additive space.
@@ -235,7 +116,6 @@ class QoSVector:
         unconstrained) requirement report 0.0 when the accumulated value is
         also zero and ``inf`` otherwise.
         """
-        _check_same_schema(self, requirement)
         accumulated = self.additive_values()
         bounds = requirement.additive_values()
         out = []
@@ -247,20 +127,14 @@ class QoSVector:
         return tuple(out)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QoSVector)
-            and self._schema == other._schema
-            and self._values == other._values
-        )
+        return isinstance(other, QoSVector) and self._values == other._values
 
     def __hash__(self) -> int:
-        return hash((self._schema, self._values))
+        return hash(self._values)
 
     def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{name}={value:g}" for name, value in zip(self._schema.names, self._values)
-        )
-        return f"QoSVector({parts})"
+        delay, loss = self._values
+        return f"QoSVector(delay={delay:g}, loss_rate={loss:g})"
 
 
 def elementwise_max(a: QoSVector, b: QoSVector) -> QoSVector:
@@ -268,16 +142,16 @@ def elementwise_max(a: QoSVector, b: QoSVector) -> QoSVector:
 
     Used for worst-path accumulation over DAG compositions: at a join, the
     QoS "seen" by the downstream stage is bounded by the worse branch per
-    metric.  Valid for both metric kinds because both additive transforms
-    are monotone.
+    metric.  Valid for both metrics because both additive transforms are
+    monotone.
     """
-    _check_same_schema(a, b)
-    return QoSVector(a.schema, [max(x, y) for x, y in zip(a.values, b.values)])
+    (a_delay, a_loss), (b_delay, b_loss) = a.values, b.values
+    return QoSVector(max(a_delay, b_delay), max(a_loss, b_loss))
 
 
-def combine_all(vectors: Iterable[QoSVector], schema: QoSSchema = DEFAULT_QOS_SCHEMA) -> QoSVector:
+def combine_all(vectors: Iterable[QoSVector]) -> QoSVector:
     """Fold :meth:`QoSVector.combine` over ``vectors`` (empty → zero)."""
-    total = QoSVector.zero(schema)
+    total = QoSVector.zero()
     for vector in vectors:
         total = total.combine(vector)
     return total

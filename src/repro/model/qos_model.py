@@ -68,17 +68,14 @@ class LoadDependentQoSModel:
         """The component's QoS at the given host availability."""
         utilization = self.utilization(available, capacity)
         base = component.qos
-        delay = base["delay"] * (1.0 + self.delay_load_factor * utilization)
+        delay = base.delay * (1.0 + self.delay_load_factor * utilization)
         loss = min(
             _MAX_LOSS,
-            base["loss_rate"] * (1.0 + self.loss_load_factor * utilization),
+            base.loss_rate * (1.0 + self.loss_load_factor * utilization),
         )
-        schema = base.schema
-        if len(schema) == 2:
-            # validation provably passes: delay >= 0 (non-negative base times
-            # a factor >= 1) and loss in [0, _MAX_LOSS] — skip it
-            return QoSVector._raw(schema, (delay, loss))
-        return QoSVector(schema, [delay, loss])
+        # validation provably passes: delay >= 0 (non-negative base times a
+        # factor >= 1) and loss in [0, _MAX_LOSS] — skip it
+        return QoSVector._raw((delay, loss))
 
     def effective_qos_arrays(
         self,

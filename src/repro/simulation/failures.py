@@ -156,9 +156,6 @@ def install_control_plane_faults(
     decision-identical.
     """
     if plan.probe_loss_probability > 0.0 or plan.probe_delay_ms > 0.0:
-        # repro-lint: disable=SHR404 -- documented fault-injection seam: the
-        # control channel is CompositionContext's declared swap point (see its
-        # docstring) and is replaced once at wiring time, never mid-run
         context.control = LossyControlChannel(
             plan.probe_loss_probability,
             delay_ms=plan.probe_delay_ms,

@@ -78,17 +78,12 @@ class StreamProcessingSimulator:
         if system.router.recorder is NULL_RECORDER:
             system.router.recorder = self.recorder
         if tuner is not None and tuner.recorder is NULL_RECORDER:
-            # repro-lint: disable=SHR404 -- the simulator is the documented
-            # observability wiring hub (comment above); recorder fan-out
-            # happens once at construction, before any events run
             tuner.recorder = self.recorder
         if failures is not None and failures.recorder is NULL_RECORDER:
             failures.recorder = self.recorder
         if migration is not None and migration.recorder is NULL_RECORDER:
-            # repro-lint: disable=SHR404 -- observability wiring hub (above)
             migration.recorder = self.recorder
         if live_migration is not None and live_migration.recorder is NULL_RECORDER:
-            # repro-lint: disable=SHR404 -- observability wiring hub (above)
             live_migration.recorder = self.recorder
             live_migration.detector.recorder = self.recorder
 

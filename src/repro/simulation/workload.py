@@ -26,9 +26,9 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, List, Mapping, Optional, Protocol, Tuple
 
 from repro.model.function_graph import FunctionGraph
-from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSSchema, QoSVector
+from repro.model.qos import QoSVector
 from repro.model.request import StreamRequest, derive_bandwidth_requirements
-from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceSchema, ResourceVector
+from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.model.templates import TemplateLibrary
 
 
@@ -153,8 +153,6 @@ class WorkloadGenerator:
         qos_level: QoSLevel = QOS_LEVELS["normal"],
         profile: WorkloadProfile = WorkloadProfile(),
         num_client_routers: int = 3200,
-        qos_schema: QoSSchema = DEFAULT_QOS_SCHEMA,
-        resource_schema: ResourceSchema = DEFAULT_RESOURCE_SCHEMA,
         seed: int = 0,
     ) -> None:
         self.templates = templates
@@ -162,8 +160,6 @@ class WorkloadGenerator:
         self.qos_level = qos_level
         self.profile = profile
         self.num_client_routers = num_client_routers
-        self.qos_schema = qos_schema
-        self.resource_schema = resource_schema
         self._rng = random.Random(seed)
         self._next_request_id = 0
 
@@ -227,7 +223,7 @@ class WorkloadGenerator:
             )
         )
         loss_budget = 1.0 - math.exp(-loss_log_budget)
-        return QoSVector(self.qos_schema, [delay_budget, loss_budget])
+        return QoSVector(delay_budget, loss_budget)
 
     def make_request(self, arrival_time: float) -> StreamRequest:
         """Draw the next request of the workload."""
@@ -238,7 +234,7 @@ class WorkloadGenerator:
         stream_rate = rng.uniform(*profile.stream_rate)
         node_requirements = {
             index: ResourceVector(
-                self.resource_schema,
+                DEFAULT_RESOURCE_SCHEMA,
                 [
                     rng.uniform(*profile.cpu_requirement),
                     rng.uniform(*profile.memory_requirement),

@@ -384,13 +384,9 @@ class NeighborhoodIndex:
         position = entry.position(node_id)
         if position < 0:
             return None
-        schema = self.network.links[0].qos.schema
         return VirtualLinkPath(
             src_node_id=source,
             dst_node_id=node_id,
             overlay_link_ids=entry.path_links(position),
-            qos=QoSVector(
-                schema,
-                [float(entry.delay[position]), float(entry.loss[position])],
-            ),
+            qos=QoSVector(float(entry.delay[position]), float(entry.loss[position])),
         )

@@ -29,7 +29,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from repro.model.node import Node
-from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSSchema, QoSVector
+from repro.model.qos import QoSVector
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.topology.ip_network import IPNetwork
 
@@ -64,7 +64,6 @@ class OverlayLink:
         delay_ms: float,
         loss_rate: float,
         capacity_kbps: float,
-        qos_schema: QoSSchema = DEFAULT_QOS_SCHEMA,
     ) -> None:
         if node_a == node_b:
             raise ValueError(f"overlay link endpoints must differ, got {node_a}")
@@ -78,7 +77,7 @@ class OverlayLink:
         self.capacity_kbps = float(capacity_kbps)
         self._allocated_kbps = 0.0
         self._listeners: List[LinkListener] = []
-        self._qos = QoSVector(qos_schema, [self.delay_ms, self.loss_rate])
+        self._qos = QoSVector(self.delay_ms, self.loss_rate)
 
     @property
     def endpoints(self) -> Tuple[int, int]:

@@ -74,7 +74,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from repro.model.component_graph import VirtualLinkPath
 from repro.model.lru import LRUDict
-from repro.model.qos import MetricKind, QoSVector, combine_all
+from repro.model.qos import QoSVector
 from repro.observability.hotpath import hot_path
 from repro.observability import NULL_RECORDER, Recorder
 from repro.topology.overlay import OverlayLink, OverlayNetwork
@@ -174,29 +174,9 @@ class OverlayRouter:
         self._trees: LRUDict[int, _SourceTree] = LRUDict(
             capacity=tree_cache_size, on_evict=self._on_tree_evicted
         )
-        self._path_cache: Dict[int, Dict[int, Tuple[int, ...]]] = {}  # repro-lint: disable=SHR402 -- evicted in lockstep with the _trees LRU above; bound is tree_cache_size, a second LRU would double the bookkeeping for the same bound
-        self._qos_cache: Dict[int, Dict[int, QoSVector]] = {}  # repro-lint: disable=SHR402 -- same lockstep eviction as _path_cache
-        schema = (
-            network.links[0].qos.schema
-            if network.links
-            else QoSVector.zero().schema
-        )
-        self._zero_qos = QoSVector.zero(schema)
-        # the per-source rows of virtual_link_rows represent the full link
-        # QoS only for the default (delay, loss) metric shape; other schemas
-        # keep the per-pair combine_all fold
-        self._rows_represent_qos = schema.kinds == (
-            MetricKind.ADDITIVE,
-            MetricKind.MULTIPLICATIVE_LOSS,
-        )
-        loss_index = next(
-            (
-                index
-                for index, kind in enumerate(schema.kinds)
-                if kind is MetricKind.MULTIPLICATIVE_LOSS
-            ),
-            None,
-        )
+        self._path_cache: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        self._qos_cache: Dict[int, Dict[int, QoSVector]] = {}
+        self._zero_qos = QoSVector.zero()
 
         links = network.links
         count = len(links)
@@ -210,12 +190,7 @@ class OverlayRouter:
             (link.delay_ms for link in links), dtype=np.float64, count=count
         )
         self._link_loss = np.fromiter(
-            (
-                link.qos.values[loss_index] if loss_index is not None else 0.0
-                for link in links
-            ),
-            dtype=np.float64,
-            count=count,
+            (link.loss_rate for link in links), dtype=np.float64, count=count
         )
         # tree edge (parent, node) -> link id: one searchsorted over the
         # sorted keys parent·N + node, both directions of every link
@@ -695,11 +670,10 @@ class OverlayRouter:
     def virtual_link_qos(self, node_a: int, node_b: int) -> QoSVector:
         """Static aggregated QoS of the virtual link between two nodes.
 
-        For the default (delay, loss) schema this reads the per-source rows
-        of :meth:`virtual_link_rows` — the same floats the vectorised
-        scoring path (``repro.core.fastscore``) ranks on — so the cache is
-        keyed on the *directed* pair; both directions fold the same links
-        and agree to within summation order.
+        Reads the per-source rows of :meth:`virtual_link_rows` — the same
+        floats the vectorised scoring path (``repro.core.fastscore``) ranks
+        on — so the cache is keyed on the *directed* pair; both directions
+        fold the same links and agree to within summation order.
         """
         if node_a == node_b:
             return self._zero_qos
@@ -708,20 +682,10 @@ class OverlayRouter:
             cache = self._qos_cache.setdefault(node_a, {})
         cached = cache.get(node_b)
         if cached is None:
-            if self._rows_represent_qos:
-                if not self.reachable(node_a, node_b):
-                    raise RoutingError(f"no overlay path v{node_a} -> v{node_b}")
-                delay_row, loss_row = self.virtual_link_rows(node_a)
-                cached = QoSVector(
-                    self._zero_qos.schema,
-                    [float(delay_row[node_b]), float(loss_row[node_b])],
-                )
-            else:
-                path = self.overlay_path(node_a, node_b)
-                cached = combine_all(
-                    (self.network.link(link_id).qos for link_id in path),
-                    self._zero_qos.schema,
-                )
+            if not self.reachable(node_a, node_b):
+                raise RoutingError(f"no overlay path v{node_a} -> v{node_b}")
+            delay_row, loss_row = self.virtual_link_rows(node_a)
+            cached = QoSVector(float(delay_row[node_b]), float(loss_row[node_b]))
             cache[node_b] = cached
         return cached
 

@@ -22,7 +22,7 @@ from repro.model.component import Component
 from repro.model.function_graph import FunctionGraph
 from repro.model.functions import FunctionCatalog
 from repro.model.node import Node
-from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSVector
+from repro.model.qos import QoSVector
 from repro.model.request import StreamRequest, derive_bandwidth_requirements
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.simulation.system import SystemConfig, build_system
@@ -38,8 +38,8 @@ def rv(cpu: float, memory: float) -> ResourceVector:
 
 
 def qv(delay: float, loss: float = 0.0) -> QoSVector:
-    """Shorthand QoS vector on the default schema."""
-    return QoSVector(DEFAULT_QOS_SCHEMA, [delay, loss])
+    """Shorthand QoS vector."""
+    return QoSVector(delay, loss)
 
 
 def make_component(

@@ -21,7 +21,6 @@ from typing import AbstractSet, Dict, List, Tuple
 
 import numpy as np
 
-from repro.model.qos import MetricKind
 from repro.topology.overlay import OverlayNetwork
 
 #: (members, delay, loss, uplink, parent_pos), parallel over settle order
@@ -40,12 +39,7 @@ def bounded_dijkstra(
         [] for _ in range(len(network))
     ]
     for link in network.links:
-        kinds = link.qos.schema.kinds
-        loss = (
-            float(link.qos.values[kinds.index(MetricKind.MULTIPLICATIVE_LOSS)])
-            if MetricKind.MULTIPLICATIVE_LOSS in kinds
-            else 0.0
-        )
+        loss = link.loss_rate
         neighbors[link.node_a].append((link.node_b, link.link_id, link.delay_ms, loss))
         neighbors[link.node_b].append((link.node_a, link.link_id, link.delay_ms, loss))
 

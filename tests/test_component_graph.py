@@ -89,9 +89,9 @@ class TestAccessors:
 class TestQoSAggregation:
     def test_path_qos_sums_components_and_links(self, composed):
         qos = composed.path_qos()[(0, 1)]
-        assert qos["delay"] == pytest.approx(40.0)
+        assert qos.delay == pytest.approx(40.0)
         expected_loss = 1 - (1 - 0.01) * (1 - 0.005) * (1 - 0.02)
-        assert qos["loss_rate"] == pytest.approx(expected_loss)
+        assert qos.loss_rate == pytest.approx(expected_loss)
 
     def test_qos_satisfied_against_budget(self, composed):
         assert composed.qos_satisfied()  # budget 200ms / 0.2 from make_request
@@ -108,7 +108,7 @@ class TestQoSAggregation:
     def test_component_qos_override(self, composed):
         override = {0: qv(100.0, 0.0), 1: qv(150.0, 0.0)}
         qos = composed.worst_path_qos(override)
-        assert qos["delay"] == pytest.approx(260.0)  # 100 + 10 (link) + 150
+        assert qos.delay == pytest.approx(260.0)  # 100 + 10 (link) + 150
 
     def test_worst_path_qos_takes_critical_path(self, catalog):
         dag = FunctionGraph.two_branch(
@@ -129,7 +129,7 @@ class TestQoSAggregation:
         }
         composed = ComponentGraph(request, assignment, links)
         # critical path: 10 + 1 + 50 + 1 + 10
-        assert composed.worst_path_qos()["delay"] == pytest.approx(72.0)
+        assert composed.worst_path_qos().delay == pytest.approx(72.0)
 
 
 class TestCongestionAggregation:

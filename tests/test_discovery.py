@@ -140,8 +140,8 @@ class TestDeployment:
             fresh, rng=random.Random(2)
         )
         for component in registry.components():
-            assert 5.0 <= component.qos["delay"] <= 50.0
-            assert 0.001 <= component.qos["loss_rate"] <= 0.01
+            assert 5.0 <= component.qos.delay <= 50.0
+            assert 0.001 <= component.qos.loss_rate <= 0.01
 
     def test_format_restriction_probability_zero_keeps_full_interface(self):
         catalog = FunctionCatalog(size=10)

@@ -34,13 +34,7 @@ from repro.core import ACPComposer
 from repro.core.baselines import RandomProbingComposer
 from repro.core.selection import select_best
 from repro.experiments import EVALUATION_DEPLOYMENT
-from repro.model.qos import (
-    DEFAULT_QOS_SCHEMA,
-    MetricKind,
-    MetricSpec,
-    QoSSchema,
-    QoSVector,
-)
+from repro.model.qos import QoSVector
 from repro.model.qos_model import LoadDependentQoSModel
 from repro.model.request import StreamRequest, derive_bandwidth_requirements
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
@@ -66,7 +60,7 @@ def requests_for(system, count, qos=(420.0, 0.25), rate=90.0):
             StreamRequest(
                 request_id=i,
                 function_graph=graph,
-                qos_requirement=QoSVector(DEFAULT_QOS_SCHEMA, list(qos)),
+                qos_requirement=QoSVector(*qos),
                 node_requirements={
                     j: ResourceVector(DEFAULT_RESOURCE_SCHEMA, [4.0, 25.0])
                     for j in range(len(graph))
@@ -223,28 +217,8 @@ def test_compose_leaves_no_per_request_state():
 
 
 class TestUnsupportedInputsRejected:
-    """The scorer is specialised to the (delay, loss) schema and the stock
-    QoS model; anything else is an error, never a silent other path."""
-
-    def test_rejects_other_schema_kinds(self):
-        system, context = fresh_context()
-        request = requests_for(system, 1)[0]
-        schema = QoSSchema(
-            [
-                MetricSpec("delay", MetricKind.ADDITIVE, "ms"),
-                MetricSpec("jitter", MetricKind.ADDITIVE, "ms"),
-            ]
-        )
-        request = StreamRequest(
-            request_id=request.request_id,
-            function_graph=request.function_graph,
-            qos_requirement=QoSVector(schema, [420.0, 30.0]),
-            node_requirements=request.node_requirements,
-            bandwidth_requirements=request.bandwidth_requirements,
-            stream_rate=request.stream_rate,
-        )
-        with pytest.raises(ValueError, match="ADDITIVE, ADDITIVE"):
-            ACPComposer(context, probing_ratio=0.3).compose(request)
+    """The scorer is specialised to the stock QoS model; any other is an
+    error, never a silent other path."""
 
     def test_rejects_qos_model_subclass(self):
         class TunedModel(LoadDependentQoSModel):

@@ -253,28 +253,7 @@ class RngFlowRuleTest(unittest.TestCase):
 
 
 class ShardSafetyRuleTest(unittest.TestCase):
-    def test_shr401_module_level_mutable_containers(self):
-        found = lint_fixture("state", "shr401_module_state.py")
-        self.assertEqual(
-            found,
-            [
-                ("SHR401", 6),  # dict literal
-                ("SHR401", 7),  # annotated list literal
-                ("SHR401", 8),  # dict(...) constructor
-                ("SHR401", 9),  # defaultdict(...); __all__ exempt below
-            ],
-        )
-
-    def test_shr401_frozen_state_is_clean(self):
-        self.assertEqual(lint_fixture("state", "shr401_clean.py"), [])
-
-    def test_shr402_bare_dict_caches(self):
-        found = lint_fixture("core", "shr402_cache.py")
-        # _bounds is a bare dict too, but not named *cache*/*memo*
-        self.assertEqual(found, [("SHR402", 8), ("SHR402", 9)])
-
-    def test_shr402_lru_caches_are_clean(self):
-        self.assertEqual(lint_fixture("core", "shr402_clean.py"), [])
+    """SHR403, the one rule kept from the shard-safety family."""
 
     def test_shr403_listener_without_teardown(self):
         found = lint_fixture("topology", "shr403_listener.py")
@@ -282,27 +261,6 @@ class ShardSafetyRuleTest(unittest.TestCase):
 
     def test_shr403_close_teardown_is_clean(self):
         self.assertEqual(lint_fixture("topology", "shr403_clean.py"), [])
-
-    def test_shr404_cross_subsystem_writes(self):
-        found = lint_fixtures(
-            ["simulation/shr404_mutation.py", "core/shr404_owner.py"]
-        )
-        self.assertEqual(
-            found,
-            [
-                ("SHR404", 11),  # plain attribute write
-                ("SHR404", 12),  # augmented assignment
-                ("SHR404", 17),  # method parameter
-            ],
-        )
-
-    def test_shr404_reading_foreign_state_is_clean(self):
-        self.assertEqual(
-            lint_fixtures(
-                ["simulation/shr404_clean.py", "core/shr404_owner.py"]
-            ),
-            [],
-        )
 
 
 class HotPathRuleTest(unittest.TestCase):
@@ -497,7 +455,7 @@ class EngineTest(unittest.TestCase):
 
     def test_crashed_program_pass_still_reports_other_families(self):
         with mock.patch(
-            "repro.analysis.engine.check_shard_safety",
+            "repro.analysis.engine.check_listener_teardown",
             side_effect=RuntimeError("pass exploded"),
         ):
             result = lint_paths(

@@ -68,8 +68,8 @@ class TestOverlayLink:
             OverlayLink(0, 0, 1, 1.0, 0.0, 0.0)
 
     def test_qos_vector(self, link):
-        assert link.qos["delay"] == 5.0
-        assert link.qos["loss_rate"] == 0.001
+        assert link.qos.delay == 5.0
+        assert link.qos.loss_rate == 0.001
 
     def test_allocate_release_cycle(self, link):
         link.allocate_bandwidth(400.0)

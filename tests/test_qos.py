@@ -1,60 +1,16 @@
-"""Unit tests for QoS schemas and vectors."""
+"""Unit tests for QoS vectors."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.model.qos import (
-    DEFAULT_QOS_SCHEMA,
-    MetricKind,
-    MetricSpec,
-    QoSSchema,
-    QoSVector,
-    combine_all,
-    elementwise_max,
-)
-
-
-def qv(delay, loss=0.0):
-    return QoSVector(DEFAULT_QOS_SCHEMA, [delay, loss])
-
-
-class TestQoSSchema:
-    def test_default_schema_metrics(self):
-        assert DEFAULT_QOS_SCHEMA.names == ("delay", "loss_rate")
-        assert DEFAULT_QOS_SCHEMA.kinds == (
-            MetricKind.ADDITIVE,
-            MetricKind.MULTIPLICATIVE_LOSS,
-        )
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            QoSSchema(
-                [
-                    MetricSpec("delay", MetricKind.ADDITIVE),
-                    MetricSpec("delay", MetricKind.ADDITIVE),
-                ]
-            )
-
-    def test_index_of_unknown_metric(self):
-        with pytest.raises(KeyError, match="unknown QoS metric"):
-            DEFAULT_QOS_SCHEMA.index_of("jitter")
-
-    def test_equality_and_hash(self):
-        other = QoSSchema(DEFAULT_QOS_SCHEMA.specs)
-        assert other == DEFAULT_QOS_SCHEMA
-        assert hash(other) == hash(DEFAULT_QOS_SCHEMA)
-
-    def test_len(self):
-        assert len(DEFAULT_QOS_SCHEMA) == 2
+from repro.model.qos import QoSVector, combine_all, elementwise_max
+from tests.conftest import qv
 
 
 class TestQoSVectorConstruction:
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError, match="expected 2 values"):
-            QoSVector(DEFAULT_QOS_SCHEMA, [1.0])
-
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             qv(-1.0)
@@ -63,14 +19,23 @@ class TestQoSVectorConstruction:
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             qv(1.0, 1.0)
 
+    def test_negative_loss_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            qv(1.0, -0.1)
+
+    def test_numpy_inputs_stored_as_python_floats(self):
+        vector = QoSVector(np.float64(1.5), np.float32(0.25))
+        assert [type(value) for value in vector.values] == [float, float]
+        assert repr(vector) == "QoSVector(delay=1.5, loss_rate=0.25)"
+
     def test_zero_vector(self):
         zero = QoSVector.zero()
         assert zero.values == (0.0, 0.0)
 
     def test_named_access(self):
         vector = qv(12.5, 0.01)
-        assert vector["delay"] == 12.5
-        assert vector["loss_rate"] == 0.01
+        assert vector.delay == 12.5
+        assert vector.loss_rate == 0.01
 
     def test_repr_mentions_metric_names(self):
         assert "delay=3" in repr(qv(3.0))
@@ -78,29 +43,24 @@ class TestQoSVectorConstruction:
 
 class TestCombine:
     def test_delay_adds(self):
-        assert qv(10.0).combine(qv(15.0))["delay"] == 25.0
+        assert qv(10.0).combine(qv(15.0)).delay == 25.0
 
     def test_loss_composes_multiplicatively(self):
         combined = qv(0.0, 0.1).combine(qv(0.0, 0.2))
-        assert combined["loss_rate"] == pytest.approx(1 - 0.9 * 0.8)
+        assert combined.loss_rate == pytest.approx(1 - 0.9 * 0.8)
 
     def test_zero_is_identity(self):
         vector = qv(30.0, 0.05)
         assert vector.combine(QoSVector.zero()).values == pytest.approx(vector.values)
         assert QoSVector.zero().combine(vector).values == pytest.approx(vector.values)
 
-    def test_schema_mismatch_rejected(self):
-        other_schema = QoSSchema([MetricSpec("delay", MetricKind.ADDITIVE)])
-        with pytest.raises(ValueError, match="schema mismatch"):
-            qv(1.0).combine(QoSVector(other_schema, [1.0]))
-
     def test_combine_all_empty_is_zero(self):
         assert combine_all([]) == QoSVector.zero()
 
     def test_combine_all_folds(self):
         total = combine_all([qv(10.0, 0.1), qv(5.0, 0.1), qv(1.0, 0.0)])
-        assert total["delay"] == 16.0
-        assert total["loss_rate"] == pytest.approx(1 - 0.9 * 0.9)
+        assert total.delay == 16.0
+        assert total.loss_rate == pytest.approx(1 - 0.9 * 0.9)
 
 
 class TestSatisfies:
@@ -152,8 +112,8 @@ class TestUtilization:
 class TestElementwiseMax:
     def test_picks_worst_per_metric(self):
         worst = elementwise_max(qv(10.0, 0.01), qv(5.0, 0.05))
-        assert worst["delay"] == 10.0
-        assert worst["loss_rate"] == 0.05
+        assert worst.delay == 10.0
+        assert worst.loss_rate == 0.05
 
     def test_idempotent(self):
         vector = qv(3.0, 0.2)
@@ -183,8 +143,8 @@ def test_combine_is_commutative(a, b):
 def test_combine_never_improves_qos(a, b):
     """Both metrics are minimum-optimal: accumulation is monotone."""
     combined = a.combine(b)
-    assert combined["delay"] >= a["delay"]
-    assert combined["loss_rate"] >= a["loss_rate"] - 1e-12
+    assert combined.delay >= a.delay
+    assert combined.loss_rate >= a.loss_rate - 1e-12
 
 
 @given(vectors, vectors)

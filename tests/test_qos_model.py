@@ -31,14 +31,14 @@ class TestEffectiveQoS:
     def test_idle_host_keeps_base_qos(self, model, catalog):
         component = make_component(0, catalog[0], 0, delay=20.0, loss=0.004)
         qos = model.effective_qos(component, rv(100, 1000), rv(100, 1000))
-        assert qos["delay"] == pytest.approx(20.0)
-        assert qos["loss_rate"] == pytest.approx(0.004)
+        assert qos.delay == pytest.approx(20.0)
+        assert qos.loss_rate == pytest.approx(0.004)
 
     def test_full_host_doubles_with_unit_factors(self, model, catalog):
         component = make_component(0, catalog[0], 0, delay=20.0, loss=0.004)
         qos = model.effective_qos(component, rv(0, 0), rv(100, 1000))
-        assert qos["delay"] == pytest.approx(40.0)
-        assert qos["loss_rate"] == pytest.approx(0.008)
+        assert qos.delay == pytest.approx(40.0)
+        assert qos.loss_rate == pytest.approx(0.008)
 
     def test_zero_factors_recover_static_model(self, catalog):
         static = LoadDependentQoSModel(delay_load_factor=0.0, loss_load_factor=0.0)
@@ -50,14 +50,14 @@ class TestEffectiveQoS:
         model = LoadDependentQoSModel(loss_load_factor=1e9)
         component = make_component(0, catalog[0], 0, loss=0.01)
         qos = model.effective_qos(component, rv(0, 0), rv(100, 1000))
-        assert qos["loss_rate"] < 1.0
+        assert qos.loss_rate < 1.0
 
     def test_monotone_in_load(self, model, catalog):
         component = make_component(0, catalog[0], 0, delay=20.0)
         lighter = model.effective_qos(component, rv(80, 800), rv(100, 1000))
         heavier = model.effective_qos(component, rv(20, 200), rv(100, 1000))
-        assert heavier["delay"] > lighter["delay"]
-        assert heavier["loss_rate"] >= lighter["loss_rate"]
+        assert heavier.delay > lighter.delay
+        assert heavier.loss_rate >= lighter.loss_rate
 
     def test_negative_factors_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -72,12 +72,12 @@ class TestContextViews:
         micro_context.network.node(2).allocate(rv(8, 80))  # under threshold
         precise = micro_context.precise_component_qos(component)
         stale = micro_context.stale_component_qos(component)
-        assert precise["delay"] > component.qos["delay"]
-        assert stale["delay"] == pytest.approx(component.qos["delay"])
+        assert precise.delay > component.qos.delay
+        assert stale.delay == pytest.approx(component.qos.delay)
 
     def test_views_agree_after_reported_update(self, micro_context):
         component = micro_context.registry.component(2)
         micro_context.network.node(2).allocate(rv(30, 300))  # over threshold
         precise = micro_context.precise_component_qos(component)
         stale = micro_context.stale_component_qos(component)
-        assert stale["delay"] == pytest.approx(precise["delay"])
+        assert stale.delay == pytest.approx(precise.delay)

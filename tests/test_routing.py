@@ -37,14 +37,14 @@ class TestShortestPaths:
 class TestVirtualLinks:
     def test_qos_aggregates_along_path(self, micro_router):
         qos = micro_router.virtual_link_qos(0, 2)
-        assert qos["delay"] == pytest.approx(20.0)
+        assert qos.delay == pytest.approx(20.0)
         expected_loss = 1 - (1 - 0.001) ** 2
-        assert qos["loss_rate"] == pytest.approx(expected_loss)
+        assert qos.loss_rate == pytest.approx(expected_loss)
 
     def test_co_located_zero_qos(self, micro_router):
         qos = micro_router.virtual_link_qos(2, 2)
-        assert qos["delay"] == 0.0
-        assert qos["loss_rate"] == 0.0
+        assert qos.delay == 0.0
+        assert qos.loss_rate == 0.0
 
     def test_virtual_link_object(self, micro_router):
         vl = micro_router.virtual_link(0, 2)

@@ -3,7 +3,9 @@
 The overlay router (scipy Dijkstra + predecessor walks + caches) is the
 substrate every virtual link rests on; these tests cross-check it against
 an independent implementation (networkx) on randomised meshes, including
-after failure-driven recomputation.
+after failure-driven recomputation.  The virtual-link QoS the router and
+the neighbourhood index report is checked against the plain
+``combine_all`` fold of the path's link QoS.
 """
 
 import random
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.model.node import Node
+from repro.model.qos import combine_all
+from repro.topology.neighborhood import NeighborhoodIndex
 from repro.topology.overlay import OverlayLink, OverlayNetwork
 from repro.topology.routing import OverlayRouter
 from tests.conftest import rv
@@ -135,3 +139,34 @@ def test_distances_match_networkx_after_failures(seed, down):
                 assert router.delay(a, b) == pytest.approx(reference[a][b])
             else:
                 assert not router.reachable(a, b)
+
+
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.sets(st.integers(min_value=0, max_value=11), max_size=4),
+    st.sets(st.integers(min_value=0, max_value=20), max_size=4),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=40, deadline=None)
+def test_virtual_link_qos_equals_path_fold(seed, down_nodes, down_links, k):
+    """Every QoS view of a virtual link is the exact ``combine_all`` fold of
+    its path's link QoS: the router's pair QoS and rows, and the
+    neighbourhood index's links to members (``==``, not approx)."""
+    network = random_mesh(seed, loss_range=(0.0, 0.2))
+    router = OverlayRouter(network)
+    router.set_down_nodes(down_nodes)
+    router.set_down_links({l for l in down_links if l < len(network.links)})
+    index = NeighborhoodIndex(router, k=k)
+    for a in range(len(network)):
+        delay_row, loss_row = router.virtual_link_rows(a)
+        for b in range(len(network)):
+            if not router.reachable(a, b):
+                continue
+            fold = combine_all(
+                network.link(link_id).qos for link_id in router.overlay_path(a, b)
+            ).values
+            assert router.virtual_link_qos(a, b).values == fold
+            assert (float(delay_row[b]), float(loss_row[b])) == fold
+            link = index.virtual_link(a, b)
+            if link is not None:
+                assert link.qos.values == fold

@@ -223,15 +223,15 @@ class TestRequestAttributes:
             )
             budgets[level] = gen.qos_requirement_for(graph)
         assert (
-            budgets["very_high"]["delay"]
-            < budgets["high"]["delay"]
-            < budgets["normal"]["delay"]
-            < budgets["loose"]["delay"]
+            budgets["very_high"].delay
+            < budgets["high"].delay
+            < budgets["normal"].delay
+            < budgets["loose"].delay
         )
         assert (
-            budgets["very_high"]["loss_rate"]
-            < budgets["high"]["loss_rate"]
-            < budgets["normal"]["loss_rate"]
+            budgets["very_high"].loss_rate
+            < budgets["high"].loss_rate
+            < budgets["normal"].loss_rate
         )
 
     def test_budget_scales_with_path_length(self, templates):
@@ -250,8 +250,8 @@ class TestRequestAttributes:
             len(p) for p in long.all_paths()
         ):
             assert (
-                gen.qos_requirement_for(short)["delay"]
-                < gen.qos_requirement_for(long)["delay"]
+                gen.qos_requirement_for(short).delay
+                < gen.qos_requirement_for(long).delay
             )
 
     def test_loss_budget_additive_in_log_space(self, templates):
@@ -270,7 +270,7 @@ class TestRequestAttributes:
         expected_log = stages * -math.log1p(
             -gen.profile.expected_component_loss
         ) + (stages - 1) * -math.log1p(-gen.profile.expected_link_loss)
-        assert -math.log1p(-requirement["loss_rate"]) == pytest.approx(expected_log)
+        assert -math.log1p(-requirement.loss_rate) == pytest.approx(expected_log)
 
     def test_bandwidth_requirements_follow_stream_rate(self, templates):
         gen = generator(templates, seed=8)
