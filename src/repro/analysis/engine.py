@@ -13,7 +13,8 @@ self-tests use.  Given files and/or directories it:
    whole-program families: layering, RNG provenance (DET15x), listener
    teardown (SHR403), hot-path budgets (HOT5xx);
 4. filters everything through ``# repro-lint: disable=...`` line
-   suppressions.
+   suppressions, and reports each suppression code that names no rule
+   (PAR002) — a misspelt or retired code silences nothing.
 
 Module names matter: the wall-clock allowlist, hot-path matching, the
 layer DAG, and the seed registry are all keyed on ``repro.<package>...``
@@ -41,8 +42,10 @@ from repro.analysis.layering import ImportEdge, check_layering, collect_import_e
 from repro.analysis.listeners import check_listener_teardown
 from repro.analysis.recorder_discipline import check_recorder_discipline
 from repro.analysis.rngflow import check_rngflow
+from repro.analysis.rules import ALL_RULES
 from repro.analysis.seeds import REGISTRY, SeedSlot
 from repro.analysis.violations import (
+    SUPPRESS_ALL,
     Violation,
     apply_suppressions,
     parse_suppressions,
@@ -128,6 +131,18 @@ def module_name(path: str, src_root: Optional[str]) -> Optional[str]:
     return ".".join(parts)
 
 
+def check_suppression_codes(
+    path: str, suppressions: Dict[int, FrozenSet[str]]
+) -> List[Violation]:
+    """PAR002 at each anchored line whose suppression names a code that is
+    neither a rule in :data:`ALL_RULES` nor ``all``."""
+    return [
+        Violation(path, line, 1, "PAR002", f"suppression names no rule: {code}")
+        for line, codes in sorted(suppressions.items())
+        for code in sorted(codes.difference(ALL_RULES, (SUPPRESS_ALL,)))
+    ]
+
+
 def lint_paths(
     paths: Iterable[str],
     src_root: Optional[str] = None,
@@ -168,6 +183,7 @@ def lint_paths(
         module = module_name(path, src_root)
         suppressions = parse_suppressions(source)
         suppressions_by_path[path] = suppressions
+        result.violations.extend(check_suppression_codes(path, suppressions))
         file_violations = run_family(
             "determinism", lambda: check_determinism(path, tree, module)
         )

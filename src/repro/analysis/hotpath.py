@@ -26,9 +26,9 @@ code        what it flags
             budget does not cover.
 ``HOT505``  ``print``/``logging`` calls on the hot path (unguarded).
 ``HOT506``  marker problems: a function DEVELOPMENT.md's table names
-            (compose wavefront, pruned scoring gather, incremental
-            routing patch loops) missing its ``@hot_path`` marker, or a
-            marker whose budget is not an ``O(...)`` string.
+            (compose wavefront, pruned scoring gather, churn routing-graph
+            rebuilds) missing its ``@hot_path`` marker, or a marker whose
+            budget is not an ``O(...)`` string.
 ==========  =============================================================
 """
 
@@ -48,10 +48,10 @@ REQUIRED_HOT_PATHS: Dict[Tuple[str, str], str] = {
         "the pruned scoring gather"
     ),
     ("repro.topology.routing", "OverlayRouter.set_down_nodes"): (
-        "the incremental-routing node-churn patch loop"
+        "the node-churn routing-graph rebuild"
     ),
     ("repro.topology.routing", "OverlayRouter.set_down_links"): (
-        "the incremental-routing link-churn patch loop"
+        "the link-churn routing-graph rebuild"
     ),
 }
 

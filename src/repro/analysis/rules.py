@@ -74,6 +74,10 @@ ALL_RULES: Dict[str, str] = {
         "@hot_path, or a marker without an O(...) budget string"
     ),
     "PAR001": "file does not parse (reported so CI cannot skip broken files)",
+    "PAR002": (
+        "suppression comment naming a code that is no rule (misspelt or "
+        "retired), which silences nothing"
+    ),
 }
 
 

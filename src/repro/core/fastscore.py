@@ -19,12 +19,12 @@ the whole candidate pool of a function, fed by caches that persist
   :attr:`GlobalStateManager.node_version`;
 * **virtual-link QoS rows** (per source node) — delay/loss to every
   destination, served read-only by :meth:`OverlayRouter.virtual_link_rows`
-  and maintained incrementally under churn by the router itself;
+  from the router's own tree cache, which churn empties;
 * **stale virtual-link bottleneck bandwidth** (per source node) — one
   whole-row tree pass (:meth:`OverlayRouter.bottleneck_bandwidth_row` over
   :attr:`GlobalStateManager.link_available_array`) re-validated against
-  ``(link_version, row_version)``, so a churn event rebuilds only the rows
-  of sources whose shortest-path tree actually changed.
+  ``(link_version, router.epoch)``, so a link-state update or a churn
+  event rebuilds each row on its next use.
 
 Nothing here is per-request state, so nothing outlives (or leaks from)
 one ``compose()``.
@@ -311,10 +311,8 @@ class FastScorer:
     def __init__(self, context: "CompositionContext") -> None:
         self.context = context
         self._tables: Dict[int, _CandidateTable] = {}
-        #: upstream node -> (link_version, row_version, full row of stale
+        #: upstream node -> (link_version, router epoch, full row of stale
         #: bottleneck kbps per destination node, -inf where unreachable).
-        #: Keyed per source on the router's row version, so churn rebuilds
-        #: only the rows whose shortest-path tree actually changed.
         #: Mask-independent: masked candidates are already excluded from
         #: ``qualified``, so their row entries are never read.
         #: LRU-bounded (scorer memory stays O(bound × N)); an evicted
@@ -788,18 +786,18 @@ class FastScorer:
         link state, ``-inf`` for unreachable nodes (which the wavefront
         masks out anyway) — serves every probe and every function level
         fed from the same upstream node, until a link state update bumps
-        ``link_version`` or churn bumps this source's ``row_version``.
+        ``link_version`` or churn bumps the router's ``epoch``.
         """
         context = self.context
         recorder = context.recorder
         link_version = context.global_state.link_version
-        row_version = context.router.row_version(upstream_node)
+        epoch = context.router.epoch
         entry = self._bandwidth_rows.get(upstream_node)
-        if entry is None or entry[0] != link_version or entry[1] != row_version:
+        if entry is None or entry[0] != link_version or entry[1] != epoch:
             full_row = context.router.bottleneck_bandwidth_row(
                 upstream_node, context.global_state.link_available_array
             )
-            entry = (link_version, row_version, full_row)
+            entry = (link_version, epoch, full_row)
             self._bandwidth_rows[upstream_node] = entry
             if recorder.enabled:
                 recorder.inc("fastscore.bw_row_build")

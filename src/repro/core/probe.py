@@ -7,6 +7,15 @@ composition and (b) the *precise* QoS/resource states collected from the
 nodes it visits — the fine-grain information the deputy's final selection
 runs on.
 
+Here a probe carries only what later hops and the final selection read:
+the request, the partial composition and the QoS accumulated through
+each placed component.  The probing ratio stays with the composer for the whole
+compose.  Precise node and link state is checked on arrival
+(``repro.core.prober``) but not carried: the deputy's final selection
+re-reads precise state itself (``repro.core.composer``), and composes run
+one at a time, so nothing else changes that state between a probe's
+visit and the selection.
+
 :class:`Probe` is an immutable-ish record: spawning a child probe copies
 the parent's state and extends it with the next-hop component (the paper's
 "Each new probe ... inherits the states collected by its parent probe").
@@ -17,12 +26,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.model.component import Component
 from repro.model.qos import QoSVector
 from repro.model.request import StreamRequest
-from repro.model.resources import ResourceVector
 
 
 @dataclass
@@ -31,25 +39,10 @@ class Probe:
 
     probe_id: int
     request: StreamRequest
-    probing_ratio: float
     #: function placement index -> selected component, for assigned prefixes
     assignment: Dict[int, Component] = field(default_factory=dict)
     #: placement index -> worst-path QoS accumulated through its *output*
     accumulated_out: Dict[int, QoSVector] = field(default_factory=dict)
-    #: precise node availability observed when the probe visited the node
-    collected_node_state: Dict[int, ResourceVector] = field(default_factory=dict)
-    #: precise virtual-link bottleneck bandwidth per function-graph edge
-    collected_link_bw: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    hops: int = 0
-    parent_id: Optional[int] = None
-
-    def covers(self, function_index: int) -> bool:
-        """Whether this probe's partial composition assigns the placement."""
-        return function_index in self.assignment
-
-    def component_of(self, function_index: int) -> Component:
-        """The component assigned to a covered placement."""
-        return self.assignment[function_index]
 
     def spawn(
         self,
@@ -57,34 +50,18 @@ class Probe:
         function_index: int,
         component: Component,
         accumulated: QoSVector,
-        observed_available: ResourceVector,
-        observed_link_bw: Dict[Tuple[int, int], float],
     ) -> "Probe":
-        """Child probe extending this one with ``component`` at the placement.
-
-        ``observed_available`` is the precise availability of the
-        component's node as seen on arrival; ``observed_link_bw`` maps each
-        traversed function-graph edge to the precise bottleneck bandwidth of
-        its virtual link.
-        """
+        """Child probe extending this one with ``component`` at the placement,
+        whose output accumulates ``accumulated``."""
         assignment = dict(self.assignment)
         assignment[function_index] = component
         accumulated_out = dict(self.accumulated_out)
         accumulated_out[function_index] = accumulated
-        node_state = dict(self.collected_node_state)
-        node_state[component.node_id] = observed_available
-        link_bw = dict(self.collected_link_bw)
-        link_bw.update(observed_link_bw)
         return Probe(
             probe_id=probe_id,
             request=self.request,
-            probing_ratio=self.probing_ratio,
             assignment=assignment,
             accumulated_out=accumulated_out,
-            collected_node_state=node_state,
-            collected_link_bw=link_bw,
-            hops=self.hops + 1,
-            parent_id=self.probe_id,
         )
 
     def __repr__(self) -> str:
@@ -100,13 +77,9 @@ class ProbeFactory:
     def __init__(self) -> None:
         self._counter = itertools.count()
 
-    def initial(self, request: StreamRequest, probing_ratio: float) -> Probe:
+    def initial(self, request: StreamRequest) -> Probe:
         """The deputy's initial probe P0 (Section 3.3, step 1)."""
-        return Probe(
-            probe_id=next(self._counter),
-            request=request,
-            probing_ratio=probing_ratio,
-        )
+        return Probe(probe_id=next(self._counter), request=request)
 
     def next_id(self) -> int:
         """A fresh probe id for a spawned child."""

@@ -37,7 +37,7 @@ RP  (random)      random        no              phi
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.observability.hotpath import hot_path
 from repro.observability.recorder import wall_clock as perf_counter
@@ -107,7 +107,7 @@ class ProbingComposer(Composer):
         ratio = self.current_probing_ratio()
         rates = graph.input_rates(request.stream_rate)
         factory = ProbeFactory()
-        beam: List[Probe] = [factory.initial(request, ratio)]
+        beam: List[Probe] = [factory.initial(request)]
         probe_messages = 0
         explored = 0
         # one enabled check per compose; every further instrumentation
@@ -251,7 +251,7 @@ class ProbingComposer(Composer):
         requirement: ResourceVector,
     ) -> Tuple[List[Probe], int]:
         """Send probes to selected candidates: control-channel delivery,
-        precise on-arrival checks, transient reservation, state collection.
+        precise on-arrival checks and transient reservation.
 
         Every probe message travels through ``context.control`` — the only
         legal delivery seam.  On a lossless channel each candidate costs
@@ -304,7 +304,7 @@ class ProbingComposer(Composer):
                             attempts=_attempt + 1,
                         )
                     continue  # probe (and all retries) lost in transit
-            observed_bw: Dict[Tuple[int, int], float] = {}
+            # no early exit: each query warms a routing cache later probes read
             feasible = True
             for predecessor in predecessors:
                 upstream = parent.assignment[predecessor]
@@ -314,7 +314,6 @@ class ProbingComposer(Composer):
                 live_bw = context.live_available_bandwidth(
                     upstream.node_id, candidate.node_id
                 )
-                observed_bw[(predecessor, function_index)] = live_bw
                 if live_bw < request.bandwidth_for(
                     (predecessor, function_index)
                 ) - 1e-9:
@@ -334,9 +333,6 @@ class ProbingComposer(Composer):
                 accumulated = precise_qos
             if not accumulated.satisfies(request.qos_requirement):
                 continue  # probe dropped on arrival (precise Eq. 6)
-            observed_available = context.allocator.available_excluding(
-                request.request_id, candidate.node_id
-            )
             reserved = context.allocator.reserve_component(
                 request.request_id, candidate, requirement, now=now
             )
@@ -344,12 +340,7 @@ class ProbingComposer(Composer):
                 continue  # probe dropped on arrival (precise Eq. 7)
             survivors.append(
                 parent.spawn(
-                    factory.next_id(),
-                    function_index,
-                    candidate,
-                    accumulated,
-                    observed_available,
-                    observed_bw,
+                    factory.next_id(), function_index, candidate, accumulated
                 )
             )
         return survivors, messages

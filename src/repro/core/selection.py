@@ -46,8 +46,6 @@ class ScoredCandidate:
     accumulated_qos: QoSVector
     #: Opaque parent handle threaded through by the prober.
     parent: object = None
-    #: Per-predecessor virtual-link QoS, threaded through for probe state.
-    link_qos: Tuple[QoSVector, ...] = ()
     #: Worst-path QoS accumulated up to (but excluding) this candidate —
     #: i.e. through the virtual links into it.  ``None`` when the candidate
     #: has no predecessors.  The prober re-combines this with the

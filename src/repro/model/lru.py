@@ -1,14 +1,13 @@
 """A bounded recency-ordered mapping for substrate-level caches.
 
 The scale wall the router hits above a few hundred overlay nodes is a
-*memory* wall before it is a time wall: per-source shortest-path trees,
-path caches, and QoS caches each hold O(N) state per cached source, so an
-unbounded cache grows O(N²) once every node has been an upstream at least
-once.  :class:`LRUDict` is the one shared primitive that keeps those
-caches O(capacity × N): a plain mapping with least-recently-used eviction,
-an eviction callback (so owners can drop sibling state and count the
-eviction on their recorder), and ``peek`` for invalidation scans that must
-not disturb recency order.
+*memory* wall before it is a time wall: per-source shortest-path trees
+and the rows derived from them each hold O(N) state per cached source, so
+an unbounded cache grows O(N²) once every node has been an upstream at
+least once.  :class:`LRUDict` is the one shared primitive that keeps those
+caches O(capacity × N): a plain mapping with least-recently-used eviction
+and an eviction callback (so owners can count the eviction on their
+recorder).
 
 Deliberately minimal — no weakrefs, no TTLs, no statistics of its own
 beyond :attr:`evictions`.  Determinism note: iteration order is
@@ -31,7 +30,7 @@ class LRUDict(Generic[K, V]):
     ``capacity`` is a plain int ≥ 1; a cache that must never evict gets a
     capacity at least its key-space size.  ``on_evict(key, value)`` is
     invoked after an entry is evicted by an insert that exceeded the bound
-    — never for explicit :meth:`pop` / :meth:`clear` removals.
+    — never for an explicit :meth:`clear`.
     """
 
     __slots__ = ("_capacity", "_data", "_on_evict", "evictions")
@@ -63,10 +62,6 @@ class LRUDict(Generic[K, V]):
         """Keys in recency order, least-recently-used first."""
         return iter(self._data)
 
-    def keys(self) -> List[K]:
-        """Snapshot of the keys (LRU first) — safe to delete while walking."""
-        return list(self._data)
-
     def get(self, key: K) -> Optional[V]:
         """Fetch and mark ``key`` most-recently-used (None when absent)."""
         value = self._data.get(key)
@@ -80,10 +75,6 @@ class LRUDict(Generic[K, V]):
         self._data.move_to_end(key)
         return value
 
-    def peek(self, key: K) -> Optional[V]:
-        """Fetch without touching recency (for invalidation scans)."""
-        return self._data.get(key)
-
     def __setitem__(self, key: K, value: V) -> None:
         data = self._data
         if key in data:
@@ -96,13 +87,6 @@ class LRUDict(Generic[K, V]):
             self.evictions += 1
             if self._on_evict is not None:
                 self._on_evict(evicted_key, evicted_value)
-
-    def pop(self, key: K, default: Optional[V] = None) -> Optional[V]:
-        """Remove ``key`` (no eviction callback; this is owner-driven)."""
-        return self._data.pop(key, default)
-
-    def __delitem__(self, key: K) -> None:
-        del self._data[key]
 
     def clear(self) -> None:
         self._data.clear()

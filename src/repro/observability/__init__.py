@@ -12,7 +12,8 @@ event kind                  emitted by
 ``probe.start/level/fail``  the probing wavefront (per request / per level)
 ``probe.commit``            deputy final selection (φ, message accounting)
 ``fastscore.table_rebuild`` candidate-table cache rebuilds
-``router.churn``            per-source tree drops/patches under churn
+``router.churn``            trees dropped by a node down-set change
+``router.link_churn``       trees dropped by a link down-set change
 ``tuner.decision``          predicted-vs-measured rates, reprofiles, new α
 ``window.close``            sampling-period μ(t) samples
 ``session.*``               open / close / killed / admission races

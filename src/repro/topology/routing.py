@@ -10,29 +10,19 @@ among the overlay links."
 between any node pair, its static QoS (delay sums, loss composes), and its
 *current* bottleneck bandwidth — from **lazy per-source shortest-path
 trees**.  A single-source scipy Dijkstra runs the first time a source is
-queried and is cached; churn (:meth:`set_down_nodes`) invalidates only the
-trees the event can actually affect:
+queried and is cached; the paths and QoS answered from a tree are cached
+on that tree.
 
-* a **crash** of node ``d`` drops only the trees that route *through* ``d``
-  (``d`` appears in the tree's relay set).  Trees where ``d`` is a leaf are
-  patched in place — the entry *for* ``d`` becomes unreachable, every other
-  distance, path, loss and bandwidth answer provably cannot change;
-* a **recovery** of node ``r`` can create new shortcuts, so it drops the
-  trees whose reachable set touches ``r`` or any of its neighbours (any new
-  path must enter ``r`` through a previously-reachable neighbour) — and
-  nothing else, which matters when crashes have partitioned the mesh.
-
-Link faults (:meth:`set_down_links`) get the same treatment at finer
-granularity — a down overlay link is excluded from the routing matrix
-exactly like a link adjacent to a down endpoint:
-
-* a **link failure** drops only the trees that use the link as a *tree
-  edge* (one endpoint is the predecessor of the other); removing a
-  non-tree edge provably cannot change any shortest path, so every other
-  tree survives untouched;
-* a **link recovery** can only create shortcuts reachable through one of
-  its endpoints, so it drops the trees whose reachable set touches either
-  endpoint.
+A tree is valid for one topology epoch.  A change to the down sets
+(:meth:`set_down_nodes`, :meth:`set_down_links`) bumps :attr:`epoch`,
+rebuilds the routing graph without the down elements (a failed overlay
+link is removed exactly like a link adjacent to a crashed node) and drops
+every cached tree with the answers cached on it.  Delays are continuous,
+so every shortest path is unique and a churned router answers exactly
+like a freshly built one with the same down sets
+(``tests/test_routing_incremental.py`` checks this under randomized
+churn, and ``tests/test_routing_differential.py`` checks both against
+networkx).
 
 Every tree, cached here or bounded in :mod:`repro.topology.neighborhood`,
 comes from one pipeline: scipy's C Dijkstra over :attr:`live_graph` (in
@@ -42,23 +32,8 @@ every node within the limit identically) and :meth:`annotate` (arriving
 link ids through a sorted pair-key array, loss folded parent-first), so
 both answer the same floats.
 
-Each tree carries a **row version** (the topology epoch it was solved at);
-derived caches (``repro.core.fastscore``) key per-source state on
-:meth:`row_version` so a churn event rebuilds only the affected columns.
-In-place leaf patches deliberately do *not* bump the version: they only
-flip entries for down destinations, which every consumer already masks via
-node liveness.  ``epoch`` remains the global topology counter (bumped once
-per :meth:`set_down_nodes` change).
-
 Co-located pairs (a == b) yield the empty path with zero QoS — footnote 4's
 "0 network delay" and footnote 8's infinite residual bandwidth.
-
-With distinct path costs the incrementally maintained state is identical
-to a freshly constructed router's (``tests/test_routing_incremental.py``
-checks this under randomized churn, and
-``tests/test_routing_differential.py`` checks both against networkx); on
-exact cost ties a surviving tree may break the tie differently than a
-fresh solve would — both choices are optimal.
 """
 
 from __future__ import annotations
@@ -85,60 +60,41 @@ class RoutingError(RuntimeError):
 
 
 class _SourceTree:
-    """One source's shortest-path tree plus lazily-built per-row arrays.
+    """One source's shortest-path tree, its lazily-built per-row arrays,
+    and the paths and QoS answered from it.
 
-    ``distances``/``loss_row`` are exposed to callers read-only; the
-    router unfreezes them only for leaf-crash patches it owns.
+    ``distances``/``loss_row`` are exposed to callers read-only.
     """
 
     __slots__ = (
-        "source",
-        "version",
         "distances",
         "predecessors",
         "finite",
-        "relay",
         "order",
         "uplink",
         "loss_row",
+        "paths",
+        "qos",
     )
 
-    def __init__(
-        self,
-        source: int,
-        version: int,
-        distances: np.ndarray,
-        predecessors: np.ndarray,
-    ) -> None:
-        self.source = source
-        self.version = version
+    def __init__(self, distances: np.ndarray, predecessors: np.ndarray) -> None:
         self.distances = distances
         self.predecessors = predecessors
         self.finite = np.isfinite(distances)
-        # relay nodes: every node that forwards to at least one child in
-        # the tree.  A crash outside this set (a leaf) cannot change any
-        # distance except the crashed node's own entry.
-        relay = np.zeros(len(distances), dtype=bool)
-        used = predecessors[self.finite]
-        used = used[used >= 0]
-        relay[used] = True
-        self.relay = relay
         #: reachable destinations in nondecreasing distance order
         self.order: Optional[np.ndarray] = None
         #: per destination, the link id of the tree edge arriving at it
-        #: (-1 at the source and at unreachable/patched destinations)
+        #: (-1 at the source and at unreachable destinations)
         self.uplink: Optional[np.ndarray] = None
         self.loss_row: Optional[np.ndarray] = None
+        #: per destination, the overlay path and the virtual-link QoS
+        self.paths: Dict[int, Tuple[int, ...]] = {}
+        self.qos: Dict[int, QoSVector] = {}
         distances.setflags(write=False)
 
     def nbytes(self) -> int:
         """Resident bytes of this tree's arrays (lazy rows count once built)."""
-        total = (
-            self.distances.nbytes
-            + self.predecessors.nbytes
-            + self.finite.nbytes
-            + self.relay.nbytes
-        )
+        total = self.distances.nbytes + self.predecessors.nbytes + self.finite.nbytes
         if self.order is not None:
             total += self.order.nbytes
         if self.uplink is not None:
@@ -162,20 +118,17 @@ class OverlayRouter:
         self._down_nodes: frozenset = frozenset()
         self._down_links: frozenset = frozenset()
         self._closed = False
-        #: monotone topology epoch, bumped once per down-set change; per
-        #: source, :meth:`row_version` is the finer-grained cache key
+        #: monotone topology epoch, bumped once per down-set change; every
+        #: cached tree was solved in the current epoch
         self.epoch = 0
-        # per-source caches: trees are the LRU-bounded master; the path and
-        # QoS caches only ever hold sources present in ``_trees`` (the
-        # eviction callback drops their entries), so total router cache
-        # memory is O(tree_cache_size × N), never O(N²).  Evictions are
-        # decision-invisible: delays are continuous, so a re-solve of an
-        # evicted source reproduces the identical tree.
+        # per-source trees, LRU-bounded; the paths and QoS cached on a tree
+        # leave with it, so router cache memory is O(tree_cache_size × N),
+        # never O(N²).  Evictions are decision-invisible: delays are
+        # continuous, so a re-solve of an evicted source reproduces the
+        # identical tree.
         self._trees: LRUDict[int, _SourceTree] = LRUDict(
             capacity=tree_cache_size, on_evict=self._on_tree_evicted
         )
-        self._path_cache: Dict[int, Dict[int, Tuple[int, ...]]] = {}
-        self._qos_cache: Dict[int, Dict[int, QoSVector]] = {}
         self._zero_qos = QoSVector.zero()
 
         links = network.links
@@ -245,10 +198,6 @@ class OverlayRouter:
         return self._trees.evictions
 
     def _on_tree_evicted(self, source: int, tree: _SourceTree) -> None:
-        """Capacity eviction of a source tree drops its sibling caches too,
-        keeping the ``path/qos ⊆ trees`` invariant that bounds memory."""
-        self._path_cache.pop(source, None)
-        self._qos_cache.pop(source, None)
         if self.recorder.enabled:
             self.recorder.inc("router.tree_evictions")
 
@@ -267,8 +216,6 @@ class OverlayRouter:
         for link in self.network.links:
             link.remove_change_listener(self._on_link_bandwidth)
         self._trees.clear()
-        self._path_cache.clear()
-        self._qos_cache.clear()
 
     def __enter__(self) -> "OverlayRouter":
         return self
@@ -285,11 +232,21 @@ class OverlayRouter:
         """Approximate resident bytes per router substructure.
 
         ``nbytes`` for the numpy state (exact) plus ``sys.getsizeof``
-        container overheads for the path/QoS caches (close).  BENCH_scale
-        uses this to attribute memory per subsystem; ``total`` sums the
-        parts.
+        container overheads for the paths and QoS cached on the trees
+        (close).  BENCH_scale uses this to attribute memory per subsystem;
+        ``total`` sums the parts.
         """
-        trees = sum(tree.nbytes() for _, tree in self._trees.items())
+        trees = 0
+        path_cache = 0
+        qos_cache = 0
+        for _, tree in self._trees.items():
+            trees += tree.nbytes()
+            path_cache += sys.getsizeof(tree.paths)
+            for path in tree.paths.values():
+                path_cache += sys.getsizeof(path)
+            qos_cache += sys.getsizeof(tree.qos)
+            for qos in tree.qos.values():
+                qos_cache += sys.getsizeof(qos) + sys.getsizeof(qos.values)
         link_arrays = int(
             self._link_a.nbytes
             + self._link_b.nbytes
@@ -299,20 +256,10 @@ class OverlayRouter:
             + self._pair_key.nbytes
             + self._pair_link.nbytes
         )
-        path_cache = sys.getsizeof(self._path_cache)
-        for per_source in self._path_cache.values():
-            path_cache += sys.getsizeof(per_source)
-            for path in per_source.values():
-                path_cache += sys.getsizeof(path)
-        qos_cache = sys.getsizeof(self._qos_cache)
-        for per_source_qos in self._qos_cache.values():
-            qos_cache += sys.getsizeof(per_source_qos)
-            for qos in per_source_qos.values():
-                qos_cache += sys.getsizeof(qos) + sys.getsizeof(qos.values)
         footprint = {
-            "trees": int(trees),
-            "path_cache": int(path_cache),
-            "qos_cache": int(qos_cache),
+            "trees": trees,
+            "path_cache": path_cache,
+            "qos_cache": qos_cache,
             "link_arrays": link_arrays,
         }
         footprint["total"] = sum(footprint.values())
@@ -408,7 +355,7 @@ class OverlayRouter:
             if self.recorder.enabled:
                 self.recorder.inc("router.tree_solve")
             distances, predecessors = self.solve_tree(source)
-            tree = _SourceTree(source, self.epoch, distances, predecessors)
+            tree = _SourceTree(distances, predecessors)
             self._trees[source] = tree
         elif self.recorder.enabled:
             self.recorder.inc("router.tree_hit")
@@ -436,130 +383,54 @@ class OverlayRouter:
         tree.loss_row = loss_row
         return tree
 
-    def _patch_unreachable(self, tree: _SourceTree, node_id: int) -> None:
-        """Mark a crashed leaf destination unreachable without a re-solve.
-
-        Only the entry *for* the leaf changes — it has no children, so no
-        other distance, path, or loss figure depends on it.  The tree's
-        row version is intentionally kept: consumers mask down nodes via
-        liveness, so their cached derivations stay valid.
-        """
-        distances = tree.distances
-        distances.setflags(write=True)
-        distances[node_id] = np.inf
-        distances.setflags(write=False)
-        tree.finite[node_id] = False
-        if tree.loss_row is not None:
-            tree.uplink[node_id] = -1
-            loss_row = tree.loss_row
-            loss_row.setflags(write=True)
-            loss_row[node_id] = 0.0
-            loss_row.setflags(write=False)
-
     # -- liveness (failure injection) -----------------------------------------
 
     @property
     def down_nodes(self) -> frozenset:
         return self._down_nodes
 
-    @hot_path(budget="O(affected × N)")
+    def _new_epoch(self) -> int:
+        """Rebuild the routing graph for the current down sets and drop
+        every cached tree; returns how many were dropped."""
+        dropped = len(self._trees)
+        self.epoch += 1
+        self._build_matrix()
+        self._trees.clear()
+        return dropped
+
+    @hot_path(budget="O(L)")
     def set_down_nodes(self, node_ids: Iterable[int]) -> None:
         """Declare the set of crashed nodes and re-route around them.
 
-        Invalidates only the per-source trees the change can affect
-        (O(affected · N) plus lazy re-solves on demand).  Callers batch
-        co-temporal failure and recovery events into one call (see
+        A changed set starts a new epoch (see :meth:`_new_epoch`); trees
+        re-solve on demand.  Callers batch co-temporal failure and recovery
+        events into one call (see
         :meth:`repro.simulation.failures.FailureInjector.crash_many`).
         """
         down = frozenset(node_ids)
         if down == self._down_nodes:
             return
-        newly_down = down - self._down_nodes
-        newly_up = self._down_nodes - down
         self._down_nodes = down
-        self.epoch += 1
-        self._build_matrix()
-        changed_roots = newly_down | newly_up
-        crashed = (
-            # repro-lint: disable=DET103 -- feeds tree.relay[...].any() only; element order is unobservable
-            np.fromiter(newly_down, dtype=np.int64, count=len(newly_down))
-            if newly_down
-            else None
-        )
-        # any new path via a recovered node enters it through one of its
-        # neighbours, which must already be reachable from the source
-        probe = set(newly_up)
-        for node_id in newly_up:  # repro-lint: disable=DET103 -- accumulates into a set; order is unobservable
-            probe.update(self.network.neighbors(node_id))
-        recovered_probe = (
-            # repro-lint: disable=DET103 -- feeds tree.finite[...].any() only; element order is unobservable
-            np.fromiter(probe, dtype=np.int64, count=len(probe)) if probe else None
-        )
-
-        dropped = 0
-        patched = 0
-        # peek: an invalidation scan must not rewrite recency order
-        # repro-lint: disable=DET103 -- LRUDict.keys() is a list snapshot in deterministic recency order, not hash order
-        # repro-lint: disable=HOT503 -- scans the LRU-bounded tree cache: O(C) with C = tree_cache_size, not O(N)
-        for source in self._trees.keys():
-            tree = self._trees.peek(source)
-            if tree is None:  # pragma: no cover - snapshot, no concurrent evict
-                continue
-            if (
-                source in changed_roots
-                or (crashed is not None and bool(tree.relay[crashed].any()))
-                or (
-                    recovered_probe is not None
-                    and bool(tree.finite[recovered_probe].any())
-                )
-            ):
-                self._trees.pop(source)
-                self._path_cache.pop(source, None)
-                self._qos_cache.pop(source, None)
-                dropped += 1
-            elif crashed is not None:
-                paths = self._path_cache.get(source)
-                qos = self._qos_cache.get(source)
-                tree_patched = False
-                for node_id in sorted(newly_down):
-                    if tree.finite[node_id]:
-                        self._patch_unreachable(tree, node_id)
-                        tree_patched = True
-                    if paths is not None:
-                        paths.pop(node_id, None)
-                    if qos is not None:
-                        qos.pop(node_id, None)
-                if tree_patched:
-                    patched += 1
+        dropped = self._new_epoch()
         if self.recorder.enabled:
             self.recorder.emit(
                 "router.churn",
                 epoch=self.epoch,
                 down=len(down),
                 dropped_trees=dropped,
-                patched_trees=patched,
             )
 
     @property
     def down_links(self) -> frozenset:
         return self._down_links
 
-    @hot_path(budget="O(affected × N)")
+    @hot_path(budget="O(L)")
     def set_down_links(self, link_ids: Iterable[int]) -> None:
         """Declare the set of failed overlay links and re-route around them.
 
-        The per-link analogue of :meth:`set_down_nodes`: it drops only the
-        trees a change can affect:
-
-        * a failed link invalidates a tree only when it is one of the
-          tree's edges (an endpoint is the other's predecessor) — removing
-          an edge no shortest path uses cannot change any answer;
-        * a recovered link invalidates a tree only when the tree already
-          reaches one of its endpoints — the only ways a new edge can
-          shorten or create a path from that source.
-
-        Callers batch co-temporal link failures and recoveries into one
-        call, mirroring the node-churn batching contract.
+        The per-link analogue of :meth:`set_down_nodes`, with the same
+        batching contract.  An unknown link id raises ``ValueError``
+        before any state changes.
         """
         down = frozenset(link_ids)
         if down == self._down_links:
@@ -567,51 +438,8 @@ class OverlayRouter:
         for link_id in sorted(down - self._down_links):
             if not 0 <= link_id < len(self.network.links):
                 raise ValueError(f"unknown overlay link id {link_id}")
-        newly_down = down - self._down_links
-        newly_up = self._down_links - down
         self._down_links = down
-        self.epoch += 1
-        self._build_matrix()
-        failed = (
-            # repro-lint: disable=DET103 -- feeds vectorised any() masks only; element order is unobservable
-            np.fromiter(newly_down, dtype=np.int64, count=len(newly_down))
-            if newly_down
-            else None
-        )
-        recovered_ends = None
-        if newly_up:
-            up = np.fromiter(
-                # repro-lint: disable=DET103 -- feeds tree.finite[...].any() only; element order is unobservable
-                newly_up, dtype=np.int64, count=len(newly_up)
-            )
-            recovered_ends = np.concatenate((self._link_a[up], self._link_b[up]))
-
-        dropped = 0
-        # repro-lint: disable=DET103 -- LRUDict.keys() is a list snapshot in deterministic recency order, not hash order
-        # repro-lint: disable=HOT503 -- scans the LRU-bounded tree cache: O(C) with C = tree_cache_size, not O(N)
-        for source in self._trees.keys():
-            tree = self._trees.peek(source)
-            if tree is None:  # pragma: no cover - snapshot, no concurrent evict
-                continue
-            affected = False
-            if failed is not None:
-                ends_a = self._link_a[failed]
-                ends_b = self._link_b[failed]
-                # tree edge test: the link is used iff one endpoint is the
-                # tree predecessor of the other (and that other is reached)
-                affected = bool(
-                    np.any(
-                        (tree.finite[ends_a] & (tree.predecessors[ends_a] == ends_b))
-                        | (tree.finite[ends_b] & (tree.predecessors[ends_b] == ends_a))
-                    )
-                )
-            if not affected and recovered_ends is not None:
-                affected = bool(tree.finite[recovered_ends].any())
-            if affected:
-                self._trees.pop(source)
-                self._path_cache.pop(source, None)
-                self._qos_cache.pop(source, None)
-                dropped += 1
+        dropped = self._new_epoch()
         if self.recorder.enabled:
             self.recorder.emit(
                 "router.link_churn",
@@ -619,14 +447,6 @@ class OverlayRouter:
                 down=len(down),
                 dropped_trees=dropped,
             )
-
-    def row_version(self, source: int) -> int:
-        """Version of ``source``'s routing rows (the topology epoch its
-        tree was solved at).  Consumers key per-source caches on this so
-        churn rebuilds only the affected columns; entries for down
-        destinations may be patched without a bump and must be masked via
-        node liveness."""
-        return self._tree(source).version
 
     # -- paths -------------------------------------------------------------
 
@@ -645,13 +465,10 @@ class OverlayRouter:
         """
         if node_a == node_b:
             return ()
-        cache = self._path_cache.get(node_a)
-        if cache is None:
-            cache = self._path_cache.setdefault(node_a, {})
-        cached = cache.get(node_b)
+        tree = self._annotated(node_a)
+        cached = tree.paths.get(node_b)
         if cached is not None:
             return cached
-        tree = self._annotated(node_a)
         if not tree.finite[node_b]:
             raise RoutingError(f"no overlay path v{node_a} -> v{node_b}")
         link_ids = []
@@ -662,7 +479,7 @@ class OverlayRouter:
             link_ids.append(int(uplink[current]))
             current = int(predecessors[current])
         path = tuple(reversed(link_ids))
-        cache[node_b] = path
+        tree.paths[node_b] = path
         return path
 
     # -- virtual links -------------------------------------------------------
@@ -677,16 +494,15 @@ class OverlayRouter:
         """
         if node_a == node_b:
             return self._zero_qos
-        cache = self._qos_cache.get(node_a)
-        if cache is None:
-            cache = self._qos_cache.setdefault(node_a, {})
-        cached = cache.get(node_b)
+        tree = self._annotated(node_a)
+        cached = tree.qos.get(node_b)
         if cached is None:
-            if not self.reachable(node_a, node_b):
+            if not tree.finite[node_b]:
                 raise RoutingError(f"no overlay path v{node_a} -> v{node_b}")
-            delay_row, loss_row = self.virtual_link_rows(node_a)
-            cached = QoSVector(float(delay_row[node_b]), float(loss_row[node_b]))
-            cache[node_b] = cached
+            cached = QoSVector(
+                float(tree.distances[node_b]), float(tree.loss_row[node_b])
+            )
+            tree.qos[node_b] = cached
         return cached
 
     def virtual_link_rows(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -697,11 +513,10 @@ class OverlayRouter:
         Unreachable destinations — including crashed ones — have infinite
         delay (loss is left at 0 there; callers must mask on reachability
         or liveness).  Both arrays are **read-only views** of router state,
-        valid until :meth:`row_version` moves for this source; the loss
-        accumulation walks the shortest-path tree in distance order,
-        applying the same raw-space composition ``1 − (1 − a)(1 − b)`` per
-        tree edge that :meth:`virtual_link_qos` folds along the path, so
-        both views agree.
+        valid until :attr:`epoch` moves; the loss accumulation walks the
+        shortest-path tree in distance order, applying the same raw-space
+        composition ``1 − (1 − a)(1 − b)`` per tree edge that
+        :meth:`virtual_link_qos` folds along the path, so both views agree.
         """
         tree = self._annotated(source)
         return tree.distances, tree.loss_row
@@ -727,7 +542,7 @@ class OverlayRouter:
         live residuals.  Entries are ``-inf`` for unreachable destinations
         and ``+inf`` at the source (footnote 8's co-located case).  The
         result is freshly computed — callers cache it keyed on
-        (:meth:`row_version`, their link-state version).
+        (:attr:`epoch`, their link-state version).
         """
         tree = self._annotated(source)
         values = (
@@ -736,13 +551,12 @@ class OverlayRouter:
             else link_available_kbps
         )
         order = tree.order
-        links = tree.uplink[order]
-        # a patched (crashed) leaf has no link and stays unreachable
-        link_values = np.where(links >= 0, values[links], -np.inf)
         row = [-math.inf] * len(self.network)
         row[source] = math.inf
         for destination, parent, value in zip(
-            order.tolist(), tree.predecessors[order].tolist(), link_values.tolist()
+            order.tolist(),
+            tree.predecessors[order].tolist(),
+            values[tree.uplink[order]].tolist(),
         ):
             upstream = row[parent]
             row[destination] = value if value < upstream else upstream

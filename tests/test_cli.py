@@ -1,6 +1,7 @@
 """Tests for the repro-experiments command-line interface."""
 
 import json
+from dataclasses import replace
 from types import MappingProxyType
 
 import pytest
@@ -22,6 +23,10 @@ TINY_SCALE = ExperimentScale(
     sampling_period_s=60.0,
     optimal_max_explored=3000,
 )
+
+#: ``migrate`` runs to the spec fingerprint's horizon: at 240 s neither arm
+#: migrates a session, so both would write the same report
+MIGRATE_SCALE = replace(TINY_SCALE, duration_s=480.0)
 
 #: one point per swept axis of each registry entry, on a light load
 ONE_POINT = {
@@ -131,8 +136,12 @@ class TestRegistry:
         assert set(ONE_POINT) == set(EXPERIMENTS)
 
     @pytest.mark.parametrize("name", list(EXPERIMENTS))
-    def test_entry_runs_end_to_end(self, name, tiny_scale, tmp_path, capsys):
+    def test_entry_runs_end_to_end(self, name, monkeypatch, tmp_path, capsys):
         entry = EXPERIMENTS[name]
+        scale = MIGRATE_SCALE if name == "migrate" else TINY_SCALE
+        monkeypatch.setattr(
+            cli, "SCALES", MappingProxyType({"paper": scale, "fast": scale})
+        )
         argv = _tiny_argv(name, tmp_path)
         assert main(argv) == 0
         assert capsys.readouterr().out.strip()
@@ -143,7 +152,7 @@ class TestRegistry:
         labels = [
             arm.label
             for arm in entry.arms(
-                scale=TINY_SCALE,
+                scale=scale,
                 num_nodes=80,
                 **{flag: getattr(args, flag) for flag in entry.params},
             )
@@ -160,6 +169,9 @@ class TestRegistry:
             if name == "compare":
                 # every algorithm saw the same system and request sequence
                 assert len({payload[label]["total_requests"] for label in labels}) == 1
+            if name == "migrate":
+                # the proactive arm really moved sessions off hot nodes
+                assert payload["proactive+recover"]["sessions_migrated"] > 0
 
     def test_only_cli_options_override(self):
         # every other setting is a constant of the entry's builder

@@ -20,25 +20,29 @@ and recovering nodes (the per-request liveness mask), and random-probing
 (RP) hop selection, whose rng draws index pool positions.
 
 They also pin that per-request scoring state does not outlive one
-``compose()`` call, and that the scorer rejects inputs it cannot score
-instead of answering wrongly.
+``compose()`` call, that the scorer rejects inputs it cannot score
+instead of answering wrongly, and that an exact risk and congestion tie
+between two components falls to the lower component id.
 """
 
 import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from repro.core import ACPComposer
 from repro.core.baselines import RandomProbingComposer
-from repro.core.selection import select_best
+from repro.core.fastscore import LevelPool, _CandidateTable
+from repro.core.selection import RankingPolicy, select_best
 from repro.experiments import EVALUATION_DEPLOYMENT
 from repro.model.qos import QoSVector
 from repro.model.qos_model import LoadDependentQoSModel
 from repro.model.request import StreamRequest, derive_bandwidth_requirements
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.simulation import SystemConfig, build_system
+from tests.conftest import make_component
 from tests.oracles.scalar_scorer import ScalarScorer
 
 CONFIG = SystemConfig(
@@ -250,3 +254,58 @@ def test_fast_scorer_is_shared_and_epoch_keyed():
     # same registry version → the candidate tables were reused, not rebuilt
     for function_id, table in scorer._tables.items():
         assert tables_before.get(function_id) is table
+
+
+def test_bandwidth_rows_follow_the_router_epoch():
+    """A cached stale bandwidth row is rebuilt once churn moves the
+    router's epoch, even though the link state has not changed."""
+    system, context = fresh_context()
+    scorer = context.fast_scorer()
+    router = context.router
+    table = _CandidateTable(context.registry.components(), registry_version=0)
+    link_version = context.global_state.link_version
+
+    def fresh_row(source):
+        return router.bottleneck_bandwidth_row(
+            source, context.global_state.link_available_array
+        )[table.node_ids]
+
+    source = 0
+    before = scorer._bandwidth_row(table, source)
+    assert np.array_equal(before, fresh_row(source))
+    # crash the first neighbour whose loss re-routes some candidate
+    for relay in system.network.neighbors(source):
+        router.set_down_nodes({relay})
+        if not np.array_equal(fresh_row(source), before):
+            break
+    else:
+        pytest.fail("no single crash changes the row")
+    assert context.global_state.link_version == link_version
+    assert np.array_equal(scorer._bandwidth_row(table, source), fresh_row(source))
+
+
+@pytest.mark.parametrize("ranking", list(RankingPolicy))
+def test_select_best_breaks_exact_ties_on_component_id(ranking, catalog):
+    """Two distinct components with equal risk and equal congestion rank
+    by component id, the lower first, whatever their pool order.  No
+    wavefront cell produces such a tie, so only this test pins it."""
+    function = catalog[1]
+    table = _CandidateTable(
+        [make_component(5, function, 0), make_component(2, function, 1)],
+        registry_version=0,
+    )
+    pool = LevelPool(
+        table,
+        probes=[None],
+        predecessors=(),
+        probe_index=np.zeros(2, dtype=np.int64),
+        candidate_index=np.arange(2, dtype=np.int64),
+        risk=np.full(2, 0.4),
+        congestion=np.full(2, 0.3),
+        accumulated_delay=np.full(2, 10.0),
+        accumulated_loss=np.full(2, 0.001),
+        pre_delay=None,
+        pre_loss=None,
+    )
+    (best,) = pool.select_best(1, ranking)
+    assert best.candidate.component_id == 2

@@ -350,6 +350,30 @@ class SuppressionTest(unittest.TestCase):
         found = lint_fixture("topology", "suppressed.py")
         self.assertEqual(found, [("DET103", 24)])
 
+    def test_par002_flags_codes_that_name_no_rule(self):
+        # misspelt and retired codes are reported at the line they anchor
+        # to and silence nothing; real codes and "all" pass
+        found = lint_fixture("topology", "par002_unknown_code.py")
+        self.assertEqual(
+            sorted(found),
+            [("DET103", 7), ("PAR002", 7), ("PAR002", 11), ("PAR002", 16)],
+        )
+        messages = [
+            v.message
+            for v in lint_paths(
+                [fixture("topology", "par002_unknown_code.py")], src_root=FIXTURES
+            ).violations
+            if v.code == "PAR002"
+        ]
+        self.assertEqual(
+            messages,
+            [
+                "suppression names no rule: DTE103",
+                "suppression names no rule: SHR404",
+                "suppression names no rule: NOPE999",
+            ],
+        )
+
     def test_parse_trailing_and_standalone(self):
         source = (
             "x = 1  # repro-lint: disable=DET101\n"

@@ -12,29 +12,34 @@ from tests.conftest import make_request, qv, rv
 
 class TestProbe:
     def test_initial_probe_empty(self, micro_request):
-        probe = ProbeFactory().initial(micro_request, 0.3)
+        probe = ProbeFactory().initial(micro_request)
         assert probe.assignment == {}
-        assert probe.hops == 0
-        assert probe.probing_ratio == 0.3
+        assert probe.accumulated_out == {}
+        assert probe.request is micro_request
 
     def test_spawn_inherits_and_extends(self, micro_request, micro_registry):
         factory = ProbeFactory()
-        parent = factory.initial(micro_request, 0.3)
+        parent = factory.initial(micro_request)
         child = parent.spawn(
-            factory.next_id(),
-            0,
-            micro_registry.component(0),
-            qv(10.0, 0.001),
-            rv(100, 1000),
-            {},
+            factory.next_id(), 0, micro_registry.component(0), qv(10.0, 0.001)
         )
-        assert child.covers(0)
-        assert child.component_of(0).component_id == 0
-        assert child.hops == 1
-        assert child.parent_id == parent.probe_id
-        assert child.collected_node_state[0] == rv(100, 1000)
-        # parent untouched
-        assert parent.assignment == {}
+        grandchild = child.spawn(
+            factory.next_id(), 1, micro_registry.component(1), qv(20.0, 0.002)
+        )
+        assert child.request is micro_request
+        assert child.probe_id != parent.probe_id
+        assert child.assignment[0].component_id == 0
+        assert child.accumulated_out == {0: qv(10.0, 0.001)}
+        # the grandchild inherits its parent's placement and extends it
+        assert grandchild.assignment[0] is child.assignment[0]
+        assert grandchild.assignment[1].component_id == 1
+        assert grandchild.accumulated_out == {
+            0: qv(10.0, 0.001),
+            1: qv(20.0, 0.002),
+        }
+        # parents untouched
+        assert parent.assignment == {} and parent.accumulated_out == {}
+        assert list(child.assignment) == [0]
 
 
 class TestACPComposition:

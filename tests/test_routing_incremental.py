@@ -1,13 +1,16 @@
-"""Differential tests for incremental routing under churn.
+"""Differential tests for routing under churn.
 
-The tentpole claim of the incremental router is that dirty-set
-invalidation is *exact*: after any crash/recovery sequence, every answer
-an incrementally-maintained router gives — distances, loss rows, paths,
-QoS, bottleneck bandwidth, reachability — is identical to one computed by
-a router freshly constructed with the same down set.  Random meshes draw
-delays from a continuous distribution, so shortest paths are unique and
-the comparison can demand exact equality.  ``test_routing_differential``
-checks fresh routers against networkx under the same kinds of churn.
+A routing tree is valid for one topology epoch: every change to the down
+sets drops the router's cached trees, together with the paths and QoS
+cached on them, and the next query re-solves.  So after any crash,
+recovery or link-flap sequence, every answer a churned router gives —
+distances, loss rows, paths, QoS, bottleneck bandwidth, reachability —
+must be identical to one computed by a router freshly constructed with
+the same down sets; the differentials below pin that no cache outlives an
+epoch.  Random meshes draw delays from a continuous distribution, so
+shortest paths are unique and the comparison can demand exact equality.
+``test_routing_differential`` checks fresh routers against networkx
+under the same kinds of churn.
 """
 
 import random
@@ -77,8 +80,8 @@ def test_incremental_matches_fresh_router_under_churn(seed):
     incremental = OverlayRouter(network)
     rng = random.Random(seed * 31 + 7)
     for down in random_churn_sequence(rng, len(network), steps=6):
-        # warm a few trees/caches *before* the event so invalidation — not
-        # cold recomputation — is what the comparison exercises
+        # warm a few trees *before* the event, so a cache that outlived
+        # its epoch would show in the comparison
         for source in rng.sample(range(len(network)), k=4):
             if source in down:
                 continue
@@ -107,8 +110,8 @@ def random_link_churn_sequence(rng, num_links, steps):
 @given(st.integers(min_value=0, max_value=400))
 @settings(max_examples=15, deadline=None)
 def test_incremental_matches_fresh_router_under_link_churn(seed):
-    """Per-link dirty-set invalidation is exact: after any link flap
-    sequence the incremental router answers like a freshly-built one."""
+    """After any link flap sequence the router answers like a freshly
+    built one."""
     network = random_mesh(seed, num_nodes=12, extra_edges=8)
     incremental = OverlayRouter(network)
     rng = random.Random(seed * 17 + 3)
@@ -126,7 +129,7 @@ def test_incremental_matches_fresh_router_under_link_churn(seed):
 @settings(max_examples=10, deadline=None)
 def test_incremental_matches_under_mixed_node_and_link_churn(seed):
     """Interleaved node crashes and link flaps — the full fault cocktail's
-    routing view — must stay exact under incremental maintenance."""
+    routing view — must answer like a freshly built router."""
     network = random_mesh(seed, num_nodes=12, extra_edges=8)
     incremental = OverlayRouter(network)
     rng = random.Random(seed * 13 + 5)
@@ -174,6 +177,55 @@ def test_incremental_matches_under_bandwidth_churn(seed):
                     ) == fresh.available_bandwidth(a, b)
 
 
+class TestTreeLifetime:
+    """Every cached tree belongs to the current epoch."""
+
+    @staticmethod
+    def _warm(router, network):
+        """Cache every source's tree, with a path and a QoS answer on it."""
+        for source in range(len(network)):
+            router.virtual_link_rows(source)
+            dest = (source + 1) % len(network)
+            if router.reachable(source, dest):
+                router.overlay_path(source, dest)
+                router.virtual_link_qos(source, dest)
+        assert router.cached_tree_count == len(network)
+
+    @pytest.mark.parametrize("kind", ["nodes", "links"])
+    def test_changed_down_set_drops_every_tree(self, kind):
+        network = random_mesh(4, num_nodes=10, extra_edges=6)
+        router = OverlayRouter(network)
+        set_down = getattr(router, f"set_down_{kind}")
+        self._warm(router, network)
+        epoch = router.epoch
+        set_down({3})
+        assert router.cached_tree_count == 0
+        assert router.epoch == epoch + 1
+        # the same set again is no topology change: nothing moves
+        self._warm(router, network)
+        set_down({3})
+        assert router.cached_tree_count == len(network)
+        assert router.epoch == epoch + 1
+        # recovery is a change like any other
+        set_down(set())
+        assert router.cached_tree_count == 0
+        assert router.epoch == epoch + 2
+
+    def test_unknown_link_id_changes_nothing(self):
+        network = random_mesh(4, num_nodes=10, extra_edges=6)
+        router = OverlayRouter(network)
+        router.set_down_links({0})
+        self._warm(router, network)
+        epoch = router.epoch
+        with pytest.raises(ValueError):
+            router.set_down_links({0, 1, len(network.links)})
+        with pytest.raises(ValueError):
+            router.set_down_links({-1})
+        assert router.down_links == frozenset({0})
+        assert router.epoch == epoch
+        assert router.cached_tree_count == len(network)
+
+
 class TestRowContracts:
     def test_virtual_link_rows_are_read_only(self):
         network = random_mesh(3)
@@ -184,34 +236,6 @@ class TestRowContracts:
         with pytest.raises(ValueError):
             loss_row[1] = 0.0
 
-    def test_leaf_crash_patches_without_version_bump(self):
-        """A crash that only prunes leaves keeps surviving trees' versions
-        (consumers' cached columns stay valid) while still reading the
-        crashed node as unreachable."""
-        network = random_mesh(7, num_nodes=12, extra_edges=8)
-        router = OverlayRouter(network)
-        # find a node that is a leaf in every warmed tree
-        for source in range(len(network)):
-            router.virtual_link_rows(source)
-        leaf = None
-        for candidate in range(1, len(network)):
-            if all(
-                not router._trees[s].relay[candidate]
-                for s in range(len(network))
-                if s != candidate
-            ):
-                leaf = candidate
-                break
-        if leaf is None:
-            pytest.skip("mesh has no universal leaf at this seed")
-        versions = {
-            s: router.row_version(s) for s in range(len(network)) if s != leaf
-        }
-        router.set_down_nodes({leaf})
-        for s, version in versions.items():
-            assert router.row_version(s) == version
-            assert not router.reachable(s, leaf)
-
     def test_recovery_bumps_affected_versions(self):
         network = random_mesh(11, num_nodes=10, extra_edges=6)
         router = OverlayRouter(network)
@@ -219,7 +243,7 @@ class TestRowContracts:
             router.virtual_link_rows(source)
         router.set_down_nodes({4})
         router.set_down_nodes(set())  # recovery can create shortcuts
-        # every tree that could reach a neighbour of v4 must have re-solved
+        # every tree solved while v4 was down must have been dropped
         fresh = OverlayRouter(network)
         for source in range(len(network)):
             inc_delay, _ = router.virtual_link_rows(source)
