@@ -18,6 +18,7 @@ import random
 from repro.core import ACPComposer
 from repro.simulation import (
     FailureInjector,
+    FaultPlan,
     RateSchedule,
     StreamProcessingSimulator,
     SystemConfig,
@@ -25,6 +26,9 @@ from repro.simulation import (
     build_system,
 )
 from repro.discovery import DeploymentProfile
+
+#: request arrival rate of both runs, in requests per minute
+RATE_PER_MIN = 25.0
 
 
 def run(with_failures: bool):
@@ -40,14 +44,16 @@ def run(with_failures: bool):
         injector = FailureInjector(
             system.network,
             system.router,
-            fail_probability=0.03,  # per node per minute round
-            recover_probability=0.5,
-            period_s=60.0,
+            plan=FaultPlan(
+                node_fail_probability=0.03,  # per node per minute round
+                node_recover_probability=0.5,
+                period_s=60.0,
+            ),
             rng=random.Random(22),
         )
     workload = WorkloadGenerator(
         system.templates,
-        RateSchedule.constant(25.0),
+        RateSchedule.constant(RATE_PER_MIN),
         num_client_routers=config.num_routers,
         seed=23,
     )
@@ -62,7 +68,8 @@ def run(with_failures: bool):
 
 
 def main() -> None:
-    print("running 30 simulated minutes at 40 requests/min, twice...\n")
+    print(f"running 30 simulated minutes at {RATE_PER_MIN:.0f} requests/min, "
+          f"twice...\n")
     stable, _ = run(with_failures=False)
     churned, injector = run(with_failures=True)
 
@@ -70,8 +77,13 @@ def main() -> None:
     recoveries = [e for e in injector.events if e.kind == "recover"]
     print(f"churn injected: {len(crashes)} crashes, {len(recoveries)} "
           f"recoveries, {injector.sessions_killed} running sessions killed")
-    print(f"worst simultaneous outage: "
-          f"{max((len(injector.down_nodes),)) } nodes down at the end, "
+    # replay the event log: each round records recoveries before crashes,
+    # so the running count peaks where the outage really did
+    down = peak = 0
+    for event in injector.events:
+        down += {"crash": 1, "recover": -1}.get(event.kind, 0)
+        peak = max(peak, down)
+    print(f"worst simultaneous outage: {peak} nodes down at once, "
           f"cap {injector.max_concurrent_failures}")
     # a killed session consumed resources and still failed its user: count
     # *completed* service, not just composition admissions

@@ -128,11 +128,6 @@ class ResourceAllocator:
         ledger.expires_at = now + self.transient_timeout_s
         return True
 
-    def has_reservation(self, request_id: int, component_id: int) -> bool:
-        """Whether (request, component) already holds a reservation."""
-        ledger = self._ledgers.get(request_id)
-        return ledger is not None and component_id in ledger.holdings
-
     def available_excluding(self, request_id: int, node_id: int) -> ResourceVector:
         """A node's availability with this request's own transient holdings
         added back — the "current available resources" figure Fig. 4's

@@ -35,7 +35,7 @@ experiment report.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 from repro.analysis.violations import Violation
 

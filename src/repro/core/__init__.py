@@ -6,7 +6,6 @@ evaluation compares against.
 """
 
 from repro.core.acp import ACPComposer
-from repro.core.bounded import BoundedProbingComposer
 from repro.core.baselines import (
     RandomComposer,
     RandomProbingComposer,
@@ -48,7 +47,6 @@ from repro.core.tuning_pid import PIDRatioTuner
 
 __all__ = [
     "ACPComposer",
-    "BoundedProbingComposer",
     "Composer",
     "CompositionContext",
     "CompositionEvaluator",

@@ -57,8 +57,3 @@ class ACPComposer(ProbingComposer):
         """Drive the probing ratio from an adaptive tuner (Section 3.4)."""
         self.tuner = tuner
         self._ratio_provider = tuner.current_ratio
-
-    def detach_tuner(self) -> None:
-        """Return to the fixed probing ratio."""
-        self.tuner = None
-        self._ratio_provider = None

@@ -39,7 +39,6 @@ from repro.model.qos_model import LoadDependentQoSModel
 from repro.model.request import StreamRequest
 from repro.model.resources import ResourceVector
 from repro.state.global_state import GlobalStateManager
-from repro.state.local_state import LocalStateProvider
 from repro.topology.overlay import OverlayNetwork
 from repro.topology.routing import OverlayRouter
 
@@ -62,7 +61,6 @@ class CompositionContext:
     registry: ComponentRegistry
     allocator: ResourceAllocator
     global_state: GlobalStateManager
-    local_state: LocalStateProvider
     rng: random.Random
     clock: Callable[[], float] = lambda: 0.0
     #: observability sink shared by every composer on this context; the

@@ -136,7 +136,7 @@ class ProbingComposer(Composer):
                     probe_messages=probe_messages,
                     explored=explored,
                 )
-            budget = self._function_budget(request, ratio, len(candidates))
+            budget = probe_budget(ratio, len(candidates))
             predecessors = graph.predecessors(function_index)
             requirement = request.requirement_for(function_index)
             input_rate = rates[function_index]
@@ -228,16 +228,6 @@ class ProbingComposer(Composer):
                 explored=outcome.explored,
             )
         return outcome
-
-    def _function_budget(
-        self, request: StreamRequest, ratio: float, candidate_count: int
-    ) -> int:
-        """How many candidates to probe for one function: M = ⌈α·k⌉.
-
-        Subclasses may bound differently (see
-        :class:`~repro.core.bounded.BoundedProbingComposer`).
-        """
-        return probe_budget(ratio, candidate_count)
 
     # -- probe travel ----------------------------------------------------------
 

@@ -191,9 +191,3 @@ class ProbingRatioTuner:
             if prediction is None or prediction >= target - self.tolerance:
                 return max(self.base_ratio, lower)
         return current
-
-    # -- profiling sweep (used to regenerate Fig. 5-style mappings) -----------------
-
-    def profile_points(self) -> Tuple[Tuple[float, float], ...]:
-        """The learned (ratio, success rate) mapping, sorted by ratio."""
-        return tuple(sorted(self._profile.items()))

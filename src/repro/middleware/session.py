@@ -254,19 +254,6 @@ class SessionManager:
                 lifetime_s=self.clock() - session.created_at,
             )
 
-    def close_if_open(self, session_id: int) -> bool:
-        """Close the session if it is still in the table; False otherwise.
-
-        A session may already be gone because a node crash terminated it.
-        Raises :class:`SessionError` on a ``RECOVERING`` session — it is
-        neither open nor gone; callers that must tolerate the race use
-        :meth:`close_or_abandon`.
-        """
-        if session_id not in self._sessions:
-            return False
-        self.close(session_id)
-        return True
-
     def close_or_abandon(self, session_id: int) -> bool:
         """End-of-lifetime close that tolerates every session state.
 

@@ -6,11 +6,11 @@ graph (ξ), (2) QoS requirements (Q^req), and (3) resource requirements
 
 :class:`StreamRequest` bundles those three together with the workload
 attributes the simulator needs (arrival time, session duration, source
-stream rate, and the client's attachment point used to pick the deputy
-node).  Resource requirements are per function placement — the resources the
-selected component will consume on its host — and per dependency link — the
-bandwidth the stream consumes on the virtual link, which defaults to being
-derived from the stream rate.
+stream rate) and the client's attachment router.  Resource requirements
+are per function placement — the resources the selected component will
+consume on its host — and per dependency link — the bandwidth the stream
+consumes on the virtual link, which defaults to being derived from the
+stream rate.
 """
 
 from __future__ import annotations
@@ -42,9 +42,12 @@ class StreamRequest:
         stream_rate: Source stream rate in data units per second.
         arrival_time: Simulated arrival time in seconds.
         duration: Session length in seconds (paper: 5 to 15 minutes).
-        client_router_id: IP router the requesting client attaches to; the
-            composition protocol redirects the request to the closest stream
-            processing node, the *deputy* (Section 3.3).
+        client_router_id: IP router the requesting client attaches to.  No
+            code reads it: which node acts as the deputy (Section 3.3) is
+            not modelled.  The workload still draws it for every request
+            (and a population's regional events rewrite it), because
+            removing the draw would shift every later draw of the workload
+            stream and change every committed result.
         required_attributes: Capability tags every selected component must
             advertise (e.g. a security level or licence class) — the
             application-specific constraints of the paper's future-work

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.model.function_graph import FunctionGraph
 from repro.model.functions import FunctionCatalog, StreamFunction
@@ -117,11 +117,3 @@ class TemplateLibrary:
         back to process-global entropy, so same-seed runs replay exactly.
         """
         return self._templates[rng.randrange(len(self._templates))]
-
-    def functions_used(self) -> Tuple[StreamFunction, ...]:
-        """Distinct functions referenced by any template."""
-        seen = {}
-        for template in self._templates:
-            for node in template.graph.nodes:
-                seen[node.function.function_id] = node.function
-        return tuple(seen[k] for k in sorted(seen))

@@ -29,7 +29,7 @@ a final registry snapshot) and ``repro-experiments trace-summary`` folds
 a file back into the evaluation's series.
 """
 
-from repro.observability.hotpath import declared_budget, hot_path
+from repro.observability.hotpath import hot_path
 from repro.observability.export import (
     REGISTRY_KIND,
     format_trace_summary,
@@ -62,7 +62,6 @@ __all__ = [
     "REGISTRY_KIND",
     "TraceEvent",
     "TraceRecorder",
-    "declared_budget",
     "format_trace_summary",
     "hot_path",
     "read_trace",

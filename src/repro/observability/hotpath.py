@@ -41,9 +41,3 @@ def hot_path(budget: str) -> Callable[[F], F]:
         return func
 
     return mark
-
-
-def declared_budget(func: Callable[..., Any]) -> str | None:
-    """The budget a callable declared via :func:`hot_path`, if any."""
-    value = getattr(func, BUDGET_ATTRIBUTE, None)
-    return value if isinstance(value, str) else None

@@ -37,8 +37,6 @@ from repro.simulation.workload import (
     QOS_LEVELS,
     QoSLevel,
     RateSchedule,
-    RecordingWorkload,
-    ReplayWorkload,
     WorkloadGenerator,
     WorkloadProfile,
     WorkloadSource,
@@ -70,8 +68,6 @@ __all__ = [
     "SystemConfig",
     "build_system",
     "WorkloadGenerator",
-    "RecordingWorkload",
-    "ReplayWorkload",
     "WorkloadProfile",
     "RateSchedule",
     "QoSLevel",

@@ -194,30 +194,13 @@ class FailureInjector:
         self,
         network: OverlayNetwork,
         router: OverlayRouter,
-        fail_probability: float = 0.01,
-        recover_probability: float = 0.5,
-        period_s: float = 60.0,
-        max_concurrent_failures: Optional[int] = None,
+        plan: FaultPlan,
         rng: Optional[random.Random] = None,
         recorder: Recorder = NULL_RECORDER,
-        plan: Optional[FaultPlan] = None,
     ) -> None:
-        if plan is None:
-            # legacy constructor shape: node churn only
-            plan = FaultPlan(
-                node_fail_probability=fail_probability,
-                node_recover_probability=recover_probability,
-                period_s=period_s,
-                max_concurrent_failures=max_concurrent_failures,
-            )
         self.plan = plan
         self.network = network
         self.router = router
-        self.fail_probability = plan.node_fail_probability
-        self.recover_probability = plan.node_recover_probability
-        self.link_fail_probability = plan.link_fail_probability
-        self.link_recover_probability = plan.link_recover_probability
-        self.period_s = plan.period_s
         self.max_concurrent_failures = (
             plan.max_concurrent_failures
             if plan.max_concurrent_failures is not None
@@ -400,10 +383,11 @@ class FailureInjector:
         plan replays the historical churn schedule byte-for-byte.  The
         concurrency cap bounds nodes and links combined.
         """
+        plan = self.plan
         events: List[FailureEvent] = []
         # recoveries first (a node cannot crash and recover the same round)
         for node_id in sorted(self._down):
-            if self.rng.random() < self.recover_probability:
+            if self.rng.random() < plan.node_recover_probability:
                 self.network.node(node_id).recover()
                 self._down.discard(node_id)
                 events.append(FailureEvent(now, node_id, "recover"))
@@ -412,7 +396,7 @@ class FailureInjector:
                 continue
             if self.concurrent_failures >= self.max_concurrent_failures:
                 break
-            if self.rng.random() < self.fail_probability:
+            if self.rng.random() < plan.node_fail_probability:
                 killed = 0
                 if sessions is not None:
                     killed = sessions.terminate_sessions_using_node(node.node_id)
@@ -425,20 +409,20 @@ class FailureInjector:
 
         # link phases draw no randomness unless link faults are in play,
         # so a node-only plan replays the historical churn schedule exactly
-        if self.link_fail_probability > 0.0 or self._down_links:
+        if plan.link_fail_probability > 0.0 or self._down_links:
             link_changed = False
             for link_id in sorted(self._down_links):
-                if self.rng.random() < self.link_recover_probability:
+                if self.rng.random() < plan.link_recover_probability:
                     self._down_links.discard(link_id)
                     link_changed = True
                     events.append(FailureEvent(now, -1, "link_up", link_id=link_id))
-            if self.link_fail_probability > 0.0:
+            if plan.link_fail_probability > 0.0:
                 for link in self.network.links:
                     if link.link_id in self._down_links:
                         continue
                     if self.concurrent_failures >= self.max_concurrent_failures:
                         break
-                    if self.rng.random() < self.link_fail_probability:
+                    if self.rng.random() < plan.link_fail_probability:
                         killed = 0
                         if sessions is not None:
                             killed = sessions.terminate_sessions_using_link(

@@ -39,8 +39,7 @@ from repro.model.request import StreamRequest
 from repro.simulation.workload import WorkloadGenerator
 
 #: arrival-time sentinel far beyond any simulation horizon, returned when
-#: the population rate stays zero for an implausibly long walk (matches
-#: ReplayWorkload's exhaustion sentinel)
+#: the population rate stays zero for an implausibly long walk
 FAR_FUTURE_S = 1e12
 
 #: give up walking rate boundaries after this much simulated time with no
@@ -101,19 +100,6 @@ class DiurnalCurve:
         for _t, multiplier in self.points:
             if multiplier < 0.0:
                 raise ValueError(f"multipliers must be non-negative: {multiplier}")
-
-    @classmethod
-    def day_night(
-        cls,
-        trough: float = 0.2,
-        peak: float = 1.0,
-        trough_time_s: float = 4.0 * 3600.0,
-        peak_time_s: float = 15.0 * 3600.0,
-        period_s: float = 86400.0,
-    ) -> "DiurnalCurve":
-        """The classic diurnal shape: quiet pre-dawn, busy mid-afternoon."""
-        points = sorted(((trough_time_s, trough), (peak_time_s, peak)))
-        return cls(tuple(points), period_s=period_s)
 
     def multiplier_at(self, time_s: float) -> float:
         """Linearly interpolated multiplier at ``time_s`` (periodic)."""
@@ -275,11 +261,6 @@ class PopulationProfile:
         if multiplier <= 0.0:
             raise ValueError(f"multiplier must be positive: {multiplier}")
         return replace(self, mean_active_users=self.mean_active_users * multiplier)
-
-    @property
-    def mean_rate_per_min(self) -> float:
-        """Expected aggregate rate before diurnal/event modulation."""
-        return self.mean_active_users * self.requests_per_user_per_min
 
 
 def _never_arrives(profile: PopulationProfile) -> bool:

@@ -251,7 +251,7 @@ class StreamProcessingSimulator:
             self.sampling_period_s, self._on_sampling_tick, name="sampling"
         )
         aggregating = self.scheduler.schedule_periodic(
-            self.system.config.aggregation_period_s,
+            aggregation.period_s,
             self._on_aggregation_round,
             name="aggregation",
         )
@@ -270,7 +270,7 @@ class StreamProcessingSimulator:
         failing = None
         if self.failures is not None:
             failing = self.scheduler.schedule_periodic(
-                self.failures.period_s, self._on_failure_round, name="failures"
+                self.failures.plan.period_s, self._on_failure_round, name="failures"
             )
         self.scheduler.run_until(duration_s)
         sampling.cancel()

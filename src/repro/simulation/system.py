@@ -22,10 +22,8 @@ from repro.discovery.registry import ComponentRegistry
 from repro.model.functions import FunctionCatalog
 from repro.model.templates import TemplateLibrary
 from repro.observability import NULL_RECORDER, Recorder
-from repro.state.aggregation import AggregationManager, RotationPolicy
+from repro.state.aggregation import AggregationManager
 from repro.state.global_state import GlobalStateManager
-from repro.state.local_state import LocalStateProvider
-from repro.topology.deputy import DeputySelector
 from repro.topology.ip_network import IPNetwork
 from repro.topology.overlay import OverlayNetwork, build_overlay_network
 from repro.topology.neighborhood import resolve_prune_k
@@ -39,8 +37,14 @@ class SystemConfig:
 
     Defaults reproduce Section 4.1: a 3200-router power-law IP network,
     N stream processing nodes in a K-neighbour overlay mesh, 80 functions,
-    20 application templates, coarse-grain state updates at a 10 % drift
-    threshold, and a 10-minute aggregation period.
+    20 application templates, and coarse-grain state updates at a 10 %
+    drift threshold.  The section's other values are the defaults of the
+    constructors ``build_system`` calls: the power-law exponent 2.2
+    (``PowerLawTopologyGenerator``), overlay link bandwidths of
+    20–100 Mbps (``build_overlay_network``), half the templates as DAGs
+    (``TemplateLibrary``), a 10-minute aggregation period
+    (``AggregationManager``) and a 10 s transient-reservation timeout
+    (``ResourceAllocator``).
     """
 
     num_routers: int = 3200
@@ -50,14 +54,8 @@ class SystemConfig:
     num_formats: int = 3
     num_templates: int = 20
     template_path_length: Tuple[int, int] = (2, 5)
-    template_dag_fraction: float = 0.5
     deployment: DeploymentProfile = field(default_factory=DeploymentProfile)
-    powerlaw_exponent: float = 2.2
-    overlay_bandwidth_kbps: Tuple[float, float] = (20_000.0, 100_000.0)
     state_threshold_fraction: float = 0.1
-    aggregation_period_s: float = 600.0
-    aggregation_policy: RotationPolicy = RotationPolicy.ROUND_ROBIN
-    transient_timeout_s: float = 10.0
     #: bound on the router's per-source tree/path/QoS caches: router memory
     #: is O(router_cache_size × N) instead of O(N²).  The default exceeds
     #: the paper's 600-node scale, so paper-scale runs never evict and
@@ -86,9 +84,6 @@ class SystemConfig:
         default=None, compare=False, repr=False
     )
 
-    def with_seed(self, seed: int) -> "SystemConfig":
-        return replace(self, seed=seed)
-
     def with_nodes(self, num_nodes: int) -> "SystemConfig":
         return replace(self, num_nodes=num_nodes)
 
@@ -106,20 +101,10 @@ class StreamSystem:
     registry: ComponentRegistry
     global_state: GlobalStateManager
     aggregation: AggregationManager
-    local_state: LocalStateProvider
     allocator: ResourceAllocator
-    _deputy_selector: Optional[DeputySelector] = None
     #: the recorder the system was built with (the null singleton unless
     #: the config asked for tracing)
     recorder: Recorder = NULL_RECORDER
-
-    @property
-    def deputy_selector(self) -> DeputySelector:
-        """Closest-node deputy lookup (built lazily — it precomputes a
-        nodes x routers delay matrix)."""
-        if self._deputy_selector is None:
-            self._deputy_selector = DeputySelector(self.ip_network, self.network)
-        return self._deputy_selector
 
     def composition_context(
         self,
@@ -134,7 +119,6 @@ class StreamSystem:
             registry=self.registry,
             allocator=self.allocator,
             global_state=self.global_state,
-            local_state=self.local_state,
             rng=rng or random.Random(self.config.seed + 1),
             clock=clock,
             recorder=recorder or self.recorder,
@@ -168,12 +152,10 @@ def build_system(config: SystemConfig) -> StreamSystem:
         catalog,
         size=config.num_templates,
         path_length_range=config.template_path_length,
-        dag_fraction=config.template_dag_fraction,
         seed=config.seed * 7 + 1,
     )
     router_graph = PowerLawTopologyGenerator(
         num_routers=config.num_routers,
-        exponent=config.powerlaw_exponent,
         seed=config.seed * 7 + 2,
     ).generate()
     ip_network = IPNetwork(router_graph)
@@ -181,7 +163,6 @@ def build_system(config: SystemConfig) -> StreamSystem:
         ip_network,
         num_nodes=config.num_nodes,
         neighbors_per_node=config.neighbors_per_node,
-        bandwidth_range_kbps=config.overlay_bandwidth_kbps,
         rng=random.Random(config.seed * 7 + 3),
     )
     overlay_router = OverlayRouter(
@@ -193,16 +174,8 @@ def build_system(config: SystemConfig) -> StreamSystem:
     global_state = GlobalStateManager(
         network, threshold_fraction=config.state_threshold_fraction
     )
-    aggregation = AggregationManager(
-        network,
-        global_state,
-        policy=config.aggregation_policy,
-        period_s=config.aggregation_period_s,
-    )
-    local_state = LocalStateProvider(network)
-    allocator = ResourceAllocator(
-        network, overlay_router, transient_timeout_s=config.transient_timeout_s
-    )
+    aggregation = AggregationManager(network, global_state)
+    allocator = ResourceAllocator(network, overlay_router)
     return StreamSystem(
         config=config,
         catalog=catalog,
@@ -213,7 +186,6 @@ def build_system(config: SystemConfig) -> StreamSystem:
         registry=registry,
         global_state=global_state,
         aggregation=aggregation,
-        local_state=local_state,
         allocator=allocator,
         recorder=recorder,
     )

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, List, Mapping, Optional, Protocol, Tuple
+from typing import Mapping, Optional, Protocol, Tuple
 
 from repro.model.function_graph import FunctionGraph
 from repro.model.qos import QoSVector
@@ -34,9 +34,9 @@ from repro.model.templates import TemplateLibrary
 
 class WorkloadSource(Protocol):
     """The duck type the simulator consumes: an arrival process plus a
-    request factory.  :class:`WorkloadGenerator`, :class:`RecordingWorkload`,
-    :class:`ReplayWorkload`, and ``repro.simulation.population``'s
-    :class:`~repro.simulation.population.PopulationWorkload` all satisfy it.
+    request factory.  :class:`WorkloadGenerator` and
+    ``repro.simulation.population``'s
+    :class:`~repro.simulation.population.PopulationWorkload` satisfy it.
     """
 
     def next_interarrival(self, now_s: float) -> float:
@@ -257,117 +257,3 @@ class WorkloadGenerator:
         )
         self._next_request_id += 1
         return request
-
-    def requests_until(self, end_time_s: float) -> Iterator[StreamRequest]:
-        """Generate the full arrival sequence up to a horizon (offline use;
-        the simulator schedules arrivals one at a time instead)."""
-        now = 0.0
-        while True:
-            now += self.next_interarrival(now)
-            if now > end_time_s:
-                return
-            yield self.make_request(now)
-
-
-class RecordingWorkload:
-    """Wraps a workload and records what it emitted, for trace replay.
-
-    Section 3.4's on-line profiling wants "the trace replay of actual
-    workloads in the last sampling period" so that profile points are
-    measured under representative conditions.  Wrap the live generator in
-    this recorder, then hand :meth:`trace_since` to a
-    :class:`ReplayWorkload`.
-
-    Arrivals are monotone, so :meth:`trace_since` bisects on arrival time
-    instead of re-scanning the whole history; an optional ``retention_s``
-    horizon drops records older than ``newest_arrival - retention_s`` so
-    long runs hold one sampling period's worth of trace, not the whole
-    run's.
-    """
-
-    def __init__(
-        self, inner: WorkloadSource, retention_s: Optional[float] = None
-    ) -> None:
-        if retention_s is not None and retention_s <= 0.0:
-            raise ValueError(f"retention must be positive: {retention_s}")
-        self.inner = inner
-        self.retention_s = retention_s
-        self._trace: List[StreamRequest] = []
-        # parallel arrival-time list for bisecting (arrivals are monotone)
-        self._times: List[float] = []
-
-    def next_interarrival(self, now_s: float) -> float:
-        return self.inner.next_interarrival(now_s)
-
-    def make_request(self, arrival_time: float) -> StreamRequest:
-        request = self.inner.make_request(arrival_time)
-        self._trace.append(request)
-        self._times.append(request.arrival_time)
-        if self.retention_s is not None:
-            cutoff = request.arrival_time - self.retention_s
-            drop = bisect_left(self._times, cutoff)
-            if drop > 0:
-                del self._trace[:drop]
-                del self._times[:drop]
-        return request
-
-    def __len__(self) -> int:
-        return len(self._trace)
-
-    @property
-    def trace(self) -> Tuple[StreamRequest, ...]:
-        return tuple(self._trace)
-
-    def trace_since(self, start_time_s: float) -> Tuple[StreamRequest, ...]:
-        """Requests that arrived at or after ``start_time_s`` (one sampling
-        period's worth, typically)."""
-        index = bisect_left(self._times, start_time_s)
-        return tuple(self._trace[index:])
-
-
-class ReplayWorkload:
-    """Replays a recorded request trace with its original inter-arrivals.
-
-    Presents the same duck-typed interface the simulator consumes
-    (``next_interarrival`` / ``make_request``).  Arrival times are shifted
-    so the first request of the trace arrives after its original gap from
-    ``trace_start``; when the trace is exhausted the replay raises —
-    callers size the simulation horizon to the trace (see
-    :meth:`horizon`).
-    """
-
-    def __init__(
-        self, trace: Iterable[StreamRequest], trace_start_s: float = 0.0
-    ) -> None:
-        self._trace = list(trace)
-        if not self._trace:
-            raise ValueError("cannot replay an empty trace")
-        self.trace_start_s = trace_start_s
-        self._cursor = 0
-        base = trace_start_s
-        self._offsets = []
-        previous = base
-        for request in self._trace:
-            self._offsets.append(max(0.0, request.arrival_time - previous))
-            previous = request.arrival_time
-
-    def __len__(self) -> int:
-        return len(self._trace)
-
-    def horizon(self) -> float:
-        """Replay duration: the original span of the trace (seconds)."""
-        return self._trace[-1].arrival_time - self.trace_start_s
-
-    def next_interarrival(self, now_s: float) -> float:
-        if self._cursor >= len(self._trace):
-            # past the trace: push the next arrival beyond any sane horizon
-            # so the simulator's run_until() ends the replay cleanly
-            return float(1e12)
-        return self._offsets[self._cursor]
-
-    def make_request(self, arrival_time: float) -> StreamRequest:
-        if self._cursor >= len(self._trace):
-            raise IndexError("replay trace exhausted")
-        original = self._trace[self._cursor]
-        self._cursor += 1
-        return replace(original, arrival_time=arrival_time)

@@ -1,18 +1,14 @@
 """Hierarchical state management (paper Section 3.2).
 
-Fine-grain precise local state per node, coarse-grain threshold-triggered
-global state, and the rotating virtual-link aggregation role.
+Coarse-grain threshold-triggered global state and the periodic
+virtual-link aggregation round.  Probes read each node's precise local
+state from the live node and link entities, so it needs no module here.
 """
 
-from repro.state.aggregation import AggregationManager, RotationPolicy
+from repro.state.aggregation import AggregationManager
 from repro.state.global_state import GlobalStateManager
-from repro.state.local_state import LocalStateError, LocalStateProvider, LocalStateView
 
 __all__ = [
     "AggregationManager",
-    "RotationPolicy",
     "GlobalStateManager",
-    "LocalStateProvider",
-    "LocalStateView",
-    "LocalStateError",
 ]

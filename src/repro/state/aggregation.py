@@ -1,4 +1,4 @@
-"""Virtual-link state aggregation with a rotating aggregation node.
+"""Virtual-link state aggregation: the periodic dissemination round.
 
 Section 3.2: "we select one node (e.g., the least loaded node) as the
 aggregation node to calculate the states of all virtual links.  All other
@@ -9,83 +9,39 @@ pairs of nodes in the overlay mesh at large time interval (e.g., 10
 minutes).  For load sharing, we switch the aggregation role among all
 system nodes (e.g., round robin or least loaded first)."
 
-:class:`AggregationManager` models the role and its costs.  The *content*
-of the aggregation (bottleneck-over-stale-links) lives in
+:class:`AggregationManager` models the role's message cost.  The
+*content* of the aggregation (bottleneck-over-stale-links) lives in
 :meth:`GlobalStateManager.virtual_link_available_kbps`; what this class
-adds is (a) which node currently carries the aggregation role, (b) the
-periodic dissemination of the refreshed virtual-link table to every node —
-counted as one message per receiving node — and (c) the two rotation
-policies the paper names.
+adds is the periodic dissemination of the refreshed virtual-link table to
+every node, counted as one message per receiving node.  Which node holds
+the role is not modelled: the role consumes no node resources, so no
+result could observe it or its rotation.
 """
 
 from __future__ import annotations
-
-import enum
-from typing import List, Optional
 
 from repro.state.global_state import GlobalStateManager
 from repro.topology.overlay import OverlayNetwork
 
 
-class RotationPolicy(enum.Enum):
-    """How the aggregation role moves between nodes."""
-
-    ROUND_ROBIN = "round_robin"
-    LEAST_LOADED = "least_loaded"
-
-
-def _load_fraction(network: OverlayNetwork, node_id: int) -> float:
-    """A node's load as the max allocated fraction over resource dimensions."""
-    node = network.node(node_id)
-    worst = 0.0
-    for allocated, capacity in zip(node.allocated.values, node.capacity.values):
-        if capacity > 0:
-            worst = max(worst, allocated / capacity)
-    return worst
-
-
 class AggregationManager:
-    """The rotating virtual-link aggregation role."""
+    """The periodic virtual-link aggregation round and its message cost."""
 
     def __init__(
         self,
         network: OverlayNetwork,
         global_state: GlobalStateManager,
-        policy: RotationPolicy = RotationPolicy.ROUND_ROBIN,
         period_s: float = 600.0,
     ) -> None:
         if period_s <= 0.0:
             raise ValueError(f"period must be positive, got {period_s}")
         self.network = network
         self.global_state = global_state
-        self.policy = policy
         self.period_s = period_s
-        self._aggregation_node_id = self._pick_next(None)
         #: messages spent disseminating the periodic virtual-link refresh
         self.broadcast_messages = 0
         #: how many aggregation rounds have run
         self.rounds = 0
-        self._history: List[int] = [self._aggregation_node_id]
-
-    @property
-    def aggregation_node_id(self) -> int:
-        return self._aggregation_node_id
-
-    @property
-    def history(self) -> List[int]:
-        """Aggregation node ids in role order (diagnostics/tests)."""
-        return list(self._history)
-
-    def _pick_next(self, current: Optional[int]) -> int:
-        if self.policy is RotationPolicy.ROUND_ROBIN:
-            if current is None:
-                return 0
-            return (current + 1) % len(self.network)
-        # least loaded first
-        return min(
-            range(len(self.network)),
-            key=lambda node_id: (_load_fraction(self.network, node_id), node_id),
-        )
 
     def run_round(self) -> int:
         """One periodic aggregation round.
@@ -93,11 +49,9 @@ class AggregationManager:
         Recomputes the virtual-link table from reported overlay-link states
         (a no-op computationally here — the global state derives it on
         demand from the same reports) and disseminates it to every other
-        node, then rotates the role.  Returns the messages this round cost.
+        node.  Returns the messages this round cost.
         """
         messages = len(self.network) - 1  # table push to every other node
         self.broadcast_messages += messages
         self.rounds += 1
-        self._aggregation_node_id = self._pick_next(self._aggregation_node_id)
-        self._history.append(self._aggregation_node_id)
         return messages

@@ -5,7 +5,6 @@ IP graph, N stream processing nodes connected into a K-neighbour overlay
 mesh, and delay-based shortest-path routing on both layers.
 """
 
-from repro.topology.deputy import DeputySelector
 from repro.topology.ip_network import IPNetwork
 from repro.topology.overlay import (
     InsufficientBandwidthError,
@@ -23,7 +22,6 @@ from repro.topology.powerlaw import (
 from repro.topology.routing import OverlayRouter, RoutingError
 
 __all__ = [
-    "DeputySelector",
     "IPNetwork",
     "OverlayLink",
     "OverlayNetwork",

@@ -59,12 +59,6 @@ class IPNetwork:
         full = self.delays_from(routers)
         return full[:, list(routers)]
 
-    def hop_counts_from(self, sources: Sequence[int]) -> np.ndarray:
-        """Shortest-path *hop counts* from each source (unit link weights)."""
-        unit = self._matrix.copy()
-        unit.data = np.ones_like(unit.data)
-        return dijkstra(unit, directed=False, indices=list(sources))
-
     def delay(self, router_a: int, router_b: int) -> float:
         """Shortest-path delay between one router pair."""
         return float(self.delays_from([router_a])[0, router_b])

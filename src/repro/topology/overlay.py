@@ -199,8 +199,8 @@ class OverlayNetwork:
     def close(self) -> None:
         """Detach the liveness listeners registered in ``__init__``.
 
-        Teardown hook for shard migration and test isolation: a network
-        handed off or discarded must not stay subscribed to its nodes,
+        Teardown hook for test isolation: a network that is discarded
+        while its nodes live on must not stay subscribed to them,
         or the nodes keep the dead network (and everything it references)
         alive and keep invoking it on every fail/recover.  Idempotent —
         :meth:`Node.remove_liveness_listener` is a no-op when absent.

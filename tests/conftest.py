@@ -27,7 +27,6 @@ from repro.model.request import StreamRequest, derive_bandwidth_requirements
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.simulation.system import SystemConfig, build_system
 from repro.state.global_state import GlobalStateManager
-from repro.state.local_state import LocalStateProvider
 from repro.topology.overlay import OverlayLink, OverlayNetwork
 from repro.topology.routing import OverlayRouter
 
@@ -123,7 +122,6 @@ def micro_context(micro_network, micro_router, micro_registry):
         registry=micro_registry,
         allocator=ResourceAllocator(micro_network, micro_router),
         global_state=global_state,
-        local_state=LocalStateProvider(micro_network),
         rng=random.Random(7),
     )
 

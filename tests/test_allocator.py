@@ -34,8 +34,11 @@ class TestTransientReservations:
         assert micro_network.node(0).available == rv(95, 980)
 
     def test_insufficient_resources_refused(self, allocator, components):
+        node_id = components[1].node_id
+        before = allocator.available_excluding(1, node_id)
         assert not allocator.reserve_component(1, components[1], rv(500, 20))
-        assert not allocator.has_reservation(1, 1)
+        # a refused probe holds nothing that could be added back
+        assert allocator.available_excluding(1, node_id) == before
 
     def test_available_excluding_adds_back_own_holdings(
         self, allocator, components

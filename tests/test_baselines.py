@@ -48,10 +48,9 @@ class TestRandom:
         from repro.core.composer import CompositionContext
         from repro.discovery.registry import ComponentRegistry
         from repro.state.global_state import GlobalStateManager
-        from repro.state.local_state import LocalStateProvider
         from repro.topology.routing import OverlayRouter
 
-        def compose_with_seed(seed):
+        def compose_seeded(seed):
             registry = ComponentRegistry()
             for node in micro_network.nodes:
                 for component in node.components:
@@ -63,14 +62,13 @@ class TestRandom:
                 registry=registry,
                 allocator=ResourceAllocator(micro_network, router),
                 global_state=GlobalStateManager(micro_network),
-                local_state=LocalStateProvider(micro_network),
                 rng=random.Random(seed),
             )
             outcome = RandomComposer(context).compose(micro_request)
             context.allocator.cancel_transient(micro_request.request_id)
             return [c.component_id for c in outcome.composition.components]
 
-        assert compose_with_seed(11) == compose_with_seed(11)
+        assert compose_seeded(11) == compose_seeded(11)
 
     def test_eventually_explores_both_candidates(self, micro_context, micro_request):
         composer = RandomComposer(micro_context)

@@ -109,8 +109,7 @@ class TestFailureInjector:
         injector = FailureInjector(
             system.network,
             system.router,
-            fail_probability=0.0,
-            recover_probability=1.0,
+            plan=FaultPlan(node_recover_probability=1.0),
             rng=random.Random(2),
         )
         return system, sessions, injector
@@ -156,9 +155,11 @@ class TestFailureInjector:
         injector = FailureInjector(
             system.network,
             system.router,
-            fail_probability=1.0,  # everything wants to crash
-            recover_probability=0.01,
-            max_concurrent_failures=2,
+            plan=FaultPlan(
+                node_fail_probability=1.0,  # everything wants to crash
+                node_recover_probability=0.01,
+                max_concurrent_failures=2,
+            ),
             rng=random.Random(3),
         )
         injector.run_round(now=0.0)
@@ -166,11 +167,19 @@ class TestFailureInjector:
 
     def test_validation(self):
         system = build_small_system(seed=5, num_nodes=12)
+        with pytest.raises(TypeError, match="plan"):
+            FailureInjector(system.network, system.router)
         with pytest.raises(ValueError, match="fail_probability"):
-            FailureInjector(system.network, system.router, fail_probability=2.0)
+            FailureInjector(
+                system.network,
+                system.router,
+                plan=FaultPlan(node_fail_probability=2.0),
+            )
         with pytest.raises(ValueError, match="recover_probability"):
             FailureInjector(
-                system.network, system.router, recover_probability=0.0
+                system.network,
+                system.router,
+                plan=FaultPlan(node_recover_probability=0.0),
             )
 
     def test_simulation_under_churn(self):
@@ -180,9 +189,11 @@ class TestFailureInjector:
         injector = FailureInjector(
             system.network,
             system.router,
-            fail_probability=0.05,
-            recover_probability=0.5,
-            period_s=60.0,
+            plan=FaultPlan(
+                node_fail_probability=0.05,
+                node_recover_probability=0.5,
+                period_s=60.0,
+            ),
             rng=random.Random(7),
         )
         workload = WorkloadGenerator(
@@ -253,10 +264,10 @@ class TestFaultPlan:
         )
         injector = FailureInjector(system.network, system.router, plan=plan)
         assert injector.plan is plan
-        assert injector.fail_probability == 0.2
-        assert injector.link_fail_probability == 0.1
         assert injector.max_concurrent_failures == 4
-        assert injector.period_s == 30.0
+        # an unset cap resolves to a tenth of the nodes, at least one
+        default = FailureInjector(system.network, system.router, plan=FaultPlan())
+        assert default.max_concurrent_failures == 1
 
 
 class TestLinkFaults:
@@ -264,7 +275,7 @@ class TestLinkFaults:
     def harness(self):
         system = build_small_system(seed=4, num_nodes=12)
         injector = FailureInjector(
-            system.network, system.router, rng=random.Random(2)
+            system.network, system.router, plan=FaultPlan(), rng=random.Random(2)
         )
         return system, injector
 
@@ -371,29 +382,39 @@ class TestLinkFaults:
         )
 
     def test_node_only_plan_replays_legacy_churn_schedule(self):
-        """A plan without link faults must draw the exact node-churn
-        randomness the legacy constructor drew — no hidden link draws."""
-        legacy_system = build_small_system(seed=8, num_nodes=12)
-        legacy = FailureInjector(
-            legacy_system.network,
-            legacy_system.router,
-            fail_probability=0.3,
-            recover_probability=0.5,
-            rng=random.Random(21),
-        )
-        planned_system = build_small_system(seed=8, num_nodes=12)
-        planned = FailureInjector(
-            planned_system.network,
-            planned_system.router,
-            rng=random.Random(21),
+        """A plan without link faults draws only the node-churn randomness
+        the injector drew before link faults existed: one draw per down
+        node (recovery) and one per up node (crash), none per link."""
+
+        class CountingRandom(random.Random):
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return super().random()
+
+        system = build_small_system(seed=8, num_nodes=12)
+        rng = CountingRandom(21)
+        injector = FailureInjector(
+            system.network,
+            system.router,
+            rng=rng,
             plan=FaultPlan(
-                node_fail_probability=0.3, node_recover_probability=0.5
+                node_fail_probability=0.3,
+                node_recover_probability=0.5,
+                # no cap break: every up node draws once per round
+                max_concurrent_failures=len(system.network),
             ),
         )
-        for now in (0.0, 60.0, 120.0):
-            legacy.run_round(now=now)
-            planned.run_round(now=now)
-        assert legacy.events == planned.events
+        for now in (0.0, 60.0, 120.0, 180.0):
+            before = rng.draws
+            events = injector.run_round(now=now)
+            recovered = sum(1 for e in events if e.kind == "recover")
+            # down before the round + up after its recoveries = N + recovered
+            assert rng.draws - before == len(system.network) + recovered
+        assert injector.events  # the schedule did churn
+        assert all(e.link_id is None for e in injector.events)
+        assert system.router.down_links == frozenset()
 
 
 class TestBatchedChurn:
@@ -403,7 +424,7 @@ class TestBatchedChurn:
     def harness(self):
         system = build_small_system(seed=4, num_nodes=12)
         injector = FailureInjector(
-            system.network, system.router, rng=random.Random(2)
+            system.network, system.router, plan=FaultPlan(), rng=random.Random(2)
         )
         return system, injector
 
@@ -459,9 +480,11 @@ class TestBatchedChurn:
         injector = FailureInjector(
             system.network,
             system.router,
-            fail_probability=1.0,
-            recover_probability=0.5,
-            max_concurrent_failures=3,
+            plan=FaultPlan(
+                node_fail_probability=1.0,
+                node_recover_probability=0.5,
+                max_concurrent_failures=3,
+            ),
             rng=random.Random(3),
         )
         before = system.router.epoch
@@ -479,7 +502,7 @@ class TestBatchedChurn:
         composer = ACPComposer(context, probing_ratio=1.0)
         sessions = SessionManager(composer, system.allocator)
         injector = FailureInjector(
-            system.network, system.router, rng=random.Random(2)
+            system.network, system.router, plan=FaultPlan(), rng=random.Random(2)
         )
         template = system.templates.sample(random.Random(3))
         request = make_request(template.graph, delay_budget=500.0, loss_budget=0.4)

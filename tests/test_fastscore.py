@@ -16,8 +16,9 @@ before the composer sees it:
 
 The request streams cover the trickiest paths: guided ACP probing
 (risk/congestion ranking over the stale view), tight QoS bounds, failed
-and recovering nodes (the per-request liveness mask), and random-probing
-(RP) hop selection, whose rng draws index pool positions.
+and recovering nodes (the per-request liveness mask, and routes and
+bandwidth rows over a churned router), and random-probing (RP) hop
+selection, whose rng draws index pool positions.
 
 They also pin that per-request scoring state does not outlive one
 ``compose()`` call, that the scorer rejects inputs it cannot score
@@ -41,7 +42,7 @@ from repro.model.qos import QoSVector
 from repro.model.qos_model import LoadDependentQoSModel
 from repro.model.request import StreamRequest, derive_bandwidth_requirements
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
-from repro.simulation import SystemConfig, build_system
+from repro.simulation import FailureInjector, FaultPlan, SystemConfig, build_system
 from tests.conftest import make_component
 from tests.oracles.scalar_scorer import ScalarScorer
 
@@ -174,24 +175,21 @@ def test_acp_decisions_identical_tight_qos():
 
 
 def test_acp_decisions_identical_with_down_nodes():
-    """The vectorised liveness mask must match per-candidate alive checks."""
+    """The vectorised liveness mask must match per-candidate alive checks,
+    and levels must score over the churned router: crashes and recoveries
+    go through the injector, so virtual links re-route around the down
+    relays, and the mid-stream recovery leaves every bandwidth row cached
+    so far from an older router epoch."""
     system, context = fresh_context()
     check = OracleCheck(ACPComposer(context, probing_ratio=0.3))
     requests = requests_for(system, 30)
+    injector = FailureInjector(system.network, system.router, plan=FaultPlan())
 
-    down = [system.network.node(node_id) for node_id in (3, 17, 42, 80)]
-    for node in down:
-        node.fail()
-    try:
-        check.run(requests[:15])
-        # partial recovery mid-stream: the mask must track transitions
-        down[0].recover()
-        down[1].recover()
-        check.run(requests[15:])
-    finally:
-        for node in down:
-            if not node.alive:
-                node.recover()
+    injector.crash_many([3, 17, 42, 80])
+    check.run(requests[:15])
+    # partial recovery mid-stream: the mask and the rows must track it
+    injector.recover_many([3, 17])
+    check.run(requests[15:])
 
 
 def test_random_probing_decisions_identical():

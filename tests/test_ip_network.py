@@ -43,11 +43,6 @@ class TestShortestPaths:
         assert matrix[0, 2] == 7.0
         assert np.allclose(matrix, matrix.T)
 
-    def test_hop_counts(self, small_ip):
-        hops = small_ip.hop_counts_from([0])
-        assert hops[0, 3] == 3.0
-        assert hops[0, 1] == 1.0
-
 
 class TestTriangleInequality:
     def test_on_generated_topology(self):

@@ -24,7 +24,7 @@ from repro.observability import (
     summarize_trace,
     write_jsonl,
 )
-from repro.simulation.failures import FailureInjector
+from repro.simulation.failures import FailureInjector, FaultPlan
 from repro.simulation.simulator import StreamProcessingSimulator
 from repro.simulation.workload import QOS_LEVELS, RateSchedule, WorkloadGenerator
 from tests.conftest import build_small_system
@@ -216,8 +216,9 @@ def run_traced_simulation():
     )
     tuner = ProbingRatioTuner(target_success_rate=0.9)
     failures = FailureInjector(
-        system.network, system.router, fail_probability=0.02,
-        rng=random.Random(9), period_s=120.0,
+        system.network, system.router,
+        plan=FaultPlan(node_fail_probability=0.02, period_s=120.0),
+        rng=random.Random(9),
     )
     simulator = StreamProcessingSimulator(
         system, composer, workload, sampling_period_s=300.0,
@@ -309,8 +310,9 @@ class TestEndToEnd:
         )
         tuner = ProbingRatioTuner(target_success_rate=0.9)
         failures = FailureInjector(
-            system.network, system.router, fail_probability=0.02,
-            rng=random.Random(9), period_s=120.0,
+            system.network, system.router,
+            plan=FaultPlan(node_fail_probability=0.02, period_s=120.0),
+            rng=random.Random(9),
         )
         simulator = StreamProcessingSimulator(
             system, composer, workload, sampling_period_s=300.0,

@@ -68,7 +68,7 @@ class TestDiurnalCurve:
         assert curve.multiplier_at(150.0) == pytest.approx(2.0)
 
     def test_periodic(self):
-        curve = DiurnalCurve.day_night()
+        curve = DiurnalCurve(((4.0 * 3600.0, 0.2), (15.0 * 3600.0, 1.0)))
         for t in (0.0, 3600.0, 50000.0):
             assert curve.multiplier_at(t) == pytest.approx(
                 curve.multiplier_at(t + 86400.0)
@@ -84,11 +84,6 @@ class TestDiurnalCurve:
         curve = DiurnalCurve(((10.0, 1.5),), period_s=100.0)
         for t in (0.0, 10.0, 55.0, 99.0):
             assert curve.multiplier_at(t) == 1.5
-
-    def test_day_night_shape(self):
-        curve = DiurnalCurve.day_night(trough=0.2, peak=1.0)
-        assert curve.multiplier_at(4.0 * 3600.0) == pytest.approx(0.2)
-        assert curve.multiplier_at(15.0 * 3600.0) == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -148,9 +143,6 @@ class TestPopulationProfile:
         assert profile.scaled(10.0).requests_per_user_per_min == 2.0
         with pytest.raises(ValueError, match="positive"):
             profile.scaled(0.0)
-
-    def test_mean_rate(self):
-        assert PopulationProfile(25.0, 2.0).mean_rate_per_min == 50.0
 
 
 class TestPopulationWorkload:

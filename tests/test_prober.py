@@ -168,58 +168,3 @@ class TestVariants:
         tuner = ProbingRatioTuner(target_success_rate=0.9)
         composer = ACPComposer(micro_context, tuner=tuner)
         assert composer.current_probing_ratio() == tuner.current_ratio()
-        composer.detach_tuner()
-        assert composer.current_probing_ratio() == composer.probing_ratio
-
-
-class TestBoundedProbing:
-    """Footnote 10's bounded composition probing (BCP)."""
-
-    def test_composes_on_micro_system(self, micro_context, micro_request):
-        from repro.core.bounded import BoundedProbingComposer
-
-        outcome = BoundedProbingComposer(
-            micro_context, probe_budget_total=4
-        ).compose(micro_request)
-        assert outcome.success
-
-    def test_total_probes_bounded_by_budget(self):
-        """Across random small systems, probe messages never exceed the
-        request budget plus the returning probes."""
-        import random as _random
-
-        from repro.core.bounded import BoundedProbingComposer
-        from tests.conftest import build_small_system, make_request
-
-        for seed in range(5):
-            system = build_small_system(seed=seed, num_nodes=12)
-            context = system.composition_context(rng=_random.Random(seed))
-            composer = BoundedProbingComposer(context, probe_budget_total=6)
-            template = system.templates.sample(_random.Random(seed + 50))
-            request = make_request(
-                template.graph, delay_budget=500.0, loss_budget=0.4
-            )
-            outcome = composer.compose(request)
-            context.allocator.cancel_transient(request.request_id)
-            # per-level spawns sum to <= budget; returns add <= one level
-            assert outcome.probe_messages <= 2 * composer.probe_budget_total
-
-    def test_budget_split_clamps_to_pool(self, micro_context, micro_request):
-        from repro.core.bounded import BoundedProbingComposer
-
-        composer = BoundedProbingComposer(micro_context, probe_budget_total=100)
-        # F0 has one candidate, F1 has two: shares clamp to pool sizes
-        assert composer._function_budget(micro_request, 1.0, 1) == 1
-        assert composer._function_budget(micro_request, 1.0, 2) == 2
-
-    def test_minimum_one_probe_per_function(self, micro_context, micro_request):
-        from repro.core.bounded import BoundedProbingComposer
-
-        composer = BoundedProbingComposer(micro_context, probe_budget_total=1)
-        assert composer._function_budget(micro_request, 1.0, 5) == 1
-
-    def test_invalid_budget(self, micro_context):
-        from repro.core.bounded import BoundedProbingComposer
-
-        with pytest.raises(ValueError, match="probe_budget_total"):
-            BoundedProbingComposer(micro_context, probe_budget_total=0)

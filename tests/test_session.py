@@ -136,12 +136,6 @@ class TestClose:
         with pytest.raises(SessionError):
             manager.close(session_id)
 
-    def test_close_if_open_tolerates_missing(self, manager, micro_request):
-        session_id, _ = manager.find(micro_request)
-        assert manager.close_if_open(session_id) is True
-        assert manager.close_if_open(session_id) is False
-        assert manager.close_if_open(9999) is False
-
 
 class TestTermination:
     def test_terminate_by_node(self, manager, micro_context, micro_request):
@@ -217,8 +211,6 @@ class TestRecovery:
             recovering_manager.process(session_id, 1.0)
         with pytest.raises(SessionError, match="recovering"):
             recovering_manager.close(session_id)
-        with pytest.raises(SessionError, match="recovering"):
-            recovering_manager.close_if_open(session_id)
         with pytest.raises(SessionError, match="recovering"):
             recovering_manager.session(session_id)
 

@@ -50,7 +50,6 @@ class TestBuildSystem:
 
     def test_config_helpers(self):
         config = SystemConfig(num_nodes=100, seed=1)
-        assert config.with_seed(9).seed == 9
         assert config.with_nodes(300).num_nodes == 300
         # originals untouched (frozen dataclass)
         assert config.seed == 1

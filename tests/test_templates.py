@@ -76,6 +76,7 @@ class TestGeneration:
         for template in library.templates:
             ids = [n.function.function_id for n in template.graph.nodes]
             assert len(set(ids)) == len(ids)
+            assert all(0 <= i < len(catalog) for i in ids)
 
 
 class TestValidation:
@@ -100,8 +101,3 @@ class TestSampling:
 
     def test_indexing(self, library):
         assert library[3].template_id == 3
-
-    def test_functions_used_subset_of_catalog(self, library, catalog):
-        used = library.functions_used()
-        assert all(f.function_id < len(catalog) for f in used)
-        assert len({f.function_id for f in used}) == len(used)

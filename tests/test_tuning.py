@@ -135,13 +135,6 @@ class TestProfiling:
         assert times == [300.0, 600.0]
         assert tuner.samples[0].ratio == pytest.approx(0.1)
 
-    def test_profile_points_sorted(self):
-        tuner = ProbingRatioTuner()
-        tuner.record_sample(0.5)
-        tuner.record_sample(0.7)
-        points = tuner.profile_points()
-        assert points == tuple(sorted(points))
-
     def test_invalid_sample_rejected(self):
         tuner = ProbingRatioTuner()
         with pytest.raises(ValueError, match="success rate"):

@@ -164,23 +164,15 @@ class TestArrivals:
         # 60 req/min = 1 req/s
         assert sum(samples) / len(samples) == pytest.approx(1.0, rel=0.1)
 
-    def test_requests_until_horizon(self, templates):
-        gen = generator(templates, rate=60.0, seed=2)
-        requests = list(gen.requests_until(300.0))
-        # ~300 expected; allow wide tolerance
-        assert 200 < len(requests) < 420
-        assert all(r.arrival_time <= 300.0 for r in requests)
-        ids = [r.request_id for r in requests]
-        assert ids == sorted(ids)
-        assert len(set(ids)) == len(ids)
-
 
 class TestRequestAttributes:
     def test_requirements_within_profile(self, templates):
         gen = generator(templates, seed=3)
         profile = gen.profile
+        ids = []
         for _ in range(100):
             request = gen.make_request(0.0)
+            ids.append(request.request_id)
             for index in range(len(request.function_graph)):
                 requirement = request.requirement_for(index)
                 assert (
@@ -203,6 +195,8 @@ class TestRequestAttributes:
                 <= request.stream_rate
                 <= profile.stream_rate[1]
             )
+        # request ids are unique and increasing
+        assert all(a < b for a, b in zip(ids, ids[1:]))
 
     def test_session_duration_is_5_to_15_minutes(self, templates):
         gen = generator(templates, seed=4)
@@ -284,144 +278,3 @@ class TestRequestAttributes:
     def test_invalid_qos_level(self):
         with pytest.raises(ValueError, match="positive"):
             QoSLevel("bad", delay_slack=0.0, loss_slack=1.0)
-
-
-class TestTraceReplay:
-    def test_recording_captures_requests(self, templates):
-        from repro.simulation.workload import RecordingWorkload
-
-        recorder = RecordingWorkload(generator(templates, seed=10))
-        now = 0.0
-        for _ in range(5):
-            now += recorder.next_interarrival(now)
-            recorder.make_request(now)
-        assert len(recorder.trace) == 5
-        cutoff = recorder.trace[2].arrival_time
-        assert recorder.trace_since(cutoff) == recorder.trace[2:]
-
-    def test_replay_preserves_requests_and_gaps(self, templates):
-        from repro.simulation.workload import RecordingWorkload, ReplayWorkload
-
-        recorder = RecordingWorkload(generator(templates, seed=11))
-        now = 0.0
-        for _ in range(4):
-            now += recorder.next_interarrival(now)
-            recorder.make_request(now)
-        replay = ReplayWorkload(recorder.trace)
-        assert len(replay) == 4
-        replay_now = 0.0
-        for original in recorder.trace:
-            replay_now += replay.next_interarrival(replay_now)
-            replayed = replay.make_request(replay_now)
-            assert replayed.request_id == original.request_id
-            assert replayed.stream_rate == original.stream_rate
-            assert replayed.qos_requirement == original.qos_requirement
-            assert replay_now == pytest.approx(original.arrival_time)
-
-    def test_replay_exhaustion(self, templates):
-        from repro.simulation.workload import RecordingWorkload, ReplayWorkload
-
-        recorder = RecordingWorkload(generator(templates, seed=12))
-        recorder.make_request(recorder.next_interarrival(0.0))
-        replay = ReplayWorkload(recorder.trace)
-        replay.make_request(replay.next_interarrival(0.0))
-        assert replay.next_interarrival(100.0) > 1e11  # beyond any horizon
-        with pytest.raises(IndexError, match="exhausted"):
-            replay.make_request(200.0)
-
-    def test_empty_trace_rejected(self):
-        from repro.simulation.workload import ReplayWorkload
-
-        with pytest.raises(ValueError, match="empty"):
-            ReplayWorkload([])
-
-    def test_trace_since_bisect_matches_scan(self, templates):
-        from repro.simulation.workload import RecordingWorkload
-
-        recorder = RecordingWorkload(generator(templates, seed=15))
-        now = 0.0
-        for _ in range(50):
-            now += recorder.next_interarrival(now)
-            recorder.make_request(now)
-        for cutoff in (0.0, recorder.trace[10].arrival_time, now, now + 1.0):
-            expected = tuple(
-                r for r in recorder.trace if r.arrival_time >= cutoff
-            )
-            assert recorder.trace_since(cutoff) == expected
-
-    def test_retention_bounds_memory(self, templates):
-        """With a retention horizon the trace holds one period's worth of
-        requests, not the whole run's (the unbounded-growth bug)."""
-        from repro.simulation.workload import RecordingWorkload
-
-        retention = 30.0
-        recorder = RecordingWorkload(
-            generator(templates, rate=60.0, seed=16), retention_s=retention
-        )
-        now = 0.0
-        peak = 0
-        for _ in range(2000):
-            now += recorder.next_interarrival(now)
-            recorder.make_request(now)
-            peak = max(peak, len(recorder))
-        # 60 req/min over a 30 s horizon is ~30 requests; the bound allows
-        # generous Poisson fluctuation but is far below the 2000 generated
-        assert peak < 200
-        newest = recorder.trace[-1].arrival_time
-        assert all(
-            r.arrival_time >= newest - retention for r in recorder.trace
-        )
-        # retained tail still serves trace_since correctly
-        cutoff = recorder.trace[len(recorder.trace) // 2].arrival_time
-        assert all(
-            r.arrival_time >= cutoff for r in recorder.trace_since(cutoff)
-        )
-
-    def test_retention_must_be_positive(self, templates):
-        from repro.simulation.workload import RecordingWorkload
-
-        with pytest.raises(ValueError, match="positive"):
-            RecordingWorkload(generator(templates, seed=17), retention_s=0.0)
-
-    def test_replay_drives_simulator(self):
-        """A recorded trace replayed through a fresh copy of the same
-        system produces the exact same request sequence (the profiling
-        use case)."""
-        import random as _random
-
-        from repro.core import ACPComposer
-        from repro.simulation.simulator import StreamProcessingSimulator
-        from repro.simulation.workload import RecordingWorkload, ReplayWorkload
-        from tests.conftest import build_small_system
-
-        def build(make_workload):
-            system = build_small_system(seed=13)
-            workload = make_workload(system)
-            composer = ACPComposer(
-                system.composition_context(rng=_random.Random(2)),
-                probing_ratio=0.5,
-            )
-            return StreamProcessingSimulator(
-                system, composer, workload, sampling_period_s=300.0
-            )
-
-        recorder = {}
-
-        def live_workload(system):
-            recorder["w"] = RecordingWorkload(
-                WorkloadGenerator(
-                    system.templates, RateSchedule.constant(30.0), seed=14
-                )
-            )
-            return recorder["w"]
-
-        live = build(live_workload)
-        live_report = live.run(600.0)
-        assert live_report.total_requests == len(recorder["w"].trace)
-
-        replay = build(lambda system: ReplayWorkload(recorder["w"].trace))
-        replay_report = replay.run(600.0)
-        assert replay_report.total_requests == live_report.total_requests
-        live_ids = [r.request_id for r in live.metrics.records]
-        replay_ids = [r.request_id for r in replay.metrics.records]
-        assert live_ids == replay_ids
