@@ -5,9 +5,12 @@ which takes about 20 minutes.  This test pins the same decision paths
 on reduced cells in seconds: the arms of the ``compare``, ``fig8``,
 ``faults``, ``population`` and ``migrate`` experiments at the CLI tests'
 tiny scale (80 nodes, seed 1), plus the two paths only the hand-wired
-ablations reach (the PID tuner and a non-default ranking policy).  A cell's SHA-256 covers every request's record in arrival
-order and the ``repr`` of its report, so any moved decision or any
-changed float bit fails it.
+ablations reach (the PID tuner and a non-default ranking policy) and
+two cells that score locality-pruned candidate pools
+(``candidate_prune_k`` below N): bounded neighbourhood solves, widen
+retries and the neighbourhood index under churn.  A cell's SHA-256
+covers every request's record in arrival order and the ``repr`` of its
+report, so any moved decision or any changed float bit fails it.
 
 A change that moves decisions on purpose regenerates the fixture with
 ``PYTHONPATH=src python -m tests.test_spec_fingerprint`` and states the
@@ -61,6 +64,15 @@ def _risk_only(spec: RunSpec) -> StreamProcessingSimulator:
     return simulator
 
 
+#: neighbourhood size of the pruned cells: well below the 80 nodes, so
+#: levels score bounded neighbourhoods and some widen
+PRUNE_K = 24
+
+
+def _pruned(spec: RunSpec) -> RunSpec:
+    return replace(spec, system=replace(spec.system, candidate_prune_k=PRUNE_K))
+
+
 def _cells() -> Dict[str, Tuple[RunSpec, Callable[[RunSpec], StreamProcessingSimulator]]]:
     cells = {}
     for name, params in PARAMS.items():
@@ -70,6 +82,11 @@ def _cells() -> Dict[str, Tuple[RunSpec, Callable[[RunSpec], StreamProcessingSim
     fixed = cells["fig8/fixed"][0]
     cells["ablation/PID tuner"] = (fixed, _pid_tuned)
     cells["ablation/risk only"] = (fixed, _risk_only)
+    cells["pruned/ACP"] = (_pruned(cells["compare/ACP"][0]), build_simulator)
+    cells["pruned/faults recovery"] = (
+        _pruned(cells["faults/recovery"][0]),
+        build_simulator,
+    )
     return cells
 
 
