@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test lint check docs-seeds bench bench-micro bench-scale bench-scale-smoke spec-check trace-demo
+.PHONY: test lint check docs-seeds bench bench-micro bench-scale bench-scale-smoke spec-check perf-smoke trace-demo
 
 test:
 	$(PYTEST) -x -q tests
@@ -99,6 +99,30 @@ SPEC_FILES := benchmarks/results/fig*.txt benchmarks/results/ablation_*.txt \
 spec-check:
 	$(PYTEST) -q $(SPEC_BENCHMARKS)
 	git diff --exit-code -- $(SPEC_FILES)
+
+# Decision smoke of perfbench's two gated workloads at seed 1: scale-2000
+# for 19.5 s (3 episodes, 243 finds, so its p95 resolves) and faults-400
+# for 18 s, about 25 s together.  Each run must exit 0 (resources
+# conserved after the drain, every percentile resolved) and print the
+# digest pinned below, the digest of the committed decisions under Python
+# 3.11.7, numpy 2.4.6 and scipy 1.17.1 (the versions CI's spec-check job
+# pins).  It is the only check that runs neighbourhood evictions and
+# re-solves at N = 2000.  Entries are workload:seconds:digest.
+PERF_SMOKE := \
+	scale-2000:19.5:4f203379982b8f1f1a7114db6a73d61aa3192502ee7dbbd1f0dcd53bacdb4141 \
+	faults-400:18:a2cb3a154beab5e24d4f81902c451e331a94904604eaac4c5dd19e47c7e77fff
+
+perf-smoke:
+	@for run in $(PERF_SMOKE); do \
+		workload=$${run%%:*}; rest=$${run#*:}; seconds=$${rest%%:*}; want=$${rest#*:}; \
+		out=$$(python perfbench/run.py --workload $$workload --seed 1 \
+			--seconds $$seconds --trace 0) || { echo "$$out"; \
+			echo "perf-smoke: $$workload exited non-zero"; exit 1; }; \
+		got=$$(echo "$$out" | sed -n 's/^digest //p'); \
+		if [ "$$got" != "$$want" ]; then echo "$$out"; \
+			echo "perf-smoke: $$workload digest $$got, pinned $$want"; exit 1; fi; \
+		echo "perf-smoke: $$workload seed 1 digest $$got as pinned"; \
+	done
 
 # Full benchmark suite: every figure harness at FAST_SCALE plus the micro
 # operations.  Figure rows land in benchmarks/results/*.txt.  The ~10-min

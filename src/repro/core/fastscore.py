@@ -15,8 +15,11 @@ the whole candidate pool of a function, fed by caches that persist
   :attr:`ComponentRegistry.version` (bumped by deploy/migration);
 * **stale effective QoS** (per table) — the load-dependent component QoS
   evaluated at the global state's stale node availability, plus the stale
-  node-available resource matrix; keyed on
-  :attr:`GlobalStateManager.node_version`;
+  node-available resource matrix, gathered in one step from
+  :attr:`GlobalStateManager.node_available_array`; keyed on the per-node
+  :attr:`GlobalStateManager.node_stamps`, so a table is rebuilt only when
+  one of its own candidates' hosts republished its state, not on every
+  bump of the global :attr:`~GlobalStateManager.node_version`;
 * **virtual-link QoS rows** (per source node) — delay/loss to every
   destination, served read-only by :meth:`OverlayRouter.virtual_link_rows`
   from the router's own tree cache, which churn empties;
@@ -28,6 +31,11 @@ the whole candidate pool of a function, fed by caches that persist
 
 Nothing here is per-request state, so nothing outlives (or leaks from)
 one ``compose()``.
+
+A level gathers each upstream node's delay, loss and stale-bandwidth
+rows once and shares them among its probes.  A pruned level stays
+O(P × k): its neighbourhood union is a node mask set and reset at the
+members only, and loss is folded only for members hosting a candidate.
 
 Every array expression mirrors the scalar equations' operation order
 (raw-space QoS accumulation, additive-space risk ratios, term-ordered
@@ -69,6 +77,7 @@ from repro.model.resources import ResourceVector
 
 if TYPE_CHECKING:  # runtime import would cycle: composer lazily imports us
     from repro.core.composer import CompositionContext
+    from repro.topology.neighborhood import NeighborhoodEntry
 
 #: Loss values are clamped just below 1 before the additive transform,
 #: matching ``QoSVector.additive_values``.
@@ -89,6 +98,7 @@ class _CandidateTable:
         "format_bit",
         "attribute_bits",
         "attribute_bit",
+        "format_masks",
         "capacity",
         "registry_version",
         "stale_version",
@@ -128,6 +138,8 @@ class _CandidateTable:
                 bits |= 1 << bit
             input_bits.append(bits)
         self.input_format_bits = np.asarray(input_bits, dtype=np.int64)
+        #: memo of :meth:`format_mask` per upstream output format
+        self.format_masks: Dict[str, Optional[np.ndarray]] = {}
 
         # capability-tag vocabulary: a candidate satisfies a demand iff it
         # advertises every demanded tag (tags unknown to the whole pool
@@ -164,19 +176,27 @@ class _CandidateTable:
         return (self.attribute_bits & bits) == bits
 
     def format_mask(self, output_format: str) -> Optional[np.ndarray]:
-        """Which candidates accept ``output_format`` (None = none do)."""
+        """Which candidates accept ``output_format`` (None = none do);
+        memoised per format, read-only to callers."""
+        if output_format in self.format_masks:
+            return self.format_masks[output_format]
         bit = self.format_bit.get(output_format)
-        if bit is None:
-            return None
-        return (self.input_format_bits & (1 << bit)) != 0
+        mask = None if bit is None else (self.input_format_bits & (1 << bit)) != 0
+        self.format_masks[output_format] = mask
+        return mask
 
     def ensure_stale(self, context: "CompositionContext") -> None:
         """Refresh the coarse-grain availability matrix and the stale
-        effective QoS arrays when the global state has published updates."""
+        effective QoS arrays when the global state has republished one of
+        this table's nodes since they were built."""
         global_state = context.global_state
         version = global_state.node_version
         recorder = context.recorder
-        if version == self.stale_version:
+        if version == self.stale_version or (
+            self.stale_available is not None
+            and not (global_state.node_stamps[self.node_ids] > self.stale_version).any()
+        ):
+            self.stale_version = version
             if recorder.enabled:
                 recorder.inc("fastscore.stale_hit")
             return
@@ -188,10 +208,7 @@ class _CandidateTable:
                 [network.node(int(n)).capacity.values for n in self.node_ids],
                 dtype=np.float64,
             )
-        available = np.asarray(
-            [global_state.node_available(int(n)).values for n in self.node_ids],
-            dtype=np.float64,
-        )
+        available = global_state.node_available_array[self.node_ids]
         # worst-dimension allocated fraction, clamped — the array form of
         # LoadDependentQoSModel.utilization, one entry per candidate
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -324,6 +341,10 @@ class FastScorer:
         self._alive: Optional[np.ndarray] = None
         #: shared all-True mask reused whenever no node is down; never mutated
         self._all_alive: Optional[np.ndarray] = None
+        #: per node, whether it lies in one of the level's upstream
+        #: neighbourhoods; all False between pruned levels, which set and
+        #: reset it at their entries' members only
+        self._in_neighborhood = np.zeros(len(context.network), dtype=bool)
         #: pruned levels that yielded zero qualified expansions and were
         #: deterministically re-scored with a wider neighbourhood (plain
         #: counter so benchmarks need no recorder)
@@ -339,9 +360,10 @@ class FastScorer:
     def memory_footprint(self) -> Dict[str, int]:
         """Approximate resident bytes per scorer substructure.
 
-        ``nbytes`` over the candidate tables' arrays and the cached
-        bottleneck-bandwidth rows; BENCH_scale uses this to attribute
-        memory per subsystem.
+        ``nbytes`` over the candidate tables' arrays (their memoised
+        format masks included), the cached bottleneck-bandwidth rows and
+        the neighbourhood membership mask; BENCH_scale uses this to
+        attribute memory per subsystem.
         """
         tables = 0
         for table in self._tables.values():
@@ -360,10 +382,17 @@ class FastScorer:
             ):
                 if slot is not None:
                     tables += int(slot.nbytes)
+            for mask in table.format_masks.values():
+                if mask is not None:
+                    tables += int(mask.nbytes)
         bandwidth_rows = sys.getsizeof(self._bandwidth_rows)
         for _, (_, _, row) in self._bandwidth_rows.items():
             bandwidth_rows += int(row.nbytes)
-        footprint = {"tables": tables, "bandwidth_rows": int(bandwidth_rows)}
+        footprint = {
+            "tables": tables,
+            "bandwidth_rows": int(bandwidth_rows),
+            "neighborhood_mask": int(self._in_neighborhood.nbytes),
+        }
         footprint["total"] = sum(footprint.values())
         return footprint
 
@@ -523,8 +552,9 @@ class FastScorer:
         # masks on ``isfinite(link_delay)``, and the two paths make
         # byte-identical decisions.
         sub: Optional[np.ndarray] = None
-        entries = None
-        index = None
+        # per upstream node, its neighbourhood and each pool node's member
+        # position in it (-1 outside)
+        neighborhoods: Dict[int, Tuple["NeighborhoodEntry", np.ndarray]] = {}
         if prune_k is not None:
             index = context.neighborhood_index()
             upstream_nodes = sorted(
@@ -534,15 +564,15 @@ class FastScorer:
                     for probe in probes
                 }
             )
-            entries = {
-                node: index.entry(node, prune_k) for node in upstream_nodes
-            }
-            union = np.unique(
-                np.concatenate(
-                    [entries[node].members_sorted for node in upstream_nodes]
-                )
-            )
-            sub = np.nonzero(np.isin(node_index, union))[0]
+            entries = [index.entry(node, prune_k) for node in upstream_nodes]
+            # the union as a membership mask: set at the members, read at
+            # the candidates, reset at the members — O(P × k), never O(N)
+            in_neighborhood = self._in_neighborhood
+            for entry in entries:
+                in_neighborhood[entry.members] = True
+            sub = np.flatnonzero(in_neighborhood[node_index])
+            for entry in entries:
+                in_neighborhood[entry.members] = False
             if len(sub) == 0:
                 empty_int = np.empty(0, dtype=np.int64)
                 empty = np.empty(0)
@@ -560,6 +590,8 @@ class FastScorer:
                     None,
                 )
             node_index = node_index[sub]
+            for node, entry in zip(upstream_nodes, entries):
+                neighborhoods[node] = (entry, entry.positions(node_index))
 
         # -- probe-independent filters (stream rate, tags, liveness) ----------
         level_mask = input_rate <= table.max_input_rate
@@ -602,25 +634,26 @@ class FastScorer:
 
         # a component instance runs at most one placement per session, so
         # each probe's row starts from the level mask and drops its own
-        # already-assigned component ids
+        # already-assigned component ids — which can be in this table only
+        # when an earlier placement used this same function
         mask = np.repeat(level_mask[np.newaxis, :], probe_count, axis=0)
         for position, probe in enumerate(probes):
             row = mask[position]
             for assigned in probe.assignment.values():
-                row &= component_ids != assigned.component_id
+                if assigned.function.function_id == function_id:
+                    row &= component_ids != assigned.component_id
 
         # -- QoS accumulation through the candidate (worst path) --------------
         # Per predecessor, gather each probe's upstream link row and output
         # QoS, then accumulate over the whole (probes × candidates) batch at
-        # once.  Dead-end probes (no candidate accepts the upstream format)
-        # get an all-False row and zero-filled link values: the zeros keep
-        # the batch arithmetic finite but are never read, since nothing in
-        # the row can qualify.
+        # once.  Probes that share an upstream node share its rows, gathered
+        # once per level.  Dead-end probes (no candidate accepts the
+        # upstream format) get an all-False row and zero-filled link values:
+        # the zeros keep the batch arithmetic finite but are never read,
+        # since nothing in the row can qualify.
         accumulated_delay = None
         accumulated_loss = None
-        # member positions of the (pruned) pool's nodes per upstream node,
-        # shared between the QoS gather and the bandwidth gather below
-        positions_of: Dict[int, np.ndarray] = {}
+        link_rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for predecessor in predecessors:
             format_rows = np.empty((probe_count, pool_size), dtype=bool)
             link_delay = np.empty((probe_count, pool_size))
@@ -640,29 +673,15 @@ class FastScorer:
                 format_rows[position] = (
                     format_mask if sub is None else format_mask[sub]
                 )
-                if sub is None:
-                    delay_row, loss_row = context.router.virtual_link_rows(
-                        upstream.node_id
+                rows = link_rows.get(upstream.node_id)
+                if rows is None:
+                    rows = self._link_rows(
+                        upstream.node_id,
+                        node_index,
+                        neighborhoods.get(upstream.node_id),
                     )
-                    link_delay[position] = delay_row[node_index]
-                    link_loss[position] = loss_row[node_index]
-                else:
-                    # gather from the bounded tree: members carry the full
-                    # router's floats, non-members read as unreachable and
-                    # fall to the isfinite mask below
-                    entry = entries[upstream.node_id]
-                    pos = positions_of.get(upstream.node_id)
-                    if pos is None:
-                        pos = entry.positions(node_index)
-                        positions_of[upstream.node_id] = pos
-                    inside = pos >= 0
-                    safe = np.maximum(pos, 0)
-                    link_delay[position] = np.where(
-                        inside, entry.delay[safe], np.inf
-                    )
-                    link_loss[position] = np.where(
-                        inside, entry.loss[safe], 0.0
-                    )
+                    link_rows[upstream.node_id] = rows
+                link_delay[position], link_loss[position] = rows
                 out_delay[position, 0], out_loss[position, 0] = (
                     probe.accumulated_out[predecessor].values
                 )
@@ -705,35 +724,22 @@ class FastScorer:
             for dimension, required_amount in enumerate(requirement_values):
                 qualified &= available[:, dimension] >= required_amount - 1e-9
             bandwidth_rows: List[Tuple[float, np.ndarray]] = []
-            link_version = context.global_state.link_version
-            link_available = context.global_state.link_available_array
+            stale_rows: Dict[int, np.ndarray] = {}
             for predecessor, bandwidth_required in zip(
                 predecessors, bandwidth_requirements
             ):
-                rows = np.empty((probe_count, pool_size))
+                rows2d = np.empty((probe_count, pool_size))
                 for position, probe in enumerate(probes):
                     upstream_node = probe.assignment[predecessor].node_id
-                    if sub is None:
-                        rows[position] = self._bandwidth_row(
-                            table, upstream_node
+                    row = stale_rows.get(upstream_node)
+                    if row is None:
+                        row = self._stale_bandwidth(
+                            table, upstream_node, neighborhoods.get(upstream_node)
                         )
-                        continue
-                    # O(k) bounded-tree fold over the same stale link
-                    # values the full row folds; non-members read -inf,
-                    # already excluded from ``qualified`` via the mask
-                    entry = entries[upstream_node]
-                    bw_row = index.stale_bottleneck_row(
-                        entry, link_available, link_version
-                    )
-                    pos = positions_of.get(upstream_node)
-                    if pos is None:
-                        pos = entry.positions(node_index)
-                        positions_of[upstream_node] = pos
-                    rows[position] = np.where(
-                        pos >= 0, bw_row[np.maximum(pos, 0)], -np.inf
-                    )
-                bandwidth_rows.append((bandwidth_required, rows))
-                qualified &= rows >= bandwidth_required - 1e-9
+                        stale_rows[upstream_node] = row
+                    rows2d[position] = row
+                bandwidth_rows.append((bandwidth_required, rows2d))
+                qualified &= rows2d >= bandwidth_required - 1e-9
             if qualified.any():
                 risk2d = self._risk(
                     accumulated_delay, accumulated_loss, bounds_additive
@@ -775,6 +781,47 @@ class FastScorer:
             pre_delay,
             pre_loss,
         )
+
+    def _link_rows(
+        self,
+        upstream_node: int,
+        node_index: np.ndarray,
+        neighborhood: Optional[Tuple["NeighborhoodEntry", np.ndarray]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Virtual-link delay and loss from ``upstream_node`` to each pool
+        node: the router's rows, or the bounded tree's members (the same
+        floats) with non-members unreachable, left to the isfinite mask."""
+        if neighborhood is None:
+            delay_row, loss_row = self.context.router.virtual_link_rows(
+                upstream_node
+            )
+            return delay_row[node_index], loss_row[node_index]
+        entry, positions = neighborhood
+        inside = positions >= 0
+        members = positions[inside]
+        delay = np.full(len(positions), np.inf)
+        delay[inside] = entry.delay[members]
+        loss = np.zeros(len(positions))
+        loss[inside] = entry.loss_at(members)
+        return delay, loss
+
+    def _stale_bandwidth(
+        self,
+        table: _CandidateTable,
+        upstream_node: int,
+        neighborhood: Optional[Tuple["NeighborhoodEntry", np.ndarray]],
+    ) -> np.ndarray:
+        """Stale bottleneck bandwidth from ``upstream_node`` to each pool
+        node: a cached full row, or the O(k) bounded-tree fold over the
+        same link values with non-members at ``-inf`` (already masked)."""
+        if neighborhood is None:
+            return self._bandwidth_row(table, upstream_node)
+        entry, positions = neighborhood
+        global_state = self.context.global_state
+        bw_row = self.context.neighborhood_index().stale_bottleneck_row(
+            entry, global_state.link_available_array, global_state.link_version
+        )
+        return np.where(positions >= 0, bw_row[np.maximum(positions, 0)], -np.inf)
 
     def _bandwidth_row(
         self, table: _CandidateTable, upstream_node: int

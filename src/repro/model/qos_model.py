@@ -27,6 +27,7 @@ Factors of zero recover the static-QoS model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 

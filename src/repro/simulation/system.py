@@ -174,7 +174,7 @@ def build_system(config: SystemConfig) -> StreamSystem:
     global_state = GlobalStateManager(
         network, threshold_fraction=config.state_threshold_fraction
     )
-    aggregation = AggregationManager(network, global_state)
+    aggregation = AggregationManager(network)
     allocator = ResourceAllocator(network, overlay_router)
     return StreamSystem(
         config=config,

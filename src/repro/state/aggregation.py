@@ -20,7 +20,6 @@ result could observe it or its rotation.
 
 from __future__ import annotations
 
-from repro.state.global_state import GlobalStateManager
 from repro.topology.overlay import OverlayNetwork
 
 
@@ -30,13 +29,11 @@ class AggregationManager:
     def __init__(
         self,
         network: OverlayNetwork,
-        global_state: GlobalStateManager,
         period_s: float = 600.0,
     ) -> None:
         if period_s <= 0.0:
             raise ValueError(f"period must be positive, got {period_s}")
         self.network = network
-        self.global_state = global_state
         self.period_s = period_s
         #: messages spent disseminating the periodic virtual-link refresh
         self.broadcast_messages = 0

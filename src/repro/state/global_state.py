@@ -116,6 +116,16 @@ class GlobalStateManager:
                 link.capacity_kbps * threshold_fraction
             )
             link.add_change_listener(self._on_link_change)
+        # the node twin of the link array (node ids are dense 0..n-1), and
+        # per node the node_version of its last published change
+        self._node_matrix = np.array(
+            [self._node_snapshots[node.node_id].values for node in network.nodes]
+        )
+        self._node_matrix_view = self._node_matrix.view()
+        self._node_matrix_view.setflags(write=False)
+        self._node_stamps = np.zeros(len(network), dtype=np.int64)
+        self._node_stamps_view = self._node_stamps.view()
+        self._node_stamps_view.setflags(write=False)
 
     def close(self) -> None:
         """Detach from the network's node/link change streams.
@@ -136,7 +146,8 @@ class GlobalStateManager:
     def memory_footprint(self) -> Dict[str, int]:
         """Approximate resident bytes per state substructure.
 
-        Dense link snapshots are exact ``nbytes``; the per-node dicts are
+        Dense node and link snapshots and the node stamps are exact
+        ``nbytes``; the per-node dicts are
         ``sys.getsizeof`` estimates (container + vectors).  BENCH_scale
         uses this to attribute memory per subsystem.
         """
@@ -149,6 +160,7 @@ class GlobalStateManager:
             node_state += sys.getsizeof(mapping)
             for vector in mapping.values():
                 node_state += sys.getsizeof(vector) + sys.getsizeof(vector.values)
+        node_state += self._node_matrix.nbytes + self._node_stamps.nbytes
         link_state = int(self._link_snapshots.nbytes)
         for link_mapping in (self._link_reported, self._link_thresholds):
             link_state += sys.getsizeof(link_mapping)
@@ -223,10 +235,13 @@ class GlobalStateManager:
             if self._update_lost():
                 self.node_updates_lost += 1
                 return
-            self._node_snapshots[node.node_id] = self._quantize_node(node)
+            snapshot = self._quantize_node(node)
+            self._node_snapshots[node.node_id] = snapshot
             self._node_reported[node.node_id] = current
             self.node_update_messages += 1
             self.node_version += 1
+            self._node_matrix[node.node_id] = snapshot.values
+            self._node_stamps[node.node_id] = self.node_version
 
     def _on_link_change(self, link: OverlayLink) -> None:
         reported = self._link_reported[link.link_id]
@@ -247,14 +262,31 @@ class GlobalStateManager:
         for link in self.network.links:
             self._link_snapshots[link.link_id] = self._quantize_link(link)
             self._link_reported[link.link_id] = link.available_kbps
+        self._node_matrix[:] = [
+            self._node_snapshots[node.node_id].values for node in self.network.nodes
+        ]
         self.node_version += 1
         self.link_version += 1
+        self._node_stamps.fill(self.node_version)
 
     # -- query path (what ACP's candidate selection reads) --------------------
 
     def node_available(self, node_id: int) -> ResourceVector:
         """Coarse-grain available resources of a node."""
         return self._node_snapshots[node_id]
+
+    @property
+    def node_available_array(self) -> np.ndarray:
+        """Coarse-grain available resources of every node, one row per
+        node id (a read-only view; snapshot refreshes show through).
+        Bulk consumers pair it with :attr:`node_stamps`."""
+        return self._node_matrix_view
+
+    @property
+    def node_stamps(self) -> np.ndarray:
+        """Per node id, the :attr:`node_version` at which its snapshot last
+        changed (0 before any change; a read-only view)."""
+        return self._node_stamps_view
 
     def link_available_kbps(self, link_id: int) -> float:
         """Coarse-grain available bandwidth of one overlay link."""

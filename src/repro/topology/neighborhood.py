@@ -20,8 +20,10 @@ A cold entry comes from the router's own tree pipeline, in three steps:
    removed), stopped at a distance limit;
 2. the first ``k`` reached nodes in (distance, node id) order, a partial
    sort over the reached nodes only;
-3. :meth:`OverlayRouter.annotate` on that k-prefix — arriving link ids by
-   one searchsorted, loss folded parent-first, O(k log L).
+3. :meth:`OverlayRouter.tree_edges` on that k-prefix — arriving link ids
+   and their loss rates, O(k log L), and parent positions, O(k log k).
+   Composed loss is folded later, on first read and only down the paths
+   to the members read (:meth:`NeighborhoodEntry.loss_at`).
 
 The limit comes from the triangle inequality and needs no tuning.  A
 solve of v whose k-th member lies at delay r(v) bounds every node u it
@@ -109,8 +111,9 @@ class NeighborhoodEntry:
     """One source's bounded shortest-path tree (its delay neighbourhood).
 
     Parallel arrays over the ``<= k`` members in settle order —
-    ``members[0]`` is the source itself at distance 0.  ``members_sorted``
-    / ``sorted_to_pos`` support O(log k) membership and batched gathers
+    ``members[0]`` is the source itself at distance 0, with uplink and
+    parent position -1 and edge loss 0.  ``members_sorted`` /
+    ``sorted_to_pos`` support O(log k) membership and batched gathers
     (``np.searchsorted``); the per-member arrays are O(k), never O(N).
     """
 
@@ -122,9 +125,10 @@ class NeighborhoodEntry:
         "members_sorted",
         "sorted_to_pos",
         "delay",
-        "loss",
         "uplink",
+        "edge_loss",
         "parent_pos",
+        "_loss",
         "bw_link_version",
         "bw_row",
     )
@@ -136,22 +140,31 @@ class NeighborhoodEntry:
         version: int,
         members: np.ndarray,
         delay: np.ndarray,
-        loss: np.ndarray,
+        parents: np.ndarray,
         uplink: np.ndarray,
-        parent_pos: np.ndarray,
+        edge_loss: np.ndarray,
     ) -> None:
+        """``parents``, ``uplink`` and ``edge_loss`` cover the non-source
+        members ``members[1:]``: parent node id, arriving link id and that
+        link's loss rate."""
         self.source = source
         self.k = k
         #: router epoch the tree was solved at (stale once the epoch moves)
         self.version = version
         self.members = members
         self.delay = delay
-        self.loss = loss
-        self.uplink = uplink
-        self.parent_pos = parent_pos
         sort = np.argsort(members, kind="stable")
         self.members_sorted = members[sort]
         self.sorted_to_pos = sort
+        # a parent settles before its child, so it is a member too
+        self.parent_pos = np.concatenate(
+            ([-1], sort[np.searchsorted(self.members_sorted, parents)])
+        )
+        self.uplink = np.concatenate(([-1], uplink))
+        self.edge_loss = np.concatenate(([0.0], edge_loss))
+        #: composed loss per member, NaN until :meth:`loss_at` folds it
+        self._loss = np.full(len(members), math.nan)
+        self._loss[0] = 0.0
         #: stale bottleneck-bandwidth row over the members, valid for one
         #: global-state link version (lazily filled by the scorer)
         self.bw_link_version = -1
@@ -159,6 +172,47 @@ class NeighborhoodEntry:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def loss_at(self, positions: np.ndarray) -> np.ndarray:
+        """Composed loss from the source to the members at ``positions``
+        (any order, repeats allowed), folded by :meth:`loss_of` for the
+        members not read before."""
+        values = self._loss[positions]
+        pending = np.isnan(values)
+        if pending.any():
+            for position in positions[pending].tolist():
+                self.loss_of(position)
+            values = self._loss[positions]
+        return values
+
+    def loss_of(self, position: int) -> float:
+        """Composed loss from the source to the member at ``position``.
+
+        Folds ``1 − (1 − loss(parent))(1 − loss(edge))`` parent-first from
+        0 at the source, as :meth:`OverlayRouter.annotate` does, but only
+        down the path to this member, stopping at the nearest ancestor
+        folded before; every folded value is memoised on the entry.  Each
+        member's value is the same float operations on the same floats,
+        so it equals the router's.
+        """
+        loss = self._loss
+        parent_pos = self.parent_pos
+        path: List[int] = []
+        value = loss.item(position)
+        while math.isnan(value):
+            path.append(position)
+            position = parent_pos.item(position)
+            value = loss.item(position)
+        edge_loss = self.edge_loss
+        for member in reversed(path):
+            value = 1.0 - (1.0 - value) * (1.0 - edge_loss.item(member))
+            loss[member] = value
+        return float(value)
+
+    @property
+    def loss(self) -> np.ndarray:
+        """Composed loss to every member, in settle order."""
+        return self.loss_at(np.arange(len(self.members)))
 
     def positions(self, node_ids: np.ndarray) -> np.ndarray:
         """Member position of each node id (-1 where not a member)."""
@@ -187,15 +241,17 @@ class NeighborhoodEntry:
         return tuple(links)
 
     def nbytes(self) -> int:
-        """Resident bytes of the tree arrays (the cached ``bw_row`` apart)."""
+        """Resident bytes of the tree arrays and the loss memo (the cached
+        ``bw_row`` apart)."""
         return int(
             self.members.nbytes
             + self.members_sorted.nbytes
             + self.sorted_to_pos.nbytes
             + self.delay.nbytes
-            + self.loss.nbytes
             + self.uplink.nbytes
+            + self.edge_loss.nbytes
             + self.parent_pos.nbytes
+            + self._loss.nbytes
         )
 
 
@@ -298,7 +354,7 @@ class NeighborhoodIndex:
 
     def _solve(self, source: int, k: int) -> NeighborhoodEntry:
         """The first ``k`` reachable nodes of the router's tree for
-        ``source``, annotated (see the module docstring)."""
+        ``source``, with their tree edges (see the module docstring)."""
         router = self.router
         if self._bounds_epoch != router.epoch:
             # churn may lengthen paths: an older bound could cut rows short
@@ -311,18 +367,16 @@ class NeighborhoodIndex:
         )
         if bounded:
             tighten_bounds(self._bounds, distances, reached, members, k)
-        parents, links, loss = router.annotate(predecessors, members[1:])
-        position_of = np.empty(len(distances), dtype=np.int64)
-        position_of[members] = np.arange(len(members))
+        parents, links, edge_loss = router.tree_edges(predecessors, members[1:])
         return NeighborhoodEntry(
             source,
             k,
             router.epoch,
             members,
             distances[members],
-            np.array([0.0] + loss),
-            np.concatenate(([-1], links)),
-            np.concatenate(([-1], position_of[parents])),
+            parents,
+            links,
+            edge_loss,
         )
 
     # -- queries -----------------------------------------------------------
@@ -388,5 +442,5 @@ class NeighborhoodIndex:
             src_node_id=source,
             dst_node_id=node_id,
             overlay_link_ids=entry.path_links(position),
-            qos=QoSVector(float(entry.delay[position]), float(entry.loss[position])),
+            qos=QoSVector(float(entry.delay[position]), entry.loss_of(position)),
         )

@@ -28,9 +28,10 @@ Every tree, cached here or bounded in :mod:`repro.topology.neighborhood`,
 comes from one pipeline: scipy's C Dijkstra over :attr:`live_graph` (in
 full by :meth:`solve_tree` here, up to a distance limit by
 :func:`~repro.topology.overlay.nearest_targets` there, which settles
-every node within the limit identically) and :meth:`annotate` (arriving
-link ids through a sorted pair-key array, loss folded parent-first), so
-both answer the same floats.
+every node within the limit identically), :meth:`tree_edges` (arriving
+link ids through a sorted pair-key array) and the parent-first loss
+fold — over every node in :meth:`annotate` here, over the members read
+there — so both answer the same floats.
 
 Co-located pairs (a == b) yield the empty path with zero QoS — footnote 4's
 "0 network delay" and footnote 8's infinite residual bandwidth.
@@ -323,10 +324,22 @@ class OverlayRouter:
         )
         return distances, predecessors
 
+    def tree_edges(
+        self, predecessors: np.ndarray, nodes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Parent, arriving link id and that link's loss rate of tree
+        nodes (reachable non-source nodes of one tree), the link ids by
+        one searchsorted over the sorted pair keys."""
+        parents = predecessors[nodes].astype(np.int64)
+        links = self._pair_link[
+            np.searchsorted(self._pair_key, parents * len(self.network) + nodes)
+        ]
+        return parents, links, self._link_loss[links]
+
     def annotate(
         self, predecessors: np.ndarray, nodes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, List[float]]:
-        """Parent, arriving link id and composed loss of tree nodes.
+    ) -> Tuple[np.ndarray, List[float]]:
+        """Arriving link id and composed loss of tree nodes.
 
         ``nodes`` are reachable non-source nodes of one tree in settle
         (nondecreasing-distance) order, so each parent is folded before
@@ -335,19 +348,16 @@ class OverlayRouter:
         in raw space, the same float operations in the same order along
         every path.
         """
-        parents = predecessors[nodes].astype(np.int64)
-        links = self._pair_link[
-            np.searchsorted(self._pair_key, parents * len(self.network) + nodes)
-        ]
+        parents, links, edge_loss = self.tree_edges(predecessors, nodes)
         loss_at = [0.0] * len(self.network)
         loss: List[float] = []
-        for node, parent, edge_loss in zip(
-            nodes.tolist(), parents.tolist(), self._link_loss[links].tolist()
+        for node, parent, edge in zip(
+            nodes.tolist(), parents.tolist(), edge_loss.tolist()
         ):
-            value = 1.0 - (1.0 - loss_at[parent]) * (1.0 - edge_loss)
+            value = 1.0 - (1.0 - loss_at[parent]) * (1.0 - edge)
             loss_at[node] = value
             loss.append(value)
-        return parents, links, loss
+        return links, loss
 
     def _tree(self, source: int) -> _SourceTree:
         tree = self._trees.get(source)
@@ -372,7 +382,7 @@ class OverlayRouter:
             : np.count_nonzero(tree.finite)
         ]
         order = order[order != source]
-        _, links, loss = self.annotate(tree.predecessors, order)
+        links, loss = self.annotate(tree.predecessors, order)
         uplink = np.full(n, -1, dtype=np.int64)
         uplink[order] = links
         loss_row = np.zeros(n)

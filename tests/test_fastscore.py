@@ -254,6 +254,39 @@ def test_fast_scorer_is_shared_and_epoch_keyed():
         assert tables_before.get(function_id) is table
 
 
+def test_stale_arrays_equal_fresh_tables_across_a_compose_stream():
+    """A table rebuilds its stale arrays only when the global state has
+    republished one of its own nodes (per-node stamps).  After every
+    compose of a stream that opens and closes sessions, each cached
+    table's stale arrays equal those of a table built fresh from the
+    current global state, and both the skip and the rebuild ran."""
+    system, context = fresh_context()
+    composer = ACPComposer(context, probing_ratio=0.3)
+    scorer = context.fast_scorer()
+    global_state = context.global_state
+    sessions = []
+    skipped = rebuilt = 0
+    for request in requests_for(system, 40):
+        outcome = composer.compose(request)
+        context.allocator.cancel_transient(request.request_id)
+        if outcome.success:
+            sessions.append(context.allocator.commit(outcome.composition))
+        if len(sessions) > 8:
+            context.allocator.release(sessions.pop(0))
+        for table in scorer._tables.values():
+            moved = table.stale_version != global_state.node_version
+            before = table.stale_available
+            table.ensure_stale(context)
+            if moved:
+                skipped += table.stale_available is before
+                rebuilt += table.stale_available is not before
+            fresh = _CandidateTable(table.components, table.registry_version)
+            fresh.ensure_stale(context)
+            for name in ("stale_available", "stale_delay", "stale_loss"):
+                assert np.array_equal(getattr(table, name), getattr(fresh, name))
+    assert skipped and rebuilt
+
+
 def test_bandwidth_rows_follow_the_router_epoch():
     """A cached stale bandwidth row is rebuilt once churn moves the
     router's epoch, even though the link state has not changed."""

@@ -98,6 +98,15 @@ class TestWidenFallback:
         assert context.fast_scorer().widen_retries > 0
         assert sum(s[0] for s in pruned) == sum(s[0] for s in full)
 
+    def test_membership_mask_is_clean_between_levels(self):
+        """Each pruned level resets the neighbourhood mask at the members
+        it set.  A leak would change no decision (non-members still read
+        as unreachable) but would grow every later level's pool."""
+        _, context = run_signatures(8, count=30)
+        scorer = context.fast_scorer()
+        assert scorer.widen_retries > 0
+        assert not scorer._in_neighborhood.any()
+
     def test_widen_counter_lands_in_traces(self):
         from repro.observability import TraceRecorder
 

@@ -1,9 +1,13 @@
 """Unit tests for coarse-grain global state maintenance."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.state.global_state import GlobalStateManager
 from tests.conftest import rv
+from tests.test_routing_differential import random_mesh
 
 
 @pytest.fixture
@@ -101,3 +105,58 @@ class TestValidation:
     def test_bad_threshold_rejected(self, micro_network):
         with pytest.raises(ValueError, match="threshold_fraction"):
             GlobalStateManager(micro_network, threshold_fraction=1.5)
+
+
+class TestNodeSnapshotArray:
+    """The dense node-snapshot matrix and the per-node stamps that the
+    scorer keys its stale arrays on."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        levels=st.sampled_from([None, 2, 5]),
+        loss=st.sampled_from([0.0, 0.4]),
+        steps=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_and_stamps_follow_every_published_change(
+        self, seed, levels, loss, steps
+    ):
+        """After random allocate/release/refresh sequences, under update
+        loss and value quantization, each matrix row equals the node's
+        published snapshot and each stamp is the version of its node's
+        last published change."""
+        network = random_mesh(seed, num_nodes=6, extra_edges=4)
+        state = GlobalStateManager(network, quantization_levels=levels)
+        state.set_update_loss(loss, random.Random(seed))
+        rng = random.Random(seed + 1)
+        held = {node.node_id: [] for node in network.nodes}
+        last_change = [0] * len(network)
+        for _ in range(steps):
+            node = network.node(rng.randrange(len(network)))
+            version = state.node_version
+            action = rng.random()
+            if action < 0.1:
+                state.force_refresh()
+                last_change = [state.node_version] * len(network)
+            elif held[node.node_id] and action < 0.5:
+                amounts = held[node.node_id]
+                node.release(amounts.pop(rng.randrange(len(amounts))))
+            else:
+                amount = rv(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
+                if node.can_allocate(amount):
+                    node.allocate(amount)
+                    held[node.node_id].append(amount)
+            if action >= 0.1 and state.node_version != version:
+                assert state.node_version == version + 1
+                last_change[node.node_id] = state.node_version
+            for other in network.nodes:
+                assert state.node_available_array[other.node_id].tolist() == list(
+                    state.node_available(other.node_id).values
+                )
+            assert state.node_stamps.tolist() == last_change
+
+    def test_views_are_read_only(self, state):
+        with pytest.raises(ValueError):
+            state.node_available_array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            state.node_stamps[0] = 1

@@ -195,6 +195,58 @@ class TestOracleDifferential:
             index.close()
 
 
+class TestLossOnDemand:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_nodes=st.integers(min_value=2, max_value=30),
+        extra_edges=st.integers(min_value=0, max_value=40),
+        down_share=st.floats(min_value=0.0, max_value=0.4),
+        link_share=st.floats(min_value=0.0, max_value=0.4),
+        k=st.integers(min_value=1, max_value=35),
+        reads=st.lists(
+            st.lists(st.integers(min_value=0, max_value=10_000), max_size=12),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_loss_at_matches_router_rows(
+        self, seed, num_nodes, extra_edges, down_share, link_share, k, reads
+    ):
+        """Position subsets in any order, with repeats, read batch after
+        batch into one memo, equal the router's loss row float for float,
+        under random down nodes (crashed sources included) and down links."""
+        spanning = num_nodes - 1
+        extra_edges = min(extra_edges, num_nodes * spanning // 2 - spanning)
+        network = random_mesh(seed, num_nodes, extra_edges, loss_range=(0.0, 0.2))
+        rng = random.Random(seed)
+        down_nodes = {v for v in range(num_nodes) if rng.random() < down_share}
+        down_links = {
+            link.link_id for link in network.links if rng.random() < link_share
+        }
+        with OverlayRouter(network) as router:
+            router.set_down_nodes(down_nodes)
+            router.set_down_links(down_links)
+            index = NeighborhoodIndex(router, k=k)
+            for source in range(num_nodes):
+                entry = index.entry(source)
+                _, loss_row = router.virtual_link_rows(source)
+                for batch in reads:
+                    positions = np.array(
+                        [read % len(entry) for read in batch], dtype=np.int64
+                    )
+                    got = entry.loss_at(positions)
+                    want = loss_row[entry.members[positions]]
+                    assert got.tolist() == want.tolist(), (source, positions)
+                # the virtual link reads the same memo
+                position = reads[0][0] % len(entry) if reads[0] else 0
+                if position:
+                    link = index.virtual_link(source, int(entry.members[position]))
+                    assert link.qos.values[1] == loss_row[entry.members[position]]
+                assert entry.loss.tolist() == loss_row[entry.members].tolist()
+            index.close()
+
+
 class TestChurnMaintenance:
     def test_differential_under_random_churn(self):
         """After arbitrary node/link churn, the cached index answers

@@ -1,5 +1,7 @@
 """Unit tests for the load-dependent component QoS model."""
 
+import typing
+
 import pytest
 
 from repro.model.qos_model import LoadDependentQoSModel
@@ -81,3 +83,10 @@ class TestContextViews:
         precise = micro_context.precise_component_qos(component)
         stale = micro_context.stale_component_qos(component)
         assert stale.delay == pytest.approx(precise.delay)
+
+
+def test_annotations_resolve():
+    """Every annotated name is imported: ``typing.get_type_hints`` raises
+    ``NameError`` on one that is not."""
+    hints = typing.get_type_hints(LoadDependentQoSModel.effective_qos_arrays)
+    assert typing.get_origin(hints["return"]) is tuple

@@ -212,4 +212,10 @@ def test_scorer_memory_footprint_reports_tables_and_rows():
     footprint = context.fast_scorer().memory_footprint()
     assert footprint["tables"] > 0
     assert footprint["bandwidth_rows"] > 0
-    assert footprint["total"] == footprint["tables"] + footprint["bandwidth_rows"]
+    # one byte per node: the pruned levels' neighbourhood membership mask
+    assert footprint["neighborhood_mask"] == len(system.network)
+    assert footprint["total"] == (
+        footprint["tables"]
+        + footprint["bandwidth_rows"]
+        + footprint["neighborhood_mask"]
+    )
