@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test lint check docs-seeds bench bench-micro bench-scale bench-scale-smoke spec-check perf-smoke trace-demo
+.PHONY: test lint check docs-seeds bench bench-micro bench-scale bench-scale-smoke spec-check perf-smoke perf-pairs trace-demo
 
 test:
 	$(PYTEST) -x -q tests
@@ -123,6 +123,20 @@ perf-smoke:
 			echo "perf-smoke: $$workload digest $$got, pinned $$want"; exit 1; fi; \
 		echo "perf-smoke: $$workload seed 1 digest $$got as pinned"; \
 	done
+
+# Alternating perfbench pairs of BASE (a git ref) against this checkout:
+# WORKLOAD at each of SEEDS (e.g. 2-11), 45 s per run, alternating which
+# side runs first.  Prints each end-to-end metric's medians and quartiles,
+# the change's wins, whether a gain claim holds (9/10 wins and a median
+# difference above the base IQR) and whether a median is worse than its
+# BENCHMARK.json bound; fails on a failed run or differing digests.
+# About 2 minutes per seed on a 2-core host.
+BASE ?= HEAD
+WORKLOAD ?= faults-400
+SEEDS ?= 2-11
+
+perf-pairs:
+	python benchmarks/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --seeds "$(SEEDS)"
 
 # Full benchmark suite: every figure harness at FAST_SCALE plus the micro
 # operations.  Figure rows land in benchmarks/results/*.txt.  The ~10-min

@@ -20,14 +20,16 @@ the whole candidate pool of a function, fed by caches that persist
   :attr:`GlobalStateManager.node_stamps`, so a table is rebuilt only when
   one of its own candidates' hosts republished its state, not on every
   bump of the global :attr:`~GlobalStateManager.node_version`;
-* **virtual-link QoS rows** (per source node) — delay/loss to every
-  destination, served read-only by :meth:`OverlayRouter.virtual_link_rows`
-  from the router's own tree cache, which churn empties;
-* **stale virtual-link bottleneck bandwidth** (per source node) — one
-  whole-row tree pass (:meth:`OverlayRouter.bottleneck_bandwidth_row` over
-  :attr:`GlobalStateManager.link_available_array`) re-validated against
-  ``(link_version, router.epoch)``, so a link-state update or a churn
-  event rebuilds each row on its next use.
+* **virtual-link QoS** (per source node) — delay and composed loss at
+  the pool's nodes, served by :meth:`OverlayRouter.virtual_link_rows`
+  from the router's own tree cache (which churn empties), loss folded
+  only down the paths read and memoised on the tree;
+* **stale virtual-link bottleneck bandwidth** (per source node) — a
+  memo row of :meth:`OverlayRouter.bottleneck_bandwidth_row` over
+  :attr:`GlobalStateManager.link_available_array`, folded only down the
+  paths to the nodes read and re-started empty whenever
+  ``(link_version, router.epoch)`` moves, so a link-state update or a
+  churn event costs only the paths read after it.
 
 Nothing here is per-request state, so nothing outlives (or leaks from)
 one ``compose()``.
@@ -35,7 +37,8 @@ one ``compose()``.
 A level gathers each upstream node's delay, loss and stale-bandwidth
 rows once and shares them among its probes.  A pruned level stays
 O(P × k): its neighbourhood union is a node mask set and reset at the
-members only, and loss is folded only for members hosting a candidate.
+members only, and loss and stale bandwidth are folded only for members
+hosting a candidate.
 
 Every array expression mirrors the scalar equations' operation order
 (raw-space QoS accumulation, additive-space risk ratios, term-ordered
@@ -328,12 +331,12 @@ class FastScorer:
     def __init__(self, context: "CompositionContext") -> None:
         self.context = context
         self._tables: Dict[int, _CandidateTable] = {}
-        #: upstream node -> (link_version, router epoch, full row of stale
-        #: bottleneck kbps per destination node, -inf where unreachable).
-        #: Mask-independent: masked candidates are already excluded from
-        #: ``qualified``, so their row entries are never read.
-        #: LRU-bounded (scorer memory stays O(bound × N)); an evicted
-        #: source is simply re-derived on next use, value-identically.
+        #: upstream node -> (link_version, router epoch, memo row of stale
+        #: bottleneck kbps per destination node: NaN until folded, -inf
+        #: where unreachable).  Mask-independent: masked candidates are
+        #: already excluded from ``qualified``, so their values are never
+        #: read.  LRU-bounded (scorer memory stays O(bound × N)); an
+        #: evicted source is simply re-folded on next use, value-identically.
         self._bandwidth_rows: LRUDict[int, Tuple[int, int, np.ndarray]] = LRUDict(
             capacity=context.scorer_row_cache_size,
             on_evict=self._on_bandwidth_row_evicted,
@@ -361,7 +364,7 @@ class FastScorer:
         """Approximate resident bytes per scorer substructure.
 
         ``nbytes`` over the candidate tables' arrays (their memoised
-        format masks included), the cached bottleneck-bandwidth rows and
+        format masks included), the bottleneck-bandwidth memo rows and
         the neighbourhood membership mask; BENCH_scale uses this to
         attribute memory per subsystem.
         """
@@ -792,10 +795,7 @@ class FastScorer:
         node: the router's rows, or the bounded tree's members (the same
         floats) with non-members unreachable, left to the isfinite mask."""
         if neighborhood is None:
-            delay_row, loss_row = self.context.router.virtual_link_rows(
-                upstream_node
-            )
-            return delay_row[node_index], loss_row[node_index]
+            return self.context.router.virtual_link_rows(upstream_node, node_index)
         entry, positions = neighborhood
         inside = positions >= 0
         members = positions[inside]
@@ -812,28 +812,34 @@ class FastScorer:
         neighborhood: Optional[Tuple["NeighborhoodEntry", np.ndarray]],
     ) -> np.ndarray:
         """Stale bottleneck bandwidth from ``upstream_node`` to each pool
-        node: a cached full row, or the O(k) bounded-tree fold over the
-        same link values with non-members at ``-inf`` (already masked)."""
+        node: the router's memo row, or the bounded tree's members (the
+        same floats) with non-members at ``-inf`` (already masked)."""
         if neighborhood is None:
             return self._bandwidth_row(table, upstream_node)
         entry, positions = neighborhood
         global_state = self.context.global_state
-        bw_row = self.context.neighborhood_index().stale_bottleneck_row(
-            entry, global_state.link_available_array, global_state.link_version
+        inside = positions >= 0
+        row = np.full(len(positions), -np.inf)
+        row[inside] = self.context.neighborhood_index().stale_bottleneck_row(
+            entry,
+            global_state.link_available_array,
+            global_state.link_version,
+            positions[inside],
         )
-        return np.where(positions >= 0, bw_row[np.maximum(positions, 0)], -np.inf)
+        return row
 
     def _bandwidth_row(
         self, table: _CandidateTable, upstream_node: int
     ) -> np.ndarray:
         """Stale bottleneck bandwidth from ``upstream_node`` to each of a
-        function's candidate nodes, gathered from a cached full row.
+        function's candidate nodes, read through a memo row.
 
-        The full row — one shortest-path-tree pass over the coarse-grain
-        link state, ``-inf`` for unreachable nodes (which the wavefront
-        masks out anyway) — serves every probe and every function level
-        fed from the same upstream node, until a link state update bumps
-        ``link_version`` or churn bumps the router's ``epoch``.
+        The memo row — the min over the coarse-grain link state down the
+        shortest-path tree, folded only down the paths read, ``-inf`` for
+        unreachable nodes (which the wavefront masks out anyway) — serves
+        every probe and every function level fed from the same upstream
+        node, until a link state update bumps ``link_version`` or churn
+        bumps the router's ``epoch`` and a new empty row starts.
         """
         context = self.context
         recorder = context.recorder
@@ -841,16 +847,18 @@ class FastScorer:
         epoch = context.router.epoch
         entry = self._bandwidth_rows.get(upstream_node)
         if entry is None or entry[0] != link_version or entry[1] != epoch:
-            full_row = context.router.bottleneck_bandwidth_row(
-                upstream_node, context.global_state.link_available_array
-            )
-            entry = (link_version, epoch, full_row)
+            entry = (link_version, epoch, np.full(len(context.network), np.nan))
             self._bandwidth_rows[upstream_node] = entry
             if recorder.enabled:
                 recorder.inc("fastscore.bw_row_build")
         elif recorder.enabled:
             recorder.inc("fastscore.bw_row_hit")
-        return entry[2][table.node_ids]
+        return context.router.bottleneck_bandwidth_row(
+            upstream_node,
+            context.global_state.link_available_array,
+            table.node_ids,
+            entry[2],
+        )
 
     @staticmethod
     def _risk(

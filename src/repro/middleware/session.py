@@ -344,10 +344,11 @@ class SessionManager:
         Each pending session is re-composed with the manager's composer; on
         success the new allocation is committed and the session returns to
         ``COMPOSED`` with its recovery latency recorded.  A session past
-        its recovery deadline — or one whose re-admission loses a race —
-        falls back to a clean kill.  Sessions that merely fail to compose
-        this sweep stay ``RECOVERING`` until their deadline.  Returns the
-        number of sessions recovered this sweep.
+        its recovery deadline falls back to a clean kill.  A session that
+        fails to compose this sweep, or whose commit loses an admission
+        race, has its transient reservations cancelled and stays
+        ``RECOVERING``, to be retried at the next sweep until its
+        deadline.  Returns the number of sessions recovered this sweep.
         """
         if self.recovery is None:
             return 0

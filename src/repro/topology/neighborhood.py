@@ -19,11 +19,20 @@ A cold entry comes from the router's own tree pipeline, in three steps:
    over the router's live CSR graph (down nodes and down links already
    removed), stopped at a distance limit;
 2. the first ``k`` reached nodes in (distance, node id) order, a partial
-   sort over the reached nodes only;
-3. :meth:`OverlayRouter.tree_edges` on that k-prefix — arriving link ids
-   and their loss rates, O(k log L), and parent positions, O(k log k).
-   Composed loss is folded later, on first read and only down the paths
-   to the members read (:meth:`NeighborhoodEntry.loss_at`).
+   sort over the reached nodes only.  When the row reaches exactly ``k``
+   nodes — every re-solve of an evicted source does, its limit being the
+   exact radius — the ascending reached ids are already the sorted
+   members, and their member positions invert the settle permutation,
+   one scatter instead of a second sort;
+3. :meth:`OverlayRouter.tree_edges` on that k-prefix — arriving link ids,
+   O(k log L), and parent positions, O(k log k).
+
+Composed loss and stale bottleneck bandwidth are folded later, on first
+read and only down the paths to the members read
+(:func:`~repro.topology.routing.fold_paths`, the router's own fold),
+memoised on the entry: loss for the entry's lifetime
+(:meth:`NeighborhoodEntry.loss_at`), bandwidth for one global-state link
+version (:meth:`NeighborhoodIndex.stale_bottleneck_row`).
 
 The limit comes from the triangle inequality and needs no tuning.  A
 solve of v whose k-th member lies at delay r(v) bounds every node u it
@@ -71,7 +80,7 @@ from repro.model.lru import LRUDict
 from repro.model.qos import QoSVector
 from repro.observability import NULL_RECORDER, Recorder
 from repro.topology.overlay import BOUND_SLACK, nearest_targets, tighten_bounds
-from repro.topology.routing import OverlayRouter
+from repro.topology.routing import OverlayRouter, fold_paths
 
 #: ``SystemConfig.candidate_prune_k`` accepts ``None`` (full scan), the
 #: string ``"auto"``, or an explicit positive neighbourhood size.
@@ -112,9 +121,9 @@ class NeighborhoodEntry:
 
     Parallel arrays over the ``<= k`` members in settle order —
     ``members[0]`` is the source itself at distance 0, with uplink and
-    parent position -1 and edge loss 0.  ``members_sorted`` /
-    ``sorted_to_pos`` support O(log k) membership and batched gathers
-    (``np.searchsorted``); the per-member arrays are O(k), never O(N).
+    parent position -1.  ``members_sorted`` / ``sorted_to_pos`` support
+    O(log k) membership and batched gathers (``np.searchsorted``); the
+    per-member arrays are O(k), never O(N).
     """
 
     __slots__ = (
@@ -126,8 +135,8 @@ class NeighborhoodEntry:
         "sorted_to_pos",
         "delay",
         "uplink",
-        "edge_loss",
         "parent_pos",
+        "link_loss",
         "_loss",
         "bw_link_version",
         "bw_row",
@@ -139,34 +148,31 @@ class NeighborhoodEntry:
         k: int,
         version: int,
         members: np.ndarray,
+        members_sorted: np.ndarray,
+        sorted_to_pos: np.ndarray,
         delay: np.ndarray,
-        parents: np.ndarray,
+        parent_pos: np.ndarray,
         uplink: np.ndarray,
-        edge_loss: np.ndarray,
+        link_loss: np.ndarray,
     ) -> None:
-        """``parents``, ``uplink`` and ``edge_loss`` cover the non-source
-        members ``members[1:]``: parent node id, arriving link id and that
-        link's loss rate."""
+        """``link_loss`` is the router's per-link loss array (shared)."""
         self.source = source
         self.k = k
         #: router epoch the tree was solved at (stale once the epoch moves)
         self.version = version
         self.members = members
+        self.members_sorted = members_sorted
+        self.sorted_to_pos = sorted_to_pos
         self.delay = delay
-        sort = np.argsort(members, kind="stable")
-        self.members_sorted = members[sort]
-        self.sorted_to_pos = sort
-        # a parent settles before its child, so it is a member too
-        self.parent_pos = np.concatenate(
-            ([-1], sort[np.searchsorted(self.members_sorted, parents)])
-        )
-        self.uplink = np.concatenate(([-1], uplink))
-        self.edge_loss = np.concatenate(([0.0], edge_loss))
+        self.parent_pos = parent_pos
+        self.uplink = uplink
+        self.link_loss = link_loss
         #: composed loss per member, NaN until :meth:`loss_at` folds it
         self._loss = np.full(len(members), math.nan)
         self._loss[0] = 0.0
-        #: stale bottleneck-bandwidth row over the members, valid for one
-        #: global-state link version (lazily filled by the scorer)
+        #: stale bottleneck bandwidth per member, NaN until
+        #: :meth:`NeighborhoodIndex.stale_bottleneck_row` folds it, valid
+        #: for one global-state link version
         self.bw_link_version = -1
         self.bw_row: Optional[np.ndarray] = None
 
@@ -175,39 +181,11 @@ class NeighborhoodEntry:
 
     def loss_at(self, positions: np.ndarray) -> np.ndarray:
         """Composed loss from the source to the members at ``positions``
-        (any order, repeats allowed), folded by :meth:`loss_of` for the
-        members not read before."""
-        values = self._loss[positions]
-        pending = np.isnan(values)
-        if pending.any():
-            for position in positions[pending].tolist():
-                self.loss_of(position)
-            values = self._loss[positions]
-        return values
-
-    def loss_of(self, position: int) -> float:
-        """Composed loss from the source to the member at ``position``.
-
-        Folds ``1 − (1 − loss(parent))(1 − loss(edge))`` parent-first from
-        0 at the source, as :meth:`OverlayRouter.annotate` does, but only
-        down the path to this member, stopping at the nearest ancestor
-        folded before; every folded value is memoised on the entry.  Each
-        member's value is the same float operations on the same floats,
-        so it equals the router's.
-        """
-        loss = self._loss
-        parent_pos = self.parent_pos
-        path: List[int] = []
-        value = loss.item(position)
-        while math.isnan(value):
-            path.append(position)
-            position = parent_pos.item(position)
-            value = loss.item(position)
-        edge_loss = self.edge_loss
-        for member in reversed(path):
-            value = 1.0 - (1.0 - value) * (1.0 - edge_loss.item(member))
-            loss[member] = value
-        return float(value)
+        (any order, repeats allowed), folded for the members not read
+        before by the router's fold, so each equals the router's float."""
+        return fold_paths(
+            self._loss, positions, self.parent_pos, self.uplink, self.link_loss, True
+        )
 
     @property
     def loss(self) -> np.ndarray:
@@ -241,15 +219,14 @@ class NeighborhoodEntry:
         return tuple(links)
 
     def nbytes(self) -> int:
-        """Resident bytes of the tree arrays and the loss memo (the cached
-        ``bw_row`` apart)."""
+        """Resident bytes of the tree arrays and the loss memo (the
+        bandwidth memo ``bw_row`` apart)."""
         return int(
             self.members.nbytes
             + self.members_sorted.nbytes
             + self.sorted_to_pos.nbytes
             + self.delay.nbytes
             + self.uplink.nbytes
-            + self.edge_loss.nbytes
             + self.parent_pos.nbytes
             + self._loss.nbytes
         )
@@ -313,8 +290,8 @@ class NeighborhoodIndex:
 
     def memory_footprint(self) -> Dict[str, int]:
         """Resident bytes of the index (O(cache × k) + O(N)): the cached
-        entries' tree arrays, the stale bandwidth rows cached on them, and
-        the per-node solve bounds."""
+        entries' tree arrays and loss memos, the stale bandwidth memos on
+        them, and the per-node solve bounds."""
         entries = 0
         bandwidth_rows = 0
         for _, entry in self._entries.items():
@@ -362,49 +339,66 @@ class NeighborhoodIndex:
             self._bounds_epoch = router.epoch
         bounded = k == self.k
         limit = self._bounds[source] * (1.0 + BOUND_SLACK) if bounded else math.inf
-        distances, reached, members, predecessors = nearest_targets(
+        distances, reached, members, predecessors, order = nearest_targets(
             router.live_graph, source, k, limit
         )
         if bounded:
             tighten_bounds(self._bounds, distances, reached, members, k)
-        parents, links, edge_loss = router.tree_edges(predecessors, members[1:])
+        count = len(members)
+        if len(reached) == count:
+            # the row holds exactly the members: ascending, they are
+            # ``reached``, and their positions invert the settle order
+            members_sorted = reached
+            sorted_to_pos = np.empty(count, dtype=np.int64)
+            sorted_to_pos[order] = np.arange(count)
+        else:
+            sorted_to_pos = np.argsort(members, kind="stable")
+            members_sorted = members[sorted_to_pos]
+        parents, links = router.tree_edges(predecessors, members[1:])
+        parent_pos = np.empty(count, dtype=np.int64)
+        uplink = np.empty(count, dtype=np.int64)
+        parent_pos[0] = uplink[0] = -1
+        # a parent settles before its child, so it is a member too
+        parent_pos[1:] = sorted_to_pos[np.searchsorted(members_sorted, parents)]
+        uplink[1:] = links
         return NeighborhoodEntry(
             source,
             k,
             router.epoch,
             members,
+            members_sorted,
+            sorted_to_pos,
             distances[members],
-            parents,
-            links,
-            edge_loss,
+            parent_pos,
+            uplink,
+            router.link_loss,
         )
 
     # -- queries -----------------------------------------------------------
 
     def stale_bottleneck_row(
-        self, entry: NeighborhoodEntry, link_available_kbps: np.ndarray, link_version: int
+        self,
+        entry: NeighborhoodEntry,
+        link_available_kbps: np.ndarray,
+        link_version: int,
+        positions: np.ndarray,
     ) -> np.ndarray:
-        """Bottleneck bandwidth from the entry's source to each member.
+        """Bottleneck bandwidth from the entry's source to the members at
+        ``positions`` (any order, repeats allowed).
 
-        One O(k) fold down the bounded tree in settle order (parents
-        settle first) — the member-restricted twin of
-        :meth:`OverlayRouter.bottleneck_bandwidth_row`, min-folding the
-        identical link values so member figures match byte-for-byte.
-        Cached on the entry for one global-state link version.
+        The member-restricted twin of
+        :meth:`OverlayRouter.bottleneck_bandwidth_row`: the same fold
+        (:func:`~repro.topology.routing.fold_paths`) min-folds the identical
+        link values only down the paths to the members read, so member
+        figures match byte for byte.  Memoised on the entry
+        (``entry.bw_row``) for one global-state link version.
         """
-        if entry.bw_row is not None and entry.bw_link_version == link_version:
-            return entry.bw_row
-        fold = [math.inf]
-        for parent, value in zip(
-            entry.parent_pos[1:].tolist(),
-            link_available_kbps[entry.uplink[1:]].tolist(),
-        ):
-            upstream = fold[parent]
-            fold.append(value if value < upstream else upstream)
-        row = np.array(fold)
-        entry.bw_row = row
-        entry.bw_link_version = link_version
-        return row
+        if entry.bw_row is None or entry.bw_link_version != link_version:
+            entry.bw_row = np.full(len(entry), math.nan)
+            entry.bw_row[0] = math.inf
+            entry.bw_link_version = link_version
+        memo, parents, uplink = entry.bw_row, entry.parent_pos, entry.uplink
+        return fold_paths(memo, positions, parents, uplink, link_available_kbps, False)
 
     def live_bandwidth(self, source: int, node_id: int) -> Optional[float]:
         """Live bottleneck bandwidth source → node via the bounded tree,
@@ -442,5 +436,7 @@ class NeighborhoodIndex:
             src_node_id=source,
             dst_node_id=node_id,
             overlay_link_ids=entry.path_links(position),
-            qos=QoSVector(float(entry.delay[position]), entry.loss_of(position)),
+            qos=QoSVector(
+                float(entry.delay[position]), entry.loss_at(np.array([position])).item()
+            ),
         )

@@ -28,10 +28,12 @@ Every tree, cached here or bounded in :mod:`repro.topology.neighborhood`,
 comes from one pipeline: scipy's C Dijkstra over :attr:`live_graph` (in
 full by :meth:`solve_tree` here, up to a distance limit by
 :func:`~repro.topology.overlay.nearest_targets` there, which settles
-every node within the limit identically), :meth:`tree_edges` (arriving
-link ids through a sorted pair-key array) and the parent-first loss
-fold — over every node in :meth:`annotate` here, over the members read
-there — so both answer the same floats.
+every node within the limit identically), then :meth:`tree_edges`
+(arriving link ids through a sorted pair-key array).  Composed loss and
+stale bottleneck bandwidth are never folded over a whole tree: every
+read goes through :func:`fold_paths`, which folds parent-first only down
+the paths to the nodes read and memoises each value, so a tree pays per
+path read, not per node, and both answer the same floats.
 
 Co-located pairs (a == b) yield the empty path with zero QoS — footnote 4's
 "0 network delay" and footnote 8's infinite residual bandwidth.
@@ -60,49 +62,74 @@ class RoutingError(RuntimeError):
     """Raised when no overlay path exists between two nodes."""
 
 
-class _SourceTree:
-    """One source's shortest-path tree, its lazily-built per-row arrays,
-    and the paths and QoS answered from it.
+def fold_paths(
+    memo: np.ndarray,
+    nodes: np.ndarray,
+    parents: np.ndarray,
+    uplink: np.ndarray,
+    link_values: np.ndarray,
+    loss: bool,
+) -> np.ndarray:
+    """Values of a tree's ``memo`` row at ``nodes`` (any order, repeats
+    allowed), folding first the ones not memoised yet.
 
-    ``distances``/``loss_row`` are exposed to callers read-only.
+    ``memo`` holds NaN until a node is folded, and its final value at
+    every root a walk can reach (the source, unreachable nodes).  For each
+    pending node the walk climbs ``parents`` to the nearest memoised
+    ancestor, then folds back down parent-first with the edge value
+    ``link_values[uplink[node]]``, memoising every value: composed loss
+    ``1 − (1 − parent)(1 − edge)`` when ``loss``, else the min.  These are
+    the float operations a whole-tree pass in settle order would do, on
+    the same floats in the same order, but only down the paths read.
+    """
+    path: List[int] = []
+    for node in nodes.tolist():
+        value = memo.item(node)
+        while value != value:  # NaN: not folded yet
+            path.append(node)
+            node = parents.item(node)
+            value = memo.item(node)
+        while path:
+            node = path.pop()
+            edge = link_values.item(uplink.item(node))
+            if loss:
+                value = 1.0 - (1.0 - value) * (1.0 - edge)
+            elif edge < value:
+                value = edge
+            memo[node] = value
+    return memo[nodes]
+
+
+class _SourceTree:
+    """One source's shortest-path tree, its composed-loss memo, and the
+    paths and QoS answered from it.
+
+    ``distances`` is exposed to callers read-only.
     """
 
-    __slots__ = (
-        "distances",
-        "predecessors",
-        "finite",
-        "order",
-        "uplink",
-        "loss_row",
-        "paths",
-        "qos",
-    )
+    __slots__ = ("distances", "predecessors", "finite", "uplink", "loss", "paths", "qos")
 
-    def __init__(self, distances: np.ndarray, predecessors: np.ndarray) -> None:
+    def __init__(
+        self, distances: np.ndarray, predecessors: np.ndarray, uplink: np.ndarray
+    ) -> None:
         self.distances = distances
         self.predecessors = predecessors
         self.finite = np.isfinite(distances)
-        #: reachable destinations in nondecreasing distance order
-        self.order: Optional[np.ndarray] = None
         #: per destination, the link id of the tree edge arriving at it
         #: (-1 at the source and at unreachable destinations)
-        self.uplink: Optional[np.ndarray] = None
-        self.loss_row: Optional[np.ndarray] = None
+        self.uplink = uplink
+        #: composed loss per destination, NaN until :func:`fold_paths`
+        #: reads it (0 at the source and at unreachable destinations)
+        self.loss = np.where(uplink >= 0, math.nan, 0.0)
         #: per destination, the overlay path and the virtual-link QoS
         self.paths: Dict[int, Tuple[int, ...]] = {}
         self.qos: Dict[int, QoSVector] = {}
         distances.setflags(write=False)
 
     def nbytes(self) -> int:
-        """Resident bytes of this tree's arrays (lazy rows count once built)."""
-        total = self.distances.nbytes + self.predecessors.nbytes + self.finite.nbytes
-        if self.order is not None:
-            total += self.order.nbytes
-        if self.uplink is not None:
-            total += self.uplink.nbytes
-        if self.loss_row is not None:
-            total += self.loss_row.nbytes
-        return int(total)
+        """Resident bytes of this tree's arrays, the loss memo included."""
+        parts = (self.distances, self.predecessors, self.finite, self.uplink, self.loss)
+        return sum(int(part.nbytes) for part in parts)
 
 
 class OverlayRouter:
@@ -326,38 +353,20 @@ class OverlayRouter:
 
     def tree_edges(
         self, predecessors: np.ndarray, nodes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Parent, arriving link id and that link's loss rate of tree
-        nodes (reachable non-source nodes of one tree), the link ids by
-        one searchsorted over the sorted pair keys."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Parent and arriving link id of tree nodes (reachable non-source
+        nodes of one tree), the link ids by one searchsorted over the
+        sorted pair keys."""
         parents = predecessors[nodes].astype(np.int64)
         links = self._pair_link[
             np.searchsorted(self._pair_key, parents * len(self.network) + nodes)
         ]
-        return parents, links, self._link_loss[links]
+        return parents, links
 
-    def annotate(
-        self, predecessors: np.ndarray, nodes: np.ndarray
-    ) -> Tuple[np.ndarray, List[float]]:
-        """Arriving link id and composed loss of tree nodes.
-
-        ``nodes`` are reachable non-source nodes of one tree in settle
-        (nondecreasing-distance) order, so each parent is folded before
-        its children.  Loss composes per tree edge as
-        ``1 − (1 − loss(parent))(1 − loss(edge))`` from 0 at the source,
-        in raw space, the same float operations in the same order along
-        every path.
-        """
-        parents, links, edge_loss = self.tree_edges(predecessors, nodes)
-        loss_at = [0.0] * len(self.network)
-        loss: List[float] = []
-        for node, parent, edge in zip(
-            nodes.tolist(), parents.tolist(), edge_loss.tolist()
-        ):
-            value = 1.0 - (1.0 - loss_at[parent]) * (1.0 - edge)
-            loss_at[node] = value
-            loss.append(value)
-        return links, loss
+    @property
+    def link_loss(self) -> np.ndarray:
+        """Per-link loss rate, indexed by link id; treat as read-only."""
+        return self._link_loss
 
     def _tree(self, source: int) -> _SourceTree:
         tree = self._trees.get(source)
@@ -365,32 +374,15 @@ class OverlayRouter:
             if self.recorder.enabled:
                 self.recorder.inc("router.tree_solve")
             distances, predecessors = self.solve_tree(source)
-            tree = _SourceTree(distances, predecessors)
+            # scipy marks the source and unreachable nodes with a negative
+            # predecessor; every other node has a tree edge
+            nodes = np.flatnonzero(predecessors >= 0)
+            uplink = np.full(len(distances), -1, dtype=np.int64)
+            uplink[nodes] = self.tree_edges(predecessors, nodes)[1]
+            tree = _SourceTree(distances, predecessors, uplink)
             self._trees[source] = tree
         elif self.recorder.enabled:
             self.recorder.inc("router.tree_hit")
-        return tree
-
-    def _annotated(self, source: int) -> _SourceTree:
-        """The tree plus its order/uplink/loss arrays (one O(N) pass)."""
-        tree = self._tree(source)
-        if tree.order is not None:
-            return tree
-        n = len(self.network)
-        # infinities sort last, so the reachable nodes are a prefix
-        order = np.argsort(tree.distances, kind="stable")[
-            : np.count_nonzero(tree.finite)
-        ]
-        order = order[order != source]
-        links, loss = self.annotate(tree.predecessors, order)
-        uplink = np.full(n, -1, dtype=np.int64)
-        uplink[order] = links
-        loss_row = np.zeros(n)
-        loss_row[order] = loss
-        tree.order = order
-        tree.uplink = uplink
-        loss_row.setflags(write=False)
-        tree.loss_row = loss_row
         return tree
 
     # -- liveness (failure injection) -----------------------------------------
@@ -475,7 +467,7 @@ class OverlayRouter:
         """
         if node_a == node_b:
             return ()
-        tree = self._annotated(node_a)
+        tree = self._tree(node_a)
         cached = tree.paths.get(node_b)
         if cached is not None:
             return cached
@@ -497,39 +489,53 @@ class OverlayRouter:
     def virtual_link_qos(self, node_a: int, node_b: int) -> QoSVector:
         """Static aggregated QoS of the virtual link between two nodes.
 
-        Reads the per-source rows of :meth:`virtual_link_rows` — the same
-        floats the vectorised scoring path (``repro.core.fastscore``) ranks
-        on — so the cache is keyed on the *directed* pair; both directions
-        fold the same links and agree to within summation order.
+        Reads the per-source loss memo of :meth:`virtual_link_rows` — the
+        same floats the vectorised scoring path (``repro.core.fastscore``)
+        ranks on — so the cache is keyed on the *directed* pair; both
+        directions fold the same links and agree to within summation order.
         """
         if node_a == node_b:
             return self._zero_qos
-        tree = self._annotated(node_a)
+        tree = self._tree(node_a)
         cached = tree.qos.get(node_b)
         if cached is None:
             if not tree.finite[node_b]:
                 raise RoutingError(f"no overlay path v{node_a} -> v{node_b}")
-            cached = QoSVector(
-                float(tree.distances[node_b]), float(tree.loss_row[node_b])
-            )
+            loss = self._fold_loss(tree, np.array([node_b]))
+            cached = QoSVector(float(tree.distances[node_b]), loss.item())
             tree.qos[node_b] = cached
         return cached
 
-    def virtual_link_rows(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Virtual-link QoS from ``source`` to *every* node, as arrays.
+    def _fold_loss(self, tree: _SourceTree, nodes: np.ndarray) -> np.ndarray:
+        return fold_paths(
+            tree.loss, nodes, tree.predecessors, tree.uplink, self._link_loss, True
+        )
 
-        Returns ``(delay_row, loss_row)``: per destination the delay sum
-        and the composed loss rate along the delay-shortest path.
-        Unreachable destinations — including crashed ones — have infinite
-        delay (loss is left at 0 there; callers must mask on reachability
-        or liveness).  Both arrays are **read-only views** of router state,
-        valid until :attr:`epoch` moves; the loss accumulation walks the
-        shortest-path tree in distance order, applying the same raw-space
-        composition ``1 − (1 − a)(1 − b)`` per tree edge that
-        :meth:`virtual_link_qos` folds along the path, so both views agree.
+    def virtual_link_rows(
+        self, source: int, nodes: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Virtual-link QoS from ``source`` to ``nodes`` (default: every
+        node), as arrays.
+
+        Returns ``(delay, loss)``: per destination the delay sum and the
+        composed loss rate along the delay-shortest path.  Unreachable
+        destinations — including crashed ones — have infinite delay (loss
+        is 0 there; callers must mask on reachability or liveness).  Loss
+        is folded by :func:`fold_paths` only down the paths to the nodes
+        not read before, composing ``1 − (1 − a)(1 − b)`` per tree edge
+        from 0 at the source, the same raw-space fold
+        :meth:`virtual_link_qos` reads, so both views agree.  With
+        ``nodes`` the arrays are fresh gathers; without, both are
+        **read-only views** of the whole rows, valid until :attr:`epoch`
+        moves.
         """
-        tree = self._annotated(source)
-        return tree.distances, tree.loss_row
+        tree = self._tree(source)
+        if nodes is not None:
+            return tree.distances[nodes], self._fold_loss(tree, nodes)
+        self._fold_loss(tree, np.arange(len(self.network)))
+        loss = tree.loss.view()
+        loss.setflags(write=False)
+        return tree.distances, loss
 
     def virtual_link(self, node_a: int, node_b: int) -> VirtualLinkPath:
         """The virtual link between two (possibly identical) nodes."""
@@ -542,35 +548,44 @@ class OverlayRouter:
         )
 
     def bottleneck_bandwidth_row(
-        self, source: int, link_available_kbps: Optional[np.ndarray] = None
+        self,
+        source: int,
+        link_available_kbps: Optional[np.ndarray] = None,
+        nodes: Optional[np.ndarray] = None,
+        memo: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Bottleneck bandwidth from ``source`` to *every* node, as an array.
+        """Bottleneck bandwidth from ``source`` to ``nodes`` (default:
+        every node), as an array.
 
-        One pass down the shortest-path tree replaces a per-destination
-        path walk; ``link_available_kbps`` substitutes a coarse-grain
-        per-link view (``GlobalStateManager.link_available_array``) for the
-        live residuals.  Entries are ``-inf`` for unreachable destinations
-        and ``+inf`` at the source (footnote 8's co-located case).  The
-        result is freshly computed — callers cache it keyed on
-        (:attr:`epoch`, their link-state version).
+        ``link_available_kbps`` substitutes a coarse-grain per-link view
+        (``GlobalStateManager.link_available_array``) for the live
+        residuals.  Entries are ``-inf`` for unreachable destinations and
+        ``+inf`` at the source (footnote 8's co-located case).  The min is
+        folded by :func:`fold_paths` only down the paths to ``nodes``,
+        into ``memo``: a row of NaN the caller starts for this source and
+        keeps only as long as the tree's :attr:`epoch` and its link
+        values.  A read whose values are all memoised is one gather and
+        one NaN check and does not touch the tree cache.  Without a memo
+        the row is folded afresh.
         """
-        tree = self._annotated(source)
-        values = (
-            self._link_available
-            if link_available_kbps is None
-            else link_available_kbps
+        if memo is None:
+            memo = np.full(len(self.network), math.nan)
+        elif nodes is not None:
+            values = memo[nodes]
+            if not np.isnan(values).any():
+                return values
+        tree = self._tree(source)
+        if math.isnan(memo.item(source)):
+            # a fresh memo: the walks' roots hold the full row's values
+            memo[~tree.finite] = -math.inf
+            memo[source] = math.inf
+        if link_available_kbps is None:
+            link_available_kbps = self._link_available
+        if nodes is None:
+            nodes = np.arange(len(memo))
+        return fold_paths(
+            memo, nodes, tree.predecessors, tree.uplink, link_available_kbps, False
         )
-        order = tree.order
-        row = [-math.inf] * len(self.network)
-        row[source] = math.inf
-        for destination, parent, value in zip(
-            order.tolist(),
-            tree.predecessors[order].tolist(),
-            values[tree.uplink[order]].tolist(),
-        ):
-            upstream = row[parent]
-            row[destination] = value if value < upstream else upstream
-        return np.array(row)
 
     def available_bandwidth(self, node_a: int, node_b: int) -> float:
         """Current bottleneck bandwidth of the virtual link (live values).
@@ -580,7 +595,7 @@ class OverlayRouter:
         """
         if node_a == node_b:
             return float("inf")
-        tree = self._annotated(node_a)
+        tree = self._tree(node_a)
         if not tree.finite[node_b]:
             raise RoutingError(f"no overlay path v{node_a} -> v{node_b}")
         available = np.inf

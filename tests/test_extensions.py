@@ -222,7 +222,10 @@ class TestAttributeConstraints:
 class TestMigration:
     @pytest.fixture
     def loaded_system(self):
-        """A small system with one node driven above the high watermark."""
+        """A small system with one node driven above the high watermark.
+
+        Fails rather than skips without a replicated function: a
+        deployment change must not quietly drop the tests using it."""
         system = build_small_system(seed=8, num_nodes=12)
         # find a node hosting a component whose function has >1 instance
         for node in system.network.nodes:
@@ -232,7 +235,7 @@ class TestMigration:
                     capacity = hot.capacity
                     hot.allocate(capacity.scaled(0.9))
                     return system, hot
-        pytest.skip("no replicated function in this seed")
+        pytest.fail("no replicated function in this seed")
 
     def test_round_moves_component_off_hot_node(self, loaded_system):
         system, hot = loaded_system

@@ -315,6 +315,29 @@ def test_bandwidth_rows_follow_the_router_epoch():
     assert np.array_equal(scorer._bandwidth_row(table, source), fresh_row(source))
 
 
+def test_bandwidth_rows_follow_the_link_version():
+    """A stale bandwidth memo row restarts once a link-state update moves
+    ``link_version``: after every link's snapshot changes, the scorer reads
+    the new values, not the ones folded before."""
+    system, context = fresh_context()
+    scorer = context.fast_scorer()
+    global_state = context.global_state
+    table = _CandidateTable(context.registry.components(), registry_version=0)
+    source = 0
+    before = scorer._bandwidth_row(table, source)
+    link_version = global_state.link_version
+    for link in system.network.links:
+        link.allocate_bandwidth(0.5 * link.available_kbps)
+    global_state.force_refresh()
+    assert global_state.link_version > link_version
+    after = scorer._bandwidth_row(table, source)
+    want = context.router.bottleneck_bandwidth_row(
+        source, global_state.link_available_array
+    )[table.node_ids]
+    assert np.array_equal(after, want)
+    assert not np.array_equal(after, before)
+
+
 @pytest.mark.parametrize("ranking", list(RankingPolicy))
 def test_select_best_breaks_exact_ties_on_component_id(ranking, catalog):
     """Two distinct components with equal risk and equal congestion rank

@@ -112,12 +112,16 @@ class TestBoundedTreeIdentity:
             index = NeighborhoodIndex(router, k=9)
             for source in range(len(network)):
                 entry = index.entry(source)
-                row = index.stale_bottleneck_row(entry, stale, link_version=1)
+                positions = np.arange(len(entry))
+                row = index.stale_bottleneck_row(entry, stale, 1, positions)
                 full = router.bottleneck_bandwidth_row(source, stale)
                 assert np.array_equal(row, full[entry.members])
-                # cached for the same link version, recomputed on a bump
-                assert index.stale_bottleneck_row(entry, stale, 1) is row
-                assert index.stale_bottleneck_row(entry, stale, 2) is not row
+                # memoised for the same link version, restarted on a bump
+                memo = entry.bw_row
+                index.stale_bottleneck_row(entry, stale, 1, positions[:1])
+                assert entry.bw_row is memo
+                index.stale_bottleneck_row(entry, stale, 2, positions[:1])
+                assert entry.bw_row is not memo
             index.close()
 
     def test_virtual_link_matches_router(self):
@@ -244,6 +248,60 @@ class TestLossOnDemand:
                     link = index.virtual_link(source, int(entry.members[position]))
                     assert link.qos.values[1] == loss_row[entry.members[position]]
                 assert entry.loss.tolist() == loss_row[entry.members].tolist()
+            index.close()
+
+
+class TestStaleBandwidthOnDemand:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_nodes=st.integers(min_value=2, max_value=30),
+        extra_edges=st.integers(min_value=0, max_value=40),
+        down_share=st.floats(min_value=0.0, max_value=0.4),
+        link_share=st.floats(min_value=0.0, max_value=0.4),
+        k=st.integers(min_value=1, max_value=35),
+        reads=st.lists(
+            st.lists(st.integers(min_value=0, max_value=10_000), max_size=12),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_position_subsets_match_router_row_across_link_versions(
+        self, seed, num_nodes, extra_edges, down_share, link_share, k, reads
+    ):
+        """Position subsets in any order, with repeats, read batch after
+        batch into the entry's memo under two link versions with different
+        stale values, equal the router's row at the members float for
+        float, under random down nodes and down links."""
+        spanning = num_nodes - 1
+        extra_edges = min(extra_edges, num_nodes * spanning // 2 - spanning)
+        network = random_mesh(seed, num_nodes, extra_edges)
+        rng = random.Random(seed)
+        down_nodes = {v for v in range(num_nodes) if rng.random() < down_share}
+        down_links = {
+            link.link_id for link in network.links if rng.random() < link_share
+        }
+        versions = [
+            np.asarray([rng.uniform(1_000.0, 9_000.0) for _ in network.links])
+            for _ in range(2)
+        ]
+        with OverlayRouter(network) as router:
+            router.set_down_nodes(down_nodes)
+            router.set_down_links(down_links)
+            index = NeighborhoodIndex(router, k=k)
+            for source in range(num_nodes):
+                entry = index.entry(source)
+                for link_version, stale in enumerate(versions, start=1):
+                    full = router.bottleneck_bandwidth_row(source, stale)
+                    for batch in reads:
+                        positions = np.array(
+                            [read % len(entry) for read in batch], dtype=np.int64
+                        )
+                        got = index.stale_bottleneck_row(
+                            entry, stale, link_version, positions
+                        )
+                        want = full[entry.members[positions]]
+                        assert got.tolist() == want.tolist(), (source, positions)
             index.close()
 
 
@@ -414,7 +472,8 @@ class TestBounding:
             assert loaded["entries"] > 0
             assert loaded["bandwidth_rows"] == 0
             stale = np.ones(len(network.links))
-            index.stale_bottleneck_row(index.entry(0), stale, link_version=1)
+            # the memo spans every member, whichever positions were read
+            index.stale_bottleneck_row(index.entry(0), stale, 1, np.array([0]))
             rows = index.memory_footprint()["bandwidth_rows"]
             assert rows == 6 * 8
             assert loaded["total"] == sum(

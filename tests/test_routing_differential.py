@@ -5,12 +5,15 @@ substrate every virtual link rests on; these tests cross-check it against
 an independent implementation (networkx) on randomised meshes, including
 after failure-driven recomputation.  The virtual-link QoS the router and
 the neighbourhood index report is checked against the plain
-``combine_all`` fold of the path's link QoS.
+``combine_all`` fold of the path's link QoS, and the router's memoised
+loss and stale-bandwidth folds against folds along the path.
 """
 
+import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,3 +173,62 @@ def test_virtual_link_qos_equals_path_fold(seed, down_nodes, down_links, k):
             link = index.virtual_link(a, b)
             if link is not None:
                 assert link.qos.values == fold
+
+
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.sets(st.integers(min_value=0, max_value=11), max_size=4),
+    st.sets(st.integers(min_value=0, max_value=20), max_size=4),
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=11), max_size=12),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_memoised_folds_equal_path_folds(seed, down_nodes, down_links, reads):
+    """Node batches read into one tree's memos — any order, repeats,
+    crashed and unreachable nodes included — answer the path folds: loss
+    is the ``combine_all`` fold of the path's link QoS and equals the
+    full row, stale bandwidth is the min of the stale link values along
+    the path (``-inf`` unreachable, ``+inf`` at the source), and a fresh
+    memo after the stale values change answers the new ones."""
+    network = random_mesh(seed, loss_range=(0.0, 0.2))
+    down_links = {l for l in down_links if l < len(network.links)}
+    rng = random.Random(seed)
+    versions = [
+        np.asarray([rng.uniform(1_000.0, 9_000.0) for _ in network.links])
+        for _ in range(2)
+    ]
+    with OverlayRouter(network) as router, OverlayRouter(network) as reference:
+        for each in (router, reference):
+            each.set_down_nodes(down_nodes)
+            each.set_down_links(down_links)
+        for source in range(len(network)):
+            delay_row, loss_row = reference.virtual_link_rows(source)
+            for stale in versions:
+                bandwidth_row = reference.bottleneck_bandwidth_row(source, stale)
+                memo = np.full(len(network), np.nan)
+                for batch in reads:
+                    nodes = np.array(batch, dtype=np.int64)
+                    delay, loss = router.virtual_link_rows(source, nodes)
+                    bandwidth = router.bottleneck_bandwidth_row(
+                        source, stale, nodes, memo
+                    )
+                    for i, node in enumerate(batch):
+                        if node == source:
+                            want = ((0.0, 0.0), math.inf)
+                        elif not router.reachable(source, node):
+                            want = ((math.inf, 0.0), -math.inf)
+                        else:
+                            path = router.overlay_path(source, node)
+                            want = (
+                                combine_all(
+                                    network.link(link_id).qos for link_id in path
+                                ).values,
+                                min(stale[link_id] for link_id in path),
+                            )
+                        got = ((delay[i], loss[i]), bandwidth[i])
+                        assert got == want, (source, node)
+                        assert (delay_row[node], loss_row[node]) == want[0]
+                        assert bandwidth_row[node] == want[1]

@@ -284,6 +284,42 @@ class TestRecovery:
         assert recovering_manager.recover_pending() == 1
         assert recovering_manager.mean_recovery_latency_s == pytest.approx(12.0)
 
+    def test_lost_admission_race_keeps_recovering_until_next_sweep(
+        self, recovering_manager, micro_context, clock, micro_request, monkeypatch
+    ):
+        """A sweep whose commit loses an admission race cancels the
+        re-composition's transient reservations and leaves the session
+        RECOVERING, with no kill; the next sweep re-admits it."""
+        from repro.allocation.allocator import AdmissionError
+
+        allocator = micro_context.allocator
+        session_id, _ = recovering_manager.find(micro_request)
+        _disrupt(recovering_manager, session_id)
+        commit = allocator.commit
+        held_at_commit = []
+
+        def lose_once(composition):
+            held_at_commit.append(
+                micro_request.request_id in allocator.transient_request_ids
+            )
+            if len(held_at_commit) == 1:
+                raise AdmissionError("lost the race")
+            return commit(composition)
+
+        monkeypatch.setattr(allocator, "commit", lose_once)
+        clock["now"] = 5.0
+        assert recovering_manager.recover_pending() == 0
+        assert held_at_commit == [True]
+        assert recovering_manager.recovering_count == 1
+        assert micro_request.request_id not in allocator.transient_request_ids
+        assert recovering_manager.sessions_killed == 0
+        clock["now"] = 8.0
+        assert recovering_manager.recover_pending() == 1
+        assert held_at_commit == [True, True]
+        assert recovering_manager.session(session_id).state is SessionState.COMPOSED
+        assert recovering_manager.sessions_killed == 0
+        assert recovering_manager.mean_recovery_latency_s == pytest.approx(8.0)
+
     def test_double_disruption_race_skips_recovering(
         self, recovering_manager, micro_request
     ):
