@@ -125,12 +125,14 @@ perf-smoke:
 	done
 
 # Alternating perfbench pairs of BASE (a git ref) against this checkout:
-# WORKLOAD at each of SEEDS (e.g. 2-11), 45 s per run, alternating which
-# side runs first.  Prints each end-to-end metric's medians and quartiles,
-# the change's wins, whether a gain claim holds (9/10 wins and a median
-# difference above the base IQR) and whether a median is worse than its
-# BENCHMARK.json bound; fails on a failed run or differing digests.
-# About 2 minutes per seed on a 2-core host.
+# WORKLOAD at each of SEEDS (e.g. 2-11), BENCHMARK.json's run_seconds per
+# run, alternating which side runs first.  Prints each side's failed
+# finds, each end-to-end metric's medians and quartiles, the change's
+# wins, whether a gain claim holds (9/10 wins, a median difference above
+# the base IQR, no larger share of failed finds) and whether a median is
+# worse than its BENCHMARK.json bound (or unresolved, the base spreading
+# wider than the bound); fails on a failed run or differing digests.
+# About 40 s per seed (one pair) on a 2-core host.
 BASE ?= HEAD
 WORKLOAD ?= faults-400
 SEEDS ?= 2-11

@@ -5,16 +5,22 @@
 (``make perf-pairs BASE=... WORKLOAD=... SEEDS=...`` runs the same.)  The
 committed files of ``--base`` are extracted with ``git archive`` into a
 temporary directory, removed on exit.  Then, seed by seed, ``python3
-perfbench/run.py --workload W --seed S --seconds 45 --trace 0`` runs in
-that tree and in this checkout, alternating which side runs first.
+perfbench/run.py --workload W --seed S --seconds T --trace 0`` runs in
+that tree and in this checkout, alternating which side runs first; the
+run length ``T`` is ``BENCHMARK.json``'s ``run_seconds``, the same on
+both sides.
 
-For every end-to-end metric ``BENCHMARK.json`` declares, the report gives
+The report gives each side's finds failed out of attempted, summed over
+the pairs, and for every end-to-end metric ``BENCHMARK.json`` declares,
 each side's median and quartiles and the change's wins (ties count for
 neither side).  ``claim`` says whether a gain claim on the metric would
-hold: at least 9 wins in 10 pairs, and a median difference in the better
-direction larger than the base's interquartile range.  ``bound`` says
-whether the change's median is worse than the base's by more than the
-metric's declared relative bound.
+hold: at least 9 wins in 10 pairs, a median difference in the better
+direction larger than the base's interquartile range, and no larger
+share of failed finds than the base's.  ``bound`` is ``WORSE`` when the
+change's median is worse than the base's by more than the metric's
+declared relative bound, ``unresolved`` when it is not but the base's
+own interquartile range is wider than that bound (unless every change
+run beats every base run), and ``ok`` otherwise.
 
 The exit code is non-zero when a run fails (a non-zero exit or no result
 line) or the two sides of a pair print different decision digests.
@@ -50,7 +56,7 @@ class Verdict:
     wins: int
     pairs: int
     claim_holds: bool
-    beyond_bound: bool
+    bound: str  # "WORSE", "unresolved" or "ok"
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -66,11 +72,14 @@ def verdict(
     better: str,
     bound: float,
     pairs: Sequence[Tuple[float, float]],
+    finds: Tuple[Tuple[int, int], Tuple[int, int]],
 ) -> Verdict:
     """Compare ``(base, change)`` value pairs of one metric.
 
     ``better`` is ``"lower"`` or ``"higher"``; ``bound`` is the largest
-    relative worsening of the median that the metric allows.
+    relative worsening of the median that the metric allows.  ``finds``
+    is each side's ``(failed, attempted)`` over the pairs: a change that
+    fails a larger share of its finds claims no gain.
     """
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
@@ -79,11 +88,22 @@ def verdict(
     change = quartiles([c for _, c in pairs])
     wins = sum(1 for b, c in pairs if sign * (b - c) > 0.0)
     gain = sign * (base[1] - change[1])
+    (base_failed, base_attempted), (change_failed, change_attempted) = finds
     claim_holds = (
-        wins >= math.ceil(CLAIM_WIN_SHARE * len(pairs)) and gain > base[2] - base[0]
+        wins >= math.ceil(CLAIM_WIN_SHARE * len(pairs))
+        and gain > base[2] - base[0]
+        and change_failed * base_attempted <= base_failed * change_attempted
     )
-    beyond_bound = -gain > bound * abs(base[1])
-    return Verdict(name, base, change, wins, len(pairs), claim_holds, beyond_bound)
+    allowed = bound * abs(base[1])
+    if -gain > allowed:
+        status = "WORSE"
+    elif base[2] - base[0] > allowed and not (
+        max(sign * c for _, c in pairs) < min(sign * b for b, _ in pairs)
+    ):
+        status = "unresolved"
+    else:
+        status = "ok"
+    return Verdict(name, base, change, wins, len(pairs), claim_holds, status)
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -96,8 +116,8 @@ def parse_seeds(text: str) -> List[int]:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> Optional[dict]:
-    """One untraced perfbench run; its result line plus its digest, or
-    None when it failed."""
+    """One untraced perfbench run; its result line (metrics, finds
+    attempted and failed) plus its digest, or None when it failed."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0",
@@ -132,8 +152,7 @@ def report(verdicts: Sequence[Verdict], out=sys.stdout) -> None:
         change = f"{v.change[1]:.4g} ({v.change[0]:.4g}-{v.change[2]:.4g})"
         out.write(
             f"{v.name:24s} {base:>30s} {change:>30s} {v.wins:>3d}/{v.pairs:<3d}"
-            f"  {'holds' if v.claim_holds else 'no':5s}  "
-            f"{'WORSE' if v.beyond_bound else 'ok'}\n"
+            f"  {'holds' if v.claim_holds else 'no':5s}  {v.bound}\n"
         )
 
 
@@ -142,12 +161,13 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="git ref to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="e.g. 2-11 or 2,3,5")
-    parser.add_argument("--seconds", type=float, default=45.0)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        metrics = json.load(handle)["end_to_end"]
+        benchmark = json.load(handle)
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     values: Dict[str, List[Tuple[float, float]]] = {m["name"]: [] for m in metrics}
+    finds = {"base": [0, 0], "change": [0, 0]}  # failed, attempted
     failed = False
     base_tree = tempfile.mkdtemp(prefix="perf-pairs-")
     try:
@@ -158,7 +178,7 @@ def main(argv=None) -> int:
                 sides.reverse()
             results = {}
             for side, tree in sides:
-                results[side] = run_once(tree, args.workload, seed, args.seconds)
+                results[side] = run_once(tree, args.workload, seed, seconds)
             base, change = results["base"], results["change"]
             if base is None or change is None:
                 print(f"seed {seed}: a run failed")
@@ -166,6 +186,9 @@ def main(argv=None) -> int:
                 continue
             same = base["digest"] == change["digest"]
             failed |= not same
+            for side, result in results.items():
+                finds[side][0] += result["failed"]
+                finds[side][1] += result["attempted"]
             print(
                 f"seed {seed} ({sides[0][0]} first): digest "
                 f"{'equal' if same else 'DIFFERENT'}; " + ", ".join(
@@ -185,9 +208,16 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(base_tree, ignore_errors=True)
 
-    print(f"\n{args.workload}, base {args.base}, seeds {args.seeds}:")
+    print(f"\n{args.workload}, base {args.base}, seeds {args.seeds}, {seconds:g} s runs:")
+    print(", ".join(
+        f"{side} failed {failed_finds} of {attempted} finds"
+        for side, (failed_finds, attempted) in finds.items()
+    ))
     report([
-        verdict(m["name"], m["better"], m["bound"], values[m["name"]])
+        verdict(
+            m["name"], m["better"], m["bound"], values[m["name"]],
+            (tuple(finds["base"]), tuple(finds["change"])),
+        )
         for m in metrics
         if values[m["name"]]
     ])

@@ -19,11 +19,7 @@ A cold entry comes from the router's own tree pipeline, in three steps:
    over the router's live CSR graph (down nodes and down links already
    removed), stopped at a distance limit;
 2. the first ``k`` reached nodes in (distance, node id) order, a partial
-   sort over the reached nodes only.  When the row reaches exactly ``k``
-   nodes — every re-solve of an evicted source does, its limit being the
-   exact radius — the ascending reached ids are already the sorted
-   members, and their member positions invert the settle permutation,
-   one scatter instead of a second sort;
+   sort over the reached nodes only;
 3. :meth:`OverlayRouter.tree_edges` on that k-prefix — arriving link ids,
    O(k log L), and parent positions, O(k log k).
 
@@ -148,24 +144,29 @@ class NeighborhoodEntry:
         k: int,
         version: int,
         members: np.ndarray,
-        members_sorted: np.ndarray,
-        sorted_to_pos: np.ndarray,
         delay: np.ndarray,
-        parent_pos: np.ndarray,
+        parents: np.ndarray,
         uplink: np.ndarray,
         link_loss: np.ndarray,
     ) -> None:
-        """``link_loss`` is the router's per-link loss array (shared)."""
+        """``parents`` and ``uplink`` cover the non-source members
+        ``members[1:]``: parent node id and arriving link id.
+        ``link_loss`` is the router's per-link loss array (shared)."""
         self.source = source
         self.k = k
         #: router epoch the tree was solved at (stale once the epoch moves)
         self.version = version
         self.members = members
-        self.members_sorted = members_sorted
-        self.sorted_to_pos = sorted_to_pos
         self.delay = delay
-        self.parent_pos = parent_pos
-        self.uplink = uplink
+        sort = np.argsort(members, kind="stable")
+        self.members_sorted = members[sort]
+        self.sorted_to_pos = sort
+        self.parent_pos = np.empty(len(members), dtype=np.int64)
+        self.uplink = np.empty(len(members), dtype=np.int64)
+        self.parent_pos[0] = self.uplink[0] = -1
+        # a parent settles before its child, so it is a member too
+        self.parent_pos[1:] = sort[np.searchsorted(self.members_sorted, parents)]
+        self.uplink[1:] = uplink
         self.link_loss = link_loss
         #: composed loss per member, NaN until :meth:`loss_at` folds it
         self._loss = np.full(len(members), math.nan)
@@ -339,38 +340,20 @@ class NeighborhoodIndex:
             self._bounds_epoch = router.epoch
         bounded = k == self.k
         limit = self._bounds[source] * (1.0 + BOUND_SLACK) if bounded else math.inf
-        distances, reached, members, predecessors, order = nearest_targets(
+        distances, reached, members, predecessors = nearest_targets(
             router.live_graph, source, k, limit
         )
         if bounded:
             tighten_bounds(self._bounds, distances, reached, members, k)
-        count = len(members)
-        if len(reached) == count:
-            # the row holds exactly the members: ascending, they are
-            # ``reached``, and their positions invert the settle order
-            members_sorted = reached
-            sorted_to_pos = np.empty(count, dtype=np.int64)
-            sorted_to_pos[order] = np.arange(count)
-        else:
-            sorted_to_pos = np.argsort(members, kind="stable")
-            members_sorted = members[sorted_to_pos]
         parents, links = router.tree_edges(predecessors, members[1:])
-        parent_pos = np.empty(count, dtype=np.int64)
-        uplink = np.empty(count, dtype=np.int64)
-        parent_pos[0] = uplink[0] = -1
-        # a parent settles before its child, so it is a member too
-        parent_pos[1:] = sorted_to_pos[np.searchsorted(members_sorted, parents)]
-        uplink[1:] = links
         return NeighborhoodEntry(
             source,
             k,
             router.epoch,
             members,
-            members_sorted,
-            sorted_to_pos,
             distances[members],
-            parent_pos,
-            uplink,
+            parents,
+            links,
             router.link_loss,
         )
 

@@ -344,18 +344,17 @@ def nearest_targets(
     limit: float = math.inf,
     targets: Optional[np.ndarray] = None,
     must_reach: Sequence[int] = (),
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The first ``count`` targets of ``source``'s shortest-path tree,
     solving only as far as ``limit`` when that suffices.
 
     ``graph`` is a symmetric CSR delay graph with positive weights, solved
     directed (it already holds both directions of every edge).  Target
     columns index ``targets`` (graph nodes; every node when None).
-    Returns ``(row, reached, nearest, predecessors, order)``: the delay to
-    each target column (``inf`` beyond the limit), the reached columns in
+    Returns ``(row, reached, nearest, predecessors)``: the delay to each
+    target column (``inf`` beyond the limit), the reached columns in
     ascending order, the first ``count`` of them in (delay, column) order,
-    scipy's predecessor array over all graph nodes, and the positions of
-    ``nearest`` in ``reached`` (``nearest == reached[order]``).
+    and scipy's predecessor array over all graph nodes.
 
     Exact whatever the limit: delays are positive, so every node within
     the limit is settled through the same relaxations as in the full
@@ -381,8 +380,8 @@ def nearest_targets(
         ):
             break
         limit = math.inf
-    order = k_smallest_stable(row[reached], count)
-    return row, reached, reached[order], predecessors, order
+    nearest = reached[k_smallest_stable(row[reached], count)]
+    return row, reached, nearest, predecessors
 
 
 def tighten_bounds(
@@ -477,7 +476,7 @@ def build_overlay_network(
     for node_id in range(num_nodes - 1, -1, -1):
         partners = by_min.pop(node_id, [])
         limit = max(bounds[node_id], opened_reach[node_id]) * (1.0 + BOUND_SLACK)
-        row, reached, nearest, _, _ = nearest_targets(
+        row, reached, nearest, _ = nearest_targets(
             ip_network.matrix, routers[node_id], k + 1, limit, targets, partners
         )
         tighten_bounds(bounds, row, reached, nearest, k + 1)

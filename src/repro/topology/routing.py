@@ -527,7 +527,8 @@ class OverlayRouter:
         :meth:`virtual_link_qos` reads, so both views agree.  With
         ``nodes`` the arrays are fresh gathers; without, both are
         **read-only views** of the whole rows, valid until :attr:`epoch`
-        moves.
+        moves, and the call walks every node, O(N) per call (the form
+        tests and oracles read).
         """
         tree = self._tree(source)
         if nodes is not None:
@@ -554,8 +555,7 @@ class OverlayRouter:
         nodes: Optional[np.ndarray] = None,
         memo: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Bottleneck bandwidth from ``source`` to ``nodes`` (default:
-        every node), as an array.
+        """Bottleneck bandwidth from ``source`` to ``nodes``, as an array.
 
         ``link_available_kbps`` substitutes a coarse-grain per-link view
         (``GlobalStateManager.link_available_array``) for the live
@@ -565,12 +565,16 @@ class OverlayRouter:
         into ``memo``: a row of NaN the caller starts for this source and
         keeps only as long as the tree's :attr:`epoch` and its link
         values.  A read whose values are all memoised is one gather and
-        one NaN check and does not touch the tree cache.  Without a memo
-        the row is folded afresh.
+        one NaN check and does not touch the tree cache.  ``nodes`` and
+        ``memo`` go together: without both, the whole row is folded
+        afresh, O(N) per call (the form tests and oracles read).
         """
+        if (nodes is None) != (memo is None):
+            raise ValueError("pass nodes and memo together, or neither")
         if memo is None:
             memo = np.full(len(self.network), math.nan)
-        elif nodes is not None:
+            nodes = np.arange(len(memo))
+        else:
             values = memo[nodes]
             if not np.isnan(values).any():
                 return values
@@ -581,8 +585,6 @@ class OverlayRouter:
             memo[source] = math.inf
         if link_available_kbps is None:
             link_available_kbps = self._link_available
-        if nodes is None:
-            nodes = np.arange(len(memo))
         return fold_paths(
             memo, nodes, tree.predecessors, tree.uplink, link_available_kbps, False
         )

@@ -310,11 +310,10 @@ class TestNearestTargets:
                 must_reach = rng.sample(
                     range(len(full_row)), rng.randint(0, min(3, len(full_row)))
                 )
-                row, reached, nearest, got_predecessors, order = nearest_targets(
+                row, reached, nearest, got_predecessors = nearest_targets(
                     router.live_graph, source, count, limit, targets, must_reach
                 )
                 assert np.array_equal(nearest, want), (source, limit)
-                assert np.array_equal(reached[order], nearest)
                 assert np.array_equal(row[nearest], full_row[want])
                 nodes = nearest if targets is None else targets[nearest]
                 assert np.array_equal(got_predecessors[nodes], predecessors[nodes])
@@ -333,7 +332,7 @@ class TestNearestTargets:
             reachable = np.flatnonzero(np.isfinite(distances))
             assert 0 < len(reachable) < len(network)
             for limit in (0.0, 1.0, math.inf):
-                _, reached, nearest, _, _ = nearest_targets(
+                _, reached, nearest, _ = nearest_targets(
                     router.live_graph, 0, len(network), limit
                 )
                 assert np.array_equal(reached, reachable)
@@ -347,7 +346,7 @@ class TestNearestTargets:
         network = random_mesh(5, num_nodes=15, extra_edges=10)
         with OverlayRouter(network) as router:
             bounds = np.full(len(network), math.inf)
-            row, reached, nearest, _, _ = nearest_targets(router.live_graph, 2, 4)
+            row, reached, nearest, _ = nearest_targets(router.live_graph, 2, 4)
             tighten_bounds(bounds, row, reached, nearest, 4)
             radius = row[nearest[-1]]
             assert bounds[2] == radius

@@ -276,3 +276,13 @@ class TestRowContracts:
         for dest in range(len(network)):
             if dest != 2:
                 assert row[dest] == pytest.approx(123.0)
+
+    def test_bottleneck_row_takes_nodes_and_memo_together(self):
+        network = random_mesh(6)
+        router = OverlayRouter(network)
+        memo = np.full(len(network), np.nan)
+        with pytest.raises(ValueError, match="together"):
+            router.bottleneck_bandwidth_row(2, None, np.array([1]))
+        with pytest.raises(ValueError, match="together"):
+            router.bottleneck_bandwidth_row(2, None, None, memo)
+        assert np.isnan(memo).all()
