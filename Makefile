@@ -9,8 +9,11 @@ test:
 	$(PYTEST) -x -q tests
 
 # The aggregate PR gate: static analysis (repro-lint always; mypy/ruff
-# when installed) then the tier-1 suite.  One command == what CI enforces.
+# when installed), the tier-1 suite, then the benchmark's self-tests
+# (perfbench/tests: its tracing wrappers, workloads and harness against
+# today's program).  One command == what CI enforces.
 check: lint test
+	python -m pytest -q perfbench/tests
 
 # Regenerate the DEVELOPMENT.md seed-slot table from
 # repro.analysis.seeds.REGISTRY (the doc-drift test fails when they

@@ -20,14 +20,18 @@ the whole candidate pool of a function, fed by caches that persist
   :attr:`GlobalStateManager.node_stamps`, so a table is rebuilt only when
   one of its own candidates' hosts republished its state, not on every
   bump of the global :attr:`~GlobalStateManager.node_version`;
-* **virtual-link QoS** (per source node) — delay and composed loss at
-  the pool's nodes, served by :meth:`OverlayRouter.virtual_link_rows`
-  from the router's own tree cache (which churn empties), loss folded
-  only down the paths read and memoised on the tree;
-* **stale virtual-link bottleneck bandwidth** (per source node) — a
-  memo row of :meth:`OverlayRouter.bottleneck_bandwidth_row` over
-  :attr:`GlobalStateManager.link_available_array`, folded only down the
-  paths to the nodes read and re-started empty whenever
+* **virtual-link QoS** (per upstream node) — delay and composed loss at
+  the pool's nodes, read from one
+  :class:`~repro.topology.routing.ShortestPathTree` per upstream node:
+  the router's full tree (which churn empties), or on a pruned level
+  the neighbourhood index's bounded tree, where a pool node outside the
+  neighbourhood reads as unreachable.  Loss is folded only down the
+  paths read and memoised on the tree;
+* **stale virtual-link bottleneck bandwidth** (per upstream node and
+  tree size) — a memo row over the tree's positions, min-folded by the
+  tree over :attr:`GlobalStateManager.link_available_array` only down
+  the paths to the nodes read.  The scorer's LRU is its one home, for
+  both kinds of tree, and re-starts it empty whenever
   ``(link_version, router.epoch)`` moves, so a link-state update or a
   churn event costs only the paths read after it.
 
@@ -80,7 +84,7 @@ from repro.model.resources import ResourceVector
 
 if TYPE_CHECKING:  # runtime import would cycle: composer lazily imports us
     from repro.core.composer import CompositionContext
-    from repro.topology.neighborhood import NeighborhoodEntry
+    from repro.topology.routing import ShortestPathTree
 
 #: Loss values are clamped just below 1 before the additive transform,
 #: matching ``QoSVector.additive_values``.
@@ -331,13 +335,17 @@ class FastScorer:
     def __init__(self, context: "CompositionContext") -> None:
         self.context = context
         self._tables: Dict[int, _CandidateTable] = {}
-        #: upstream node -> (link_version, router epoch, memo row of stale
-        #: bottleneck kbps per destination node: NaN until folded, -inf
-        #: where unreachable).  Mask-independent: masked candidates are
-        #: already excluded from ``qualified``, so their values are never
-        #: read.  LRU-bounded (scorer memory stays O(bound × N)); an
-        #: evicted source is simply re-folded on next use, value-identically.
-        self._bandwidth_rows: LRUDict[int, Tuple[int, int, np.ndarray]] = LRUDict(
+        #: (upstream node, neighbourhood size or None for the router's full
+        #: tree) -> ((link_version, router epoch), memo row of stale
+        #: bottleneck kbps over the tree's positions: NaN until folded,
+        #: -inf where the tree does not reach).  Mask-independent: masked
+        #: candidates are already excluded from ``qualified``, so their
+        #: values are never read.  LRU-bounded (scorer memory stays
+        #: O(bound × N)); an evicted row is simply re-folded on next use,
+        #: value-identically.
+        self._bandwidth_rows: LRUDict[
+            Tuple[int, Optional[int]], Tuple[Tuple[int, int], np.ndarray]
+        ] = LRUDict(
             capacity=context.scorer_row_cache_size,
             on_evict=self._on_bandwidth_row_evicted,
         )
@@ -354,7 +362,9 @@ class FastScorer:
         self.widen_retries = 0
 
     def _on_bandwidth_row_evicted(
-        self, source: int, entry: Tuple[int, int, np.ndarray]
+        self,
+        key: Tuple[int, Optional[int]],
+        entry: Tuple[Tuple[int, int], np.ndarray],
     ) -> None:
         recorder = self.context.recorder
         if recorder.enabled:
@@ -389,7 +399,7 @@ class FastScorer:
                 if mask is not None:
                     tables += int(mask.nbytes)
         bandwidth_rows = sys.getsizeof(self._bandwidth_rows)
-        for _, (_, _, row) in self._bandwidth_rows.items():
+        for _, (_, row) in self._bandwidth_rows.items():
             bandwidth_rows += int(row.nbytes)
         footprint = {
             "tables": tables,
@@ -555,9 +565,10 @@ class FastScorer:
         # masks on ``isfinite(link_delay)``, and the two paths make
         # byte-identical decisions.
         sub: Optional[np.ndarray] = None
-        # per upstream node, its neighbourhood and each pool node's member
-        # position in it (-1 outside)
-        neighborhoods: Dict[int, Tuple["NeighborhoodEntry", np.ndarray]] = {}
+        # per upstream node on a pruned level, its neighbourhood and each
+        # pool node's position in it (-1 outside); a full scan reads the
+        # router's trees, whose positions are the node ids
+        neighborhoods: Dict[int, Tuple["ShortestPathTree", np.ndarray]] = {}
         if prune_k is not None:
             index = context.neighborhood_index()
             upstream_nodes = sorted(
@@ -678,11 +689,14 @@ class FastScorer:
                 )
                 rows = link_rows.get(upstream.node_id)
                 if rows is None:
-                    rows = self._link_rows(
-                        upstream.node_id,
-                        node_index,
-                        neighborhoods.get(upstream.node_id),
-                    )
+                    neighborhood = neighborhoods.get(upstream.node_id)
+                    if neighborhood is None:
+                        rows = context.router.virtual_link_rows(
+                            upstream.node_id, node_index
+                        )
+                    else:
+                        entry, positions = neighborhood
+                        rows = entry.link_rows(positions)
                     link_rows[upstream.node_id] = rows
                 link_delay[position], link_loss[position] = rows
                 out_delay[position, 0], out_loss[position, 0] = (
@@ -737,7 +751,10 @@ class FastScorer:
                     row = stale_rows.get(upstream_node)
                     if row is None:
                         row = self._stale_bandwidth(
-                            table, upstream_node, neighborhoods.get(upstream_node)
+                            upstream_node,
+                            node_index,
+                            prune_k,
+                            neighborhoods.get(upstream_node),
                         )
                         stale_rows[upstream_node] = row
                     rows2d[position] = row
@@ -785,79 +802,51 @@ class FastScorer:
             pre_loss,
         )
 
-    def _link_rows(
+    def _stale_bandwidth(
         self,
         upstream_node: int,
         node_index: np.ndarray,
-        neighborhood: Optional[Tuple["NeighborhoodEntry", np.ndarray]],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Virtual-link delay and loss from ``upstream_node`` to each pool
-        node: the router's rows, or the bounded tree's members (the same
-        floats) with non-members unreachable, left to the isfinite mask."""
-        if neighborhood is None:
-            return self.context.router.virtual_link_rows(upstream_node, node_index)
-        entry, positions = neighborhood
-        inside = positions >= 0
-        members = positions[inside]
-        delay = np.full(len(positions), np.inf)
-        delay[inside] = entry.delay[members]
-        loss = np.zeros(len(positions))
-        loss[inside] = entry.loss_at(members)
-        return delay, loss
-
-    def _stale_bandwidth(
-        self,
-        table: _CandidateTable,
-        upstream_node: int,
-        neighborhood: Optional[Tuple["NeighborhoodEntry", np.ndarray]],
+        prune_k: Optional[int],
+        neighborhood: Optional[Tuple["ShortestPathTree", np.ndarray]],
     ) -> np.ndarray:
         """Stale bottleneck bandwidth from ``upstream_node`` to each pool
-        node: the router's memo row, or the bounded tree's members (the
-        same floats) with non-members at ``-inf`` (already masked)."""
-        if neighborhood is None:
-            return self._bandwidth_row(table, upstream_node)
-        entry, positions = neighborhood
-        global_state = self.context.global_state
-        inside = positions >= 0
-        row = np.full(len(positions), -np.inf)
-        row[inside] = self.context.neighborhood_index().stale_bottleneck_row(
-            entry,
-            global_state.link_available_array,
-            global_state.link_version,
-            positions[inside],
-        )
-        return row
-
-    def _bandwidth_row(
-        self, table: _CandidateTable, upstream_node: int
-    ) -> np.ndarray:
-        """Stale bottleneck bandwidth from ``upstream_node`` to each of a
-        function's candidate nodes, read through a memo row.
+        node, read through the memo row of its tree.
 
         The memo row — the min over the coarse-grain link state down the
-        shortest-path tree, folded only down the paths read, ``-inf`` for
-        unreachable nodes (which the wavefront masks out anyway) — serves
+        tree, folded only down the paths read, ``-inf`` where the tree
+        does not reach (which the wavefront masks out anyway) — serves
         every probe and every function level fed from the same upstream
-        node, until a link state update bumps ``link_version`` or churn
-        bumps the router's ``epoch`` and a new empty row starts.
+        node and tree size, until a link state update bumps
+        ``link_version`` or churn bumps the router's ``epoch`` and a new
+        empty row starts.
         """
         context = self.context
         recorder = context.recorder
-        link_version = context.global_state.link_version
-        epoch = context.router.epoch
-        entry = self._bandwidth_rows.get(upstream_node)
-        if entry is None or entry[0] != link_version or entry[1] != epoch:
-            entry = (link_version, epoch, np.full(len(context.network), np.nan))
-            self._bandwidth_rows[upstream_node] = entry
+        stamp = (context.global_state.link_version, context.router.epoch)
+        key = (upstream_node, prune_k)
+        cached = self._bandwidth_rows.get(key)
+        if cached is None or cached[0] != stamp:
+            # a row spans the tree's positions: every node, or the members
+            # and the "not here" slot
+            size = (
+                len(context.network)
+                if neighborhood is None
+                else len(neighborhood[0].delay)
+            )
+            cached = (stamp, np.full(size, np.nan))
+            self._bandwidth_rows[key] = cached
             if recorder.enabled:
                 recorder.inc("fastscore.bw_row_build")
         elif recorder.enabled:
             recorder.inc("fastscore.bw_row_hit")
-        return context.router.bottleneck_bandwidth_row(
-            upstream_node,
-            context.global_state.link_available_array,
-            table.node_ids,
-            entry[2],
+        link_values = context.global_state.link_available_array
+        if neighborhood is None:
+            return context.router.bottleneck_bandwidth_row(
+                upstream_node, link_values, node_index, cached[1]
+            )
+        entry, positions = neighborhood
+        return context.neighborhood_index().stale_bottleneck_row(
+            entry, link_values, positions, cached[1]
         )
 
     @staticmethod

@@ -6,12 +6,23 @@ the virtual link is the aggregation of QoS values among its constituent
 overlay links; the bandwidth availability ba_li is the bottleneck bandwidth
 among the overlay links."
 
+:class:`ShortestPathTree` is the one tree type behind every virtual-link
+answer, and holds the only implementation of each read: delay and
+composed loss at positions, the stale bottleneck fold into a memo, the
+live bottleneck walk, the path-links walk and the virtual link itself.
+Its arrays are position-indexed.  A *full* tree, cached here per source,
+indexes positions by node id and keeps no member index; a *bounded* tree
+(:mod:`repro.topology.neighborhood`) indexes its ``k`` delay-nearest
+members in settle order and ends in one "not here" slot, which the
+position ``-1`` of a non-member reads: infinite delay, zero loss, ``-inf``
+stale bandwidth, and no path.  An unreachable node of a full tree reads
+the same.
+
 :class:`OverlayRouter` answers virtual-link queries — the overlay-link path
 between any node pair, its static QoS (delay sums, loss composes), and its
-*current* bottleneck bandwidth — from **lazy per-source shortest-path
-trees**.  A single-source scipy Dijkstra runs the first time a source is
-queried and is cached; the paths and QoS answered from a tree are cached
-on that tree.
+*current* bottleneck bandwidth — from **lazy per-source full trees**.  A
+single-source scipy Dijkstra runs the first time a source is queried and
+is cached; the virtual links answered from a tree are cached on it.
 
 A tree is valid for one topology epoch.  A change to the down sets
 (:meth:`set_down_nodes`, :meth:`set_down_links`) bumps :attr:`epoch`,
@@ -24,16 +35,16 @@ like a freshly built one with the same down sets
 churn, and ``tests/test_routing_differential.py`` checks both against
 networkx).
 
-Every tree, cached here or bounded in :mod:`repro.topology.neighborhood`,
-comes from one pipeline: scipy's C Dijkstra over :attr:`live_graph` (in
-full by :meth:`solve_tree` here, up to a distance limit by
-:func:`~repro.topology.overlay.nearest_targets` there, which settles
-every node within the limit identically), then :meth:`tree_edges`
-(arriving link ids through a sorted pair-key array).  Composed loss and
-stale bottleneck bandwidth are never folded over a whole tree: every
-read goes through :func:`fold_paths`, which folds parent-first only down
-the paths to the nodes read and memoises each value, so a tree pays per
-path read, not per node, and both answer the same floats.
+Every tree, full or bounded, comes from one pipeline: scipy's C Dijkstra
+over :attr:`live_graph` (in full by :meth:`solve_tree` here, up to a
+distance limit by :func:`~repro.topology.overlay.nearest_targets` there,
+which settles every node within the limit identically), then
+:meth:`tree_edges` (arriving link ids through a sorted pair-key array).
+Composed loss and stale bottleneck bandwidth are never folded over a
+whole tree: every read goes through :func:`fold_paths`, which folds
+parent-first only down the paths to the positions read and memoises each
+value, so a tree pays per path read, not per node, and a bounded tree's
+member answers the full tree's float for float.
 
 Co-located pairs (a == b) yield the empty path with zero QoS — footnote 4's
 "0 network delay" and footnote 8's infinite residual bandwidth.
@@ -64,26 +75,27 @@ class RoutingError(RuntimeError):
 
 def fold_paths(
     memo: np.ndarray,
-    nodes: np.ndarray,
+    positions: np.ndarray,
     parents: np.ndarray,
     uplink: np.ndarray,
     link_values: np.ndarray,
     loss: bool,
 ) -> np.ndarray:
-    """Values of a tree's ``memo`` row at ``nodes`` (any order, repeats
-    allowed), folding first the ones not memoised yet.
+    """Values of a tree's ``memo`` row at ``positions`` (any order,
+    repeats allowed), folding first the ones not memoised yet.
 
-    ``memo`` holds NaN until a node is folded, and its final value at
-    every root a walk can reach (the source, unreachable nodes).  For each
-    pending node the walk climbs ``parents`` to the nearest memoised
-    ancestor, then folds back down parent-first with the edge value
-    ``link_values[uplink[node]]``, memoising every value: composed loss
-    ``1 − (1 − parent)(1 − edge)`` when ``loss``, else the min.  These are
-    the float operations a whole-tree pass in settle order would do, on
-    the same floats in the same order, but only down the paths read.
+    ``memo`` holds NaN until a position is folded, and its final value at
+    every root a walk can reach (the source, unreachable nodes, the "not
+    here" slot).  For each pending position the walk climbs ``parents`` to
+    the nearest memoised ancestor, then folds back down parent-first with
+    the edge value ``link_values[uplink[node]]``, memoising every value:
+    composed loss ``1 − (1 − parent)(1 − edge)`` when ``loss``, else the
+    min.  These are the float operations a whole-tree pass in settle order
+    would do, on the same floats in the same order, but only down the
+    paths read.
     """
     path: List[int] = []
-    for node in nodes.tolist():
+    for node in positions.tolist():
         value = memo.item(node)
         while value != value:  # NaN: not folded yet
             path.append(node)
@@ -97,39 +109,205 @@ def fold_paths(
             elif edge < value:
                 value = edge
             memo[node] = value
-    return memo[nodes]
+    return memo[positions]
 
 
-class _SourceTree:
-    """One source's shortest-path tree, its composed-loss memo, and the
-    paths and QoS answered from it.
+class ShortestPathTree:
+    """One source's shortest-path tree over positions, and the only
+    implementation of each virtual-link read.
 
-    ``distances`` is exposed to callers read-only.
+    ``delay``, ``parent`` (parent position, negative at every root) and
+    ``uplink`` (arriving link id, -1 at every root) are position-indexed,
+    and so is the composed-loss memo ``loss``.  A full tree's positions
+    are node ids (``members`` is None); a bounded tree's are its
+    ``members`` in settle order, the source first, followed by one "not
+    here" slot that :meth:`positions` answers as ``-1`` for non-members.
+    Row reads take positions; pair reads take a node id.
     """
 
-    __slots__ = ("distances", "predecessors", "finite", "uplink", "loss", "paths", "qos")
+    __slots__ = (
+        "source",
+        "epoch",
+        "delay",
+        "parent",
+        "uplink",
+        "loss",
+        "links",
+        "members",
+        "_sorted_members",
+        "_sorted_positions",
+        "_link_loss",
+    )
 
     def __init__(
-        self, distances: np.ndarray, predecessors: np.ndarray, uplink: np.ndarray
+        self,
+        source: int,
+        epoch: int,
+        delay: np.ndarray,
+        parent: np.ndarray,
+        uplink: np.ndarray,
+        link_loss: np.ndarray,
+        members: Optional[np.ndarray] = None,
     ) -> None:
-        self.distances = distances
-        self.predecessors = predecessors
-        self.finite = np.isfinite(distances)
-        #: per destination, the link id of the tree edge arriving at it
-        #: (-1 at the source and at unreachable destinations)
+        """``link_loss`` is the router's per-link loss array (shared)."""
+        self.source = source
+        #: router epoch the tree was solved at (stale once the epoch moves)
+        self.epoch = epoch
+        self.delay = delay
+        self.parent = parent
         self.uplink = uplink
-        #: composed loss per destination, NaN until :func:`fold_paths`
-        #: reads it (0 at the source and at unreachable destinations)
+        #: composed loss per position, NaN until :func:`fold_paths` reads
+        #: it (0 at every root)
         self.loss = np.where(uplink >= 0, math.nan, 0.0)
-        #: per destination, the overlay path and the virtual-link QoS
-        self.paths: Dict[int, Tuple[int, ...]] = {}
-        self.qos: Dict[int, QoSVector] = {}
-        distances.setflags(write=False)
+        #: per destination node, the virtual link answered from this tree
+        self.links: Dict[int, VirtualLinkPath] = {}
+        self.members = members
+        if members is not None:
+            self._sorted_positions = np.argsort(members, kind="stable")
+            self._sorted_members = members[self._sorted_positions]
+        self._link_loss = link_loss
+
+    @classmethod
+    def bounded(
+        cls,
+        source: int,
+        epoch: int,
+        members: np.ndarray,
+        delay: np.ndarray,
+        parents: np.ndarray,
+        links: np.ndarray,
+        link_loss: np.ndarray,
+    ) -> "ShortestPathTree":
+        """A bounded tree over ``members`` in settle order (the source
+        first) and their delays; ``parents`` and ``links`` cover the
+        non-source members ``members[1:]``: parent node id and arriving
+        link id."""
+        count = len(members)
+        parent = np.full(count + 1, -1, dtype=np.int64)
+        uplink = np.full(count + 1, -1, dtype=np.int64)
+        uplink[1:count] = links
+        tree = cls(
+            source, epoch, np.append(delay, math.inf), parent, uplink, link_loss, members
+        )
+        # a parent settles before its child, so it is a member too
+        parent[1:count] = tree.positions(parents)
+        return tree
+
+    def positions(self, node_ids: np.ndarray) -> np.ndarray:
+        """Position of each node id (-1 where not a member)."""
+        if self.members is None:
+            return node_ids
+        sorted_members = self._sorted_members
+        index = np.searchsorted(sorted_members, node_ids)
+        index = np.minimum(index, len(sorted_members) - 1)
+        found = sorted_members[index] == node_ids
+        return np.where(found, self._sorted_positions[index], -1)
+
+    def position(self, node_id: int) -> int:
+        """Position of one node id (-1 when not a member)."""
+        if self.members is None:
+            return node_id
+        sorted_members = self._sorted_members
+        index = int(np.searchsorted(sorted_members, node_id))
+        if index < len(sorted_members) and sorted_members.item(index) == node_id:
+            return int(self._sorted_positions[index])
+        return -1
+
+    # -- row reads ---------------------------------------------------------
+
+    def loss_at(self, positions: np.ndarray) -> np.ndarray:
+        """Composed loss from the source to ``positions``, folded first
+        for the positions not read before."""
+        return fold_paths(
+            self.loss, positions, self.parent, self.uplink, self._link_loss, True
+        )
+
+    def link_rows(self, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(delay, loss)`` from the source to ``positions``: the delay
+        sum and the composed loss rate along each shortest path."""
+        return self.delay[positions], self.loss_at(positions)
+
+    def stale_bandwidth(
+        self, positions: np.ndarray, link_values: np.ndarray, memo: np.ndarray
+    ) -> np.ndarray:
+        """Bottleneck of ``link_values`` from the source to ``positions``,
+        min-folded into ``memo``: a row of NaN over this tree's positions
+        that the caller starts and keeps only as long as the tree's epoch
+        and its link values.  It reads ``+inf`` at the source and ``-inf``
+        where the tree does not reach.  A read whose values are all
+        memoised is one gather and one NaN check."""
+        root = self.source if self.members is None else 0
+        if math.isnan(memo.item(root)):
+            # a fresh memo: the walks' roots hold their final values
+            memo[self.uplink < 0] = -math.inf
+            memo[root] = math.inf
+        else:
+            values = memo[positions]
+            if not np.isnan(values).any():
+                return values
+        return fold_paths(memo, positions, self.parent, self.uplink, link_values, False)
+
+    # -- pair reads --------------------------------------------------------
+
+    def live_bandwidth(self, node_id: int, link_values: np.ndarray) -> Optional[float]:
+        """Bottleneck of ``link_values`` from the source to ``node_id``, or
+        None where the tree does not reach it."""
+        position = self.position(node_id)
+        if self.delay.item(position) == math.inf:
+            return None
+        uplink = self.uplink
+        parent = self.parent
+        available = math.inf
+        link = uplink.item(position)
+        while link >= 0:
+            value = link_values.item(link)
+            if value < available:
+                available = value
+            position = parent.item(position)
+            link = uplink.item(position)
+        return available
+
+    def path_links(self, position: int) -> Tuple[int, ...]:
+        """Overlay link ids from the source to ``position``, in path order."""
+        uplink = self.uplink
+        parent = self.parent
+        links: List[int] = []
+        link = uplink.item(position)
+        while link >= 0:
+            links.append(link)
+            position = parent.item(position)
+            link = uplink.item(position)
+        links.reverse()
+        return tuple(links)
+
+    def virtual_link(self, node_id: int) -> Optional[VirtualLinkPath]:
+        """The virtual link from the source to ``node_id`` (cached on the
+        tree), or None where the tree does not reach it."""
+        link = self.links.get(node_id)
+        if link is None:
+            position = self.position(node_id)
+            delay = self.delay.item(position)
+            if delay == math.inf:
+                return None
+            link = VirtualLinkPath(
+                src_node_id=self.source,
+                dst_node_id=node_id,
+                overlay_link_ids=self.path_links(position),
+                qos=QoSVector(delay, self.loss_at(np.array([position])).item()),
+            )
+            self.links[node_id] = link
+        return link
 
     def nbytes(self) -> int:
-        """Resident bytes of this tree's arrays, the loss memo included."""
-        parts = (self.distances, self.predecessors, self.finite, self.uplink, self.loss)
-        return sum(int(part.nbytes) for part in parts)
+        """Resident bytes of the tree's arrays, the loss memo and the
+        virtual links cached on it."""
+        parts = [self.delay, self.parent, self.uplink, self.loss]
+        if self.members is not None:
+            parts += [self.members, self._sorted_members, self._sorted_positions]
+        links = sys.getsizeof(self.links)
+        for link in self.links.values():
+            links += sys.getsizeof(link) + sys.getsizeof(link.overlay_link_ids)
+        return links + sum(int(part.nbytes) for part in parts)
 
 
 class OverlayRouter:
@@ -149,12 +327,12 @@ class OverlayRouter:
         #: monotone topology epoch, bumped once per down-set change; every
         #: cached tree was solved in the current epoch
         self.epoch = 0
-        # per-source trees, LRU-bounded; the paths and QoS cached on a tree
-        # leave with it, so router cache memory is O(tree_cache_size × N),
-        # never O(N²).  Evictions are decision-invisible: delays are
-        # continuous, so a re-solve of an evicted source reproduces the
-        # identical tree.
-        self._trees: LRUDict[int, _SourceTree] = LRUDict(
+        # per-source full trees, LRU-bounded; the virtual links cached on a
+        # tree leave with it, so router cache memory is
+        # O(tree_cache_size × N), never O(N²).  Evictions are
+        # decision-invisible: delays are continuous, so a re-solve of an
+        # evicted source reproduces the identical tree.
+        self._trees: LRUDict[int, ShortestPathTree] = LRUDict(
             capacity=tree_cache_size, on_evict=self._on_tree_evicted
         )
         self._zero_qos = QoSVector.zero()
@@ -225,7 +403,7 @@ class OverlayRouter:
         """Source trees evicted by the capacity bound since construction."""
         return self._trees.evictions
 
-    def _on_tree_evicted(self, source: int, tree: _SourceTree) -> None:
+    def _on_tree_evicted(self, source: int, tree: ShortestPathTree) -> None:
         if self.recorder.enabled:
             self.recorder.inc("router.tree_evictions")
 
@@ -260,21 +438,11 @@ class OverlayRouter:
         """Approximate resident bytes per router substructure.
 
         ``nbytes`` for the numpy state (exact) plus ``sys.getsizeof``
-        container overheads for the paths and QoS cached on the trees
+        container overheads for the virtual links cached on the trees
         (close).  BENCH_scale uses this to attribute memory per subsystem;
         ``total`` sums the parts.
         """
-        trees = 0
-        path_cache = 0
-        qos_cache = 0
-        for _, tree in self._trees.items():
-            trees += tree.nbytes()
-            path_cache += sys.getsizeof(tree.paths)
-            for path in tree.paths.values():
-                path_cache += sys.getsizeof(path)
-            qos_cache += sys.getsizeof(tree.qos)
-            for qos in tree.qos.values():
-                qos_cache += sys.getsizeof(qos) + sys.getsizeof(qos.values)
+        trees = sum(tree.nbytes() for _, tree in self._trees.items())
         link_arrays = int(
             self._link_a.nbytes
             + self._link_b.nbytes
@@ -284,12 +452,7 @@ class OverlayRouter:
             + self._pair_key.nbytes
             + self._pair_link.nbytes
         )
-        footprint = {
-            "trees": trees,
-            "path_cache": path_cache,
-            "qos_cache": qos_cache,
-            "link_arrays": link_arrays,
-        }
+        footprint = {"trees": trees, "link_arrays": link_arrays}
         footprint["total"] = sum(footprint.values())
         return footprint
 
@@ -368,7 +531,7 @@ class OverlayRouter:
         """Per-link loss rate, indexed by link id; treat as read-only."""
         return self._link_loss
 
-    def _tree(self, source: int) -> _SourceTree:
+    def _tree(self, source: int) -> ShortestPathTree:
         tree = self._trees.get(source)
         if tree is None:
             if self.recorder.enabled:
@@ -379,7 +542,9 @@ class OverlayRouter:
             nodes = np.flatnonzero(predecessors >= 0)
             uplink = np.full(len(distances), -1, dtype=np.int64)
             uplink[nodes] = self.tree_edges(predecessors, nodes)[1]
-            tree = _SourceTree(distances, predecessors, uplink)
+            tree = ShortestPathTree(
+                source, self.epoch, distances, predecessors, uplink, self._link_loss
+            )
             self._trees[source] = tree
         elif self.recorder.enabled:
             self.recorder.inc("router.tree_hit")
@@ -454,10 +619,10 @@ class OverlayRouter:
 
     def delay(self, node_a: int, node_b: int) -> float:
         """Shortest overlay path delay in ms (0 for a == b)."""
-        return float(self._tree(node_a).distances[node_b])
+        return float(self._tree(node_a).delay[node_b])
 
     def reachable(self, node_a: int, node_b: int) -> bool:
-        return bool(self._tree(node_a).finite[node_b])
+        return math.isfinite(self._tree(node_a).delay.item(node_b))
 
     def overlay_path(self, node_a: int, node_b: int) -> Tuple[int, ...]:
         """Overlay link ids along the delay-shortest path (empty if a == b).
@@ -465,149 +630,69 @@ class OverlayRouter:
         Raises:
             RoutingError: if the mesh does not connect the two nodes.
         """
-        if node_a == node_b:
-            return ()
-        tree = self._tree(node_a)
-        cached = tree.paths.get(node_b)
-        if cached is not None:
-            return cached
-        if not tree.finite[node_b]:
-            raise RoutingError(f"no overlay path v{node_a} -> v{node_b}")
-        link_ids = []
-        current = node_b
-        uplink = tree.uplink
-        predecessors = tree.predecessors
-        while current != node_a:
-            link_ids.append(int(uplink[current]))
-            current = int(predecessors[current])
-        path = tuple(reversed(link_ids))
-        tree.paths[node_b] = path
-        return path
+        return self.virtual_link(node_a, node_b).overlay_link_ids
 
     # -- virtual links -------------------------------------------------------
 
     def virtual_link_qos(self, node_a: int, node_b: int) -> QoSVector:
-        """Static aggregated QoS of the virtual link between two nodes.
-
-        Reads the per-source loss memo of :meth:`virtual_link_rows` — the
+        """Static aggregated QoS of the virtual link between two nodes: the
         same floats the vectorised scoring path (``repro.core.fastscore``)
-        ranks on — so the cache is keyed on the *directed* pair; both
-        directions fold the same links and agree to within summation order.
-        """
-        if node_a == node_b:
-            return self._zero_qos
-        tree = self._tree(node_a)
-        cached = tree.qos.get(node_b)
-        if cached is None:
-            if not tree.finite[node_b]:
-                raise RoutingError(f"no overlay path v{node_a} -> v{node_b}")
-            loss = self._fold_loss(tree, np.array([node_b]))
-            cached = QoSVector(float(tree.distances[node_b]), loss.item())
-            tree.qos[node_b] = cached
-        return cached
-
-    def _fold_loss(self, tree: _SourceTree, nodes: np.ndarray) -> np.ndarray:
-        return fold_paths(
-            tree.loss, nodes, tree.predecessors, tree.uplink, self._link_loss, True
-        )
+        ranks on, from the tree of ``node_a``; both directions fold the
+        same links and agree to within summation order."""
+        return self.virtual_link(node_a, node_b).qos
 
     def virtual_link_rows(
-        self, source: int, nodes: Optional[np.ndarray] = None
+        self, source: int, nodes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Virtual-link QoS from ``source`` to ``nodes`` (default: every
-        node), as arrays.
+        """Virtual-link QoS from ``source`` to ``nodes``, as arrays.
 
         Returns ``(delay, loss)``: per destination the delay sum and the
         composed loss rate along the delay-shortest path.  Unreachable
         destinations — including crashed ones — have infinite delay (loss
-        is 0 there; callers must mask on reachability or liveness).  Loss
-        is folded by :func:`fold_paths` only down the paths to the nodes
-        not read before, composing ``1 − (1 − a)(1 − b)`` per tree edge
-        from 0 at the source, the same raw-space fold
-        :meth:`virtual_link_qos` reads, so both views agree.  With
-        ``nodes`` the arrays are fresh gathers; without, both are
-        **read-only views** of the whole rows, valid until :attr:`epoch`
-        moves, and the call walks every node, O(N) per call (the form
-        tests and oracles read).
+        is 0 there; callers must mask on reachability or liveness).  See
+        :meth:`ShortestPathTree.link_rows`.
         """
-        tree = self._tree(source)
-        if nodes is not None:
-            return tree.distances[nodes], self._fold_loss(tree, nodes)
-        self._fold_loss(tree, np.arange(len(self.network)))
-        loss = tree.loss.view()
-        loss.setflags(write=False)
-        return tree.distances, loss
+        return self._tree(source).link_rows(nodes)
 
     def virtual_link(self, node_a: int, node_b: int) -> VirtualLinkPath:
-        """The virtual link between two (possibly identical) nodes."""
-        path = self.overlay_path(node_a, node_b)
-        return VirtualLinkPath(
-            src_node_id=node_a,
-            dst_node_id=node_b,
-            overlay_link_ids=path,
-            qos=self.virtual_link_qos(node_a, node_b),
-        )
+        """The virtual link between two (possibly identical) nodes.
+
+        Raises:
+            RoutingError: if the mesh does not connect the two nodes.
+        """
+        if node_a == node_b:
+            return VirtualLinkPath(node_a, node_b, (), self._zero_qos)
+        link = self._tree(node_a).virtual_link(node_b)
+        if link is None:
+            raise RoutingError(f"no overlay path v{node_a} -> v{node_b}")
+        return link
 
     def bottleneck_bandwidth_row(
         self,
         source: int,
-        link_available_kbps: Optional[np.ndarray] = None,
-        nodes: Optional[np.ndarray] = None,
-        memo: Optional[np.ndarray] = None,
+        link_available_kbps: np.ndarray,
+        nodes: np.ndarray,
+        memo: np.ndarray,
     ) -> np.ndarray:
-        """Bottleneck bandwidth from ``source`` to ``nodes``, as an array.
-
-        ``link_available_kbps`` substitutes a coarse-grain per-link view
-        (``GlobalStateManager.link_available_array``) for the live
-        residuals.  Entries are ``-inf`` for unreachable destinations and
-        ``+inf`` at the source (footnote 8's co-located case).  The min is
-        folded by :func:`fold_paths` only down the paths to ``nodes``,
-        into ``memo``: a row of NaN the caller starts for this source and
-        keeps only as long as the tree's :attr:`epoch` and its link
-        values.  A read whose values are all memoised is one gather and
-        one NaN check and does not touch the tree cache.  ``nodes`` and
-        ``memo`` go together: without both, the whole row is folded
-        afresh, O(N) per call (the form tests and oracles read).
+        """Bottleneck of ``link_available_kbps`` (a coarse-grain per-link
+        view such as ``GlobalStateManager.link_available_array``, or
+        :attr:`link_available`) from ``source`` to ``nodes``, folded into
+        ``memo``, a row of NaN over every node that the caller keeps only
+        as long as :attr:`epoch` and its link values.  Entries are ``-inf``
+        for unreachable destinations and ``+inf`` at the source (footnote
+        8's co-located case); see :meth:`ShortestPathTree.stale_bandwidth`.
         """
-        if (nodes is None) != (memo is None):
-            raise ValueError("pass nodes and memo together, or neither")
-        if memo is None:
-            memo = np.full(len(self.network), math.nan)
-            nodes = np.arange(len(memo))
-        else:
-            values = memo[nodes]
-            if not np.isnan(values).any():
-                return values
-        tree = self._tree(source)
-        if math.isnan(memo.item(source)):
-            # a fresh memo: the walks' roots hold the full row's values
-            memo[~tree.finite] = -math.inf
-            memo[source] = math.inf
-        if link_available_kbps is None:
-            link_available_kbps = self._link_available
-        return fold_paths(
-            memo, nodes, tree.predecessors, tree.uplink, link_available_kbps, False
-        )
+        return self._tree(source).stale_bandwidth(nodes, link_available_kbps, memo)
 
     def available_bandwidth(self, node_a: int, node_b: int) -> float:
         """Current bottleneck bandwidth of the virtual link (live values).
 
-        Walks the tree's uplink arrays directly — no path materialisation
-        per query.
+        Raises:
+            RoutingError: if the mesh does not connect the two nodes.
         """
         if node_a == node_b:
-            return float("inf")
-        tree = self._tree(node_a)
-        if not tree.finite[node_b]:
+            return math.inf
+        available = self._tree(node_a).live_bandwidth(node_b, self._link_available)
+        if available is None:
             raise RoutingError(f"no overlay path v{node_a} -> v{node_b}")
-        available = np.inf
-        values = self._link_available
-        uplink = tree.uplink
-        predecessors = tree.predecessors
-        current = node_b
-        while current != node_a:
-            value = values[uplink[current]]
-            if value < available:
-                available = value
-            current = int(predecessors[current])
-        return float(available)
+        return available

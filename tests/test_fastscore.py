@@ -45,6 +45,7 @@ from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.simulation import FailureInjector, FaultPlan, SystemConfig, build_system
 from tests.conftest import make_component
 from tests.oracles.scalar_scorer import ScalarScorer
+from tests.test_routing_differential import bandwidth_row
 
 CONFIG = SystemConfig(
     num_routers=240, num_nodes=100, deployment=EVALUATION_DEPLOYMENT, seed=7
@@ -297,12 +298,15 @@ def test_bandwidth_rows_follow_the_router_epoch():
     link_version = context.global_state.link_version
 
     def fresh_row(source):
-        return router.bottleneck_bandwidth_row(
-            source, context.global_state.link_available_array
+        return bandwidth_row(
+            router, source, context.global_state.link_available_array
         )[table.node_ids]
 
+    def scorer_row(source):
+        return scorer._stale_bandwidth(source, table.node_ids, None, None)
+
     source = 0
-    before = scorer._bandwidth_row(table, source)
+    before = scorer_row(source)
     assert np.array_equal(before, fresh_row(source))
     # crash the first neighbour whose loss re-routes some candidate
     for relay in system.network.neighbors(source):
@@ -312,7 +316,7 @@ def test_bandwidth_rows_follow_the_router_epoch():
     else:
         pytest.fail("no single crash changes the row")
     assert context.global_state.link_version == link_version
-    assert np.array_equal(scorer._bandwidth_row(table, source), fresh_row(source))
+    assert np.array_equal(scorer_row(source), fresh_row(source))
 
 
 def test_bandwidth_rows_follow_the_link_version():
@@ -324,15 +328,15 @@ def test_bandwidth_rows_follow_the_link_version():
     global_state = context.global_state
     table = _CandidateTable(context.registry.components(), registry_version=0)
     source = 0
-    before = scorer._bandwidth_row(table, source)
+    before = scorer._stale_bandwidth(source, table.node_ids, None, None)
     link_version = global_state.link_version
     for link in system.network.links:
         link.allocate_bandwidth(0.5 * link.available_kbps)
     global_state.force_refresh()
     assert global_state.link_version > link_version
-    after = scorer._bandwidth_row(table, source)
-    want = context.router.bottleneck_bandwidth_row(
-        source, global_state.link_available_array
+    after = scorer._stale_bandwidth(source, table.node_ids, None, None)
+    want = bandwidth_row(
+        context.router, source, global_state.link_available_array
     )[table.node_ids]
     assert np.array_equal(after, want)
     assert not np.array_equal(after, before)

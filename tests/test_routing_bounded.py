@@ -1,6 +1,6 @@
 """Bounded router caches: decision-identity, eviction accounting, teardown.
 
-The router bounds its per-source trees, and with them the paths and QoS
+The router bounds its per-source trees, and with them the virtual links
 cached on each tree, with an LRU so router memory is O(cache_size × N)
 instead of O(N²).  The contract that makes the bound safe: **eviction is
 decision-invisible** — delays are continuous so shortest paths are
@@ -26,7 +26,7 @@ from repro.observability import TraceRecorder
 from repro.simulation import SystemConfig, build_system
 from repro.state.global_state import GlobalStateManager
 from repro.topology.routing import OverlayRouter
-from tests.test_routing_differential import random_mesh
+from tests.test_routing_differential import bandwidth_row, link_rows, random_mesh
 from tests.test_routing_incremental import (
     assert_routers_identical,
     random_churn_sequence,
@@ -90,9 +90,9 @@ def test_tiny_lru_matches_unbounded_under_query_churn_interleaving(seed):
             source = rng.randrange(len(network))
             if source in down:
                 continue
-            bounded.virtual_link_rows(source)
-            bounded.bottleneck_bandwidth_row(source)
-            reference.virtual_link_rows(source)
+            link_rows(bounded, source)
+            bandwidth_row(bounded, source)
+            link_rows(reference, source)
         bounded.set_down_nodes(down)
         reference.set_down_nodes(down)
         assert_routers_identical(bounded, reference, network, down)
@@ -113,8 +113,8 @@ def test_tiny_lru_matches_unbounded_under_link_churn(seed):
     for _ in range(5):
         for _ in range(5):
             source = rng.randrange(len(network))
-            bounded.virtual_link_rows(source)
-            bounded.bottleneck_bandwidth_row(source)
+            link_rows(bounded, source)
+            bandwidth_row(bounded, source)
         flapped = rng.sample(range(len(network.links)), k=2)
         down_links ^= set(flapped)
         bounded.set_down_links(down_links)
@@ -127,8 +127,8 @@ def test_eviction_and_hit_counters_appear_in_traces():
     recorder = TraceRecorder()
     router = OverlayRouter(network, recorder=recorder, tree_cache_size=2)
     for source in range(len(network)):
-        router.virtual_link_rows(source)  # cold solves + evictions
-    router.virtual_link_rows(len(network) - 1)  # warm hit
+        link_rows(router, source)  # cold solves + evictions
+    link_rows(router, len(network) - 1)  # warm hit
     counters = recorder.registry.snapshot()["counters"]
     assert counters.get("router.tree_evictions", 0) > 0
     assert counters.get("router.tree_hit", 0) > 0
@@ -140,7 +140,7 @@ def test_build_system_threads_cache_bound():
     system = build_system(config)
     assert system.router.tree_cache_capacity == 5
     for source in range(20):
-        system.router.virtual_link_rows(source)
+        link_rows(system.router, source)
     assert system.router.cached_tree_count <= 5
 
 
@@ -203,11 +203,11 @@ class TestMemoryFootprint:
         small = OverlayRouter(network, tree_cache_size=2)
         large = OverlayRouter(network)
         for source in range(len(network)):
-            small.virtual_link_rows(source)
-            large.virtual_link_rows(source)
+            link_rows(small, source)
+            link_rows(large, source)
         small_fp = small.memory_footprint()
         large_fp = large.memory_footprint()
-        for key in ("trees", "path_cache", "qos_cache", "link_arrays", "total"):
+        for key in ("trees", "link_arrays", "total"):
             assert key in small_fp
         assert small_fp["trees"] < large_fp["trees"]
         assert small_fp["total"] == sum(

@@ -51,6 +51,21 @@ def random_mesh(seed: int, num_nodes: int = 12, extra_edges: int = 10,
     return OverlayNetwork(nodes, links)
 
 
+def link_rows(router: OverlayRouter, source: int):
+    """``(delay, loss)`` from ``source`` to every node."""
+    return router.virtual_link_rows(source, np.arange(len(router.network)))
+
+
+def bandwidth_row(router: OverlayRouter, source: int, link_values=None):
+    """Bottleneck bandwidth from ``source`` to every node, over the live
+    residuals or ``link_values``, folded into a fresh memo."""
+    if link_values is None:
+        link_values = router.link_available
+    nodes = np.arange(len(router.network))
+    memo = np.full(len(nodes), np.nan)
+    return router.bottleneck_bandwidth_row(source, link_values, nodes, memo)
+
+
 def to_networkx(network: OverlayNetwork, excluded=frozenset()) -> nx.Graph:
     graph = nx.Graph()
     graph.add_nodes_from(
@@ -161,7 +176,7 @@ def test_virtual_link_qos_equals_path_fold(seed, down_nodes, down_links, k):
     router.set_down_links({l for l in down_links if l < len(network.links)})
     index = NeighborhoodIndex(router, k=k)
     for a in range(len(network)):
-        delay_row, loss_row = router.virtual_link_rows(a)
+        delay_row, loss_row = link_rows(router, a)
         for b in range(len(network)):
             if not router.reachable(a, b):
                 continue
@@ -205,9 +220,9 @@ def test_memoised_folds_equal_path_folds(seed, down_nodes, down_links, reads):
             each.set_down_nodes(down_nodes)
             each.set_down_links(down_links)
         for source in range(len(network)):
-            delay_row, loss_row = reference.virtual_link_rows(source)
+            delay_row, loss_row = link_rows(reference, source)
             for stale in versions:
-                bandwidth_row = reference.bottleneck_bandwidth_row(source, stale)
+                full_bandwidth = bandwidth_row(reference, source, stale)
                 memo = np.full(len(network), np.nan)
                 for batch in reads:
                     nodes = np.array(batch, dtype=np.int64)
@@ -231,4 +246,4 @@ def test_memoised_folds_equal_path_folds(seed, down_nodes, down_links, reads):
                         got = ((delay[i], loss[i]), bandwidth[i])
                         assert got == want, (source, node)
                         assert (delay_row[node], loss_row[node]) == want[0]
-                        assert bandwidth_row[node] == want[1]
+                        assert full_bandwidth[node] == want[1]

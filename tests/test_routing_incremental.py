@@ -1,7 +1,7 @@
 """Differential tests for routing under churn.
 
 A routing tree is valid for one topology epoch: every change to the down
-sets drops the router's cached trees, together with the paths and QoS
+sets drops the router's cached trees, together with the virtual links
 cached on them, and the next query re-solves.  So after any crash,
 recovery or link-flap sequence, every answer a churned router gives —
 distances, loss rows, paths, QoS, bottleneck bandwidth, reachability —
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.topology.routing import OverlayRouter, RoutingError
-from tests.test_routing_differential import random_mesh
+from tests.test_routing_differential import bandwidth_row, link_rows, random_mesh
 
 
 def random_churn_sequence(rng, num_nodes, steps):
@@ -42,8 +42,8 @@ def assert_routers_identical(incremental, fresh, network, down):
     for source in range(n):
         if source in down:
             continue
-        inc_delay, inc_loss = incremental.virtual_link_rows(source)
-        ref_delay, ref_loss = fresh.virtual_link_rows(source)
+        inc_delay, inc_loss = link_rows(incremental, source)
+        ref_delay, ref_loss = link_rows(fresh, source)
         live = [d for d in range(n) if d not in down]
         assert np.array_equal(inc_delay[live], ref_delay[live])
         assert np.array_equal(inc_loss[live], ref_loss[live])
@@ -51,8 +51,8 @@ def assert_routers_identical(incremental, fresh, network, down):
         for d in down:
             assert not np.isfinite(inc_delay[d])
             assert not incremental.reachable(source, d)
-        inc_bw = incremental.bottleneck_bandwidth_row(source)
-        ref_bw = fresh.bottleneck_bandwidth_row(source)
+        inc_bw = bandwidth_row(incremental, source)
+        ref_bw = bandwidth_row(fresh, source)
         assert np.array_equal(inc_bw[live], ref_bw[live])
         for dest in live:
             assert incremental.reachable(source, dest) == fresh.reachable(
@@ -85,8 +85,8 @@ def test_incremental_matches_fresh_router_under_churn(seed):
         for source in rng.sample(range(len(network)), k=4):
             if source in down:
                 continue
-            incremental.virtual_link_rows(source)
-            incremental.bottleneck_bandwidth_row(source)
+            link_rows(incremental, source)
+            bandwidth_row(incremental, source)
         incremental.set_down_nodes(down)
         fresh = OverlayRouter(network)
         fresh.set_down_nodes(down)
@@ -117,8 +117,8 @@ def test_incremental_matches_fresh_router_under_link_churn(seed):
     rng = random.Random(seed * 17 + 3)
     for down_links in random_link_churn_sequence(rng, len(network.links), steps=6):
         for source in rng.sample(range(len(network)), k=4):
-            incremental.virtual_link_rows(source)
-            incremental.bottleneck_bandwidth_row(source)
+            link_rows(incremental, source)
+            bandwidth_row(incremental, source)
         incremental.set_down_links(down_links)
         fresh = OverlayRouter(network)
         fresh.set_down_links(down_links)
@@ -138,7 +138,7 @@ def test_incremental_matches_under_mixed_node_and_link_churn(seed):
     for down, down_links in zip(node_sequence, link_sequence):
         for source in rng.sample(range(len(network)), k=3):
             if source not in down:
-                incremental.virtual_link_rows(source)
+                link_rows(incremental, source)
         incremental.set_down_nodes(down)
         incremental.set_down_links(down_links)
         fresh = OverlayRouter(network)
@@ -182,9 +182,9 @@ class TestTreeLifetime:
 
     @staticmethod
     def _warm(router, network):
-        """Cache every source's tree, with a path and a QoS answer on it."""
+        """Cache every source's tree, with a virtual link cached on it."""
         for source in range(len(network)):
-            router.virtual_link_rows(source)
+            link_rows(router, source)
             dest = (source + 1) % len(network)
             if router.reachable(source, dest):
                 router.overlay_path(source, dest)
@@ -227,27 +227,18 @@ class TestTreeLifetime:
 
 
 class TestRowContracts:
-    def test_virtual_link_rows_are_read_only(self):
-        network = random_mesh(3)
-        router = OverlayRouter(network)
-        delay_row, loss_row = router.virtual_link_rows(0)
-        with pytest.raises(ValueError):
-            delay_row[1] = 0.0
-        with pytest.raises(ValueError):
-            loss_row[1] = 0.0
-
     def test_recovery_bumps_affected_versions(self):
         network = random_mesh(11, num_nodes=10, extra_edges=6)
         router = OverlayRouter(network)
         for source in range(len(network)):
-            router.virtual_link_rows(source)
+            link_rows(router, source)
         router.set_down_nodes({4})
         router.set_down_nodes(set())  # recovery can create shortcuts
         # every tree solved while v4 was down must have been dropped
         fresh = OverlayRouter(network)
         for source in range(len(network)):
-            inc_delay, _ = router.virtual_link_rows(source)
-            ref_delay, _ = fresh.virtual_link_rows(source)
+            inc_delay, _ = link_rows(router, source)
+            ref_delay, _ = link_rows(fresh, source)
             assert np.array_equal(inc_delay, ref_delay)
 
     def test_bottleneck_row_against_path_walk(self):
@@ -257,7 +248,7 @@ class TestRowContracts:
         for link in rng.sample(network.links, k=5):
             link.allocate_bandwidth(rng.uniform(0.0, link.available_kbps))
         for source in (0, 3, 7):
-            row = router.bottleneck_bandwidth_row(source)
+            row = bandwidth_row(router, source)
             assert row[source] == np.inf
             for dest in range(len(network)):
                 if dest == source:
@@ -272,17 +263,7 @@ class TestRowContracts:
         network = random_mesh(6)
         router = OverlayRouter(network)
         stale = np.full(len(network.links), 123.0)
-        row = router.bottleneck_bandwidth_row(2, stale)
+        row = bandwidth_row(router, 2, stale)
         for dest in range(len(network)):
             if dest != 2:
                 assert row[dest] == pytest.approx(123.0)
-
-    def test_bottleneck_row_takes_nodes_and_memo_together(self):
-        network = random_mesh(6)
-        router = OverlayRouter(network)
-        memo = np.full(len(network), np.nan)
-        with pytest.raises(ValueError, match="together"):
-            router.bottleneck_bandwidth_row(2, None, np.array([1]))
-        with pytest.raises(ValueError, match="together"):
-            router.bottleneck_bandwidth_row(2, None, None, memo)
-        assert np.isnan(memo).all()
