@@ -6,14 +6,14 @@ PYTEST := PYTHONPATH=src python -m pytest
 .PHONY: test lint check docs-seeds bench bench-micro bench-scale bench-scale-smoke spec-check perf-smoke perf-pairs trace-demo
 
 test:
-	$(PYTEST) -x -q tests
+	$(PYTEST) -x tests
 
 # The aggregate PR gate: static analysis (repro-lint always; mypy/ruff
 # when installed), the tier-1 suite, then the benchmark's self-tests
 # (perfbench/tests: its tracing wrappers, workloads and harness against
 # today's program).  One command == what CI enforces.
 check: lint test
-	python -m pytest -q perfbench/tests
+	python -m pytest perfbench/tests
 
 # Regenerate the DEVELOPMENT.md seed-slot table from
 # repro.analysis.seeds.REGISTRY (the doc-drift test fails when they

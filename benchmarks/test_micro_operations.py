@@ -120,7 +120,9 @@ def test_phi_evaluation_latency(benchmark, system, context):
     assert outcome.success
     composition = outcome.composition
 
-    result = benchmark(lambda: evaluator.phi(composition))
+    result = benchmark(
+        lambda: evaluator.judge(composition, evaluator.reads(request))
+    )
     assert result > 0.0
 
 

@@ -89,7 +89,8 @@ def main() -> None:
             print(f"  link {edge}: {len(link.overlay_link_ids)} overlay hops, "
                   f"{link.qos.delay:.1f} ms")
     print(f"  congestion aggregation phi = {outcome.phi:.3f}")
-    worst = composer.evaluator.worst_effective_qos(composition)
+    evaluator = composer.evaluator
+    worst = evaluator.worst_effective_qos(composition, evaluator.reads(request))
     print(f"  end-to-end QoS: {worst.delay:.1f} ms delay, "
           f"{100 * worst.loss_rate:.2f}% loss "
           f"(budget {request.qos_requirement.delay:.0f} ms / "

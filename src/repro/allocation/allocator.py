@@ -16,10 +16,10 @@ permanent on the selected nodes and virtual links."
   (request, component), all cancellable as a unit, with an expiry deadline
   enforced by :meth:`expire_due`;
 * **session allocations** — the permanent, atomic admission of a selected
-  :class:`ComponentGraph`: aggregate per-node resource demand plus
-  per-overlay-link bandwidth demand (a request whose virtual links share an
-  overlay link pays for it once per virtual link), released together when
-  the session closes.
+  :class:`ComponentGraph`'s demand (:meth:`ComponentGraph.demand`:
+  aggregate per-node resources plus per-overlay-link bandwidth, a request
+  whose virtual links share an overlay link paying for it once per
+  virtual link), released together when the session closes.
 
 Link bandwidth is checked at probe time and allocated at confirmation but
 not reserved transiently; with node resources — the contended quantity —
@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.model.component import Component
 from repro.model.component_graph import ComponentGraph
-from repro.model.resources import ResourceSchema, ResourceVector
+from repro.model.resources import ResourceVector
 from repro.topology.overlay import OverlayNetwork
 from repro.topology.routing import OverlayRouter
 
@@ -45,7 +45,9 @@ class AdmissionError(RuntimeError):
 
 @dataclass
 class SessionAllocation:
-    """The permanent footprint of one running stream processing session."""
+    """The permanent footprint of one running stream processing session:
+    its composition's demand dicts (shared with the graph, never
+    mutated)."""
 
     request_id: int
     node_demands: Dict[int, ResourceVector]
@@ -62,15 +64,11 @@ class _TransientLedger:
     #: (component_id) -> (node_id, amount) actually held on the node
     holdings: Dict[int, Tuple[int, ResourceVector]] = field(default_factory=dict)
 
-    def amount_on_node(self, node_id: int, schema: ResourceSchema) -> ResourceVector:
-        """Total transiently-held resources on one node."""
-        total = self.amount_on_node_or_none(node_id)
-        return ResourceVector.zero(schema) if total is None else total
-
     def amount_on_node_or_none(self, node_id: int) -> Optional[ResourceVector]:
-        """Like :meth:`amount_on_node`, but ``None`` when nothing is held —
-        lets the probing hot path skip a zero-vector construction and an
-        add per query (most queried nodes hold nothing)."""
+        """Total transiently-held resources on one node, or ``None`` when
+        nothing is held — lets the probing hot path skip a zero-vector
+        construction and an add per query (most queried nodes hold
+        nothing)."""
         total: Optional[ResourceVector] = None
         for held_node, amount in self.holdings.values():
             if held_node == node_id:
@@ -171,27 +169,6 @@ class ResourceAllocator:
 
     # -- permanent path ---------------------------------------------------------
 
-    def _demands_of(
-        self, composition: ComponentGraph
-    ) -> Tuple[Dict[int, ResourceVector], Dict[int, float]]:
-        request = composition.request
-        node_demands: Dict[int, ResourceVector] = {}
-        for index in range(len(request.function_graph)):
-            component = composition.component(index)
-            requirement = request.requirement_for(index)
-            if component.node_id in node_demands:
-                node_demands[component.node_id] = (
-                    node_demands[component.node_id] + requirement
-                )
-            else:
-                node_demands[component.node_id] = requirement
-        link_demands: Dict[int, float] = {}
-        for edge, virtual_link in composition.virtual_links.items():
-            bandwidth = request.bandwidth_for(edge)
-            for link_id in virtual_link.overlay_link_ids:
-                link_demands[link_id] = link_demands.get(link_id, 0.0) + bandwidth
-        return node_demands, link_demands
-
     def commit(self, composition: ComponentGraph) -> SessionAllocation:
         """Make the selected composition permanent (confirmation message).
 
@@ -203,7 +180,7 @@ class ResourceAllocator:
         if request.request_id in self._sessions:
             raise AdmissionError(f"request {request.request_id} already has a session")
         self.cancel_transient(request.request_id)
-        node_demands, link_demands = self._demands_of(composition)
+        node_demands, link_demands = composition.demand()
 
         for node_id, demand in node_demands.items():
             if not self.network.node(node_id).can_allocate(demand):

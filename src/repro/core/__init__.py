@@ -36,11 +36,7 @@ from repro.core.selection import (
     RISK_TIE_EPSILON,
     RankingPolicy,
     ScoredCandidate,
-    congestion_value,
     probe_budget,
-    qualification_failure,
-    risk_value,
-    select_best,
 )
 from repro.core.tuning import ProbingRatioTuner, TunerSample
 from repro.core.tuning_pid import PIDRatioTuner
@@ -72,10 +68,6 @@ __all__ = [
     "TunerSample",
     "ScoredCandidate",
     "RankingPolicy",
-    "risk_value",
-    "congestion_value",
-    "qualification_failure",
-    "select_best",
     "probe_budget",
     "RISK_TIE_EPSILON",
 ]

@@ -93,16 +93,16 @@ class _OneShotComposer(Composer):
         if not self.evaluator.interface_compatible(request, assignment):
             return self._fail(request, "incompatible_interfaces")
         composition = self.evaluator.build_component_graph(request, assignment)
-        ok, reason = self.evaluator.feasible(composition)
-        if not ok:
-            return self._fail(request, reason or "infeasible")
+        verdict = self.evaluator.judge(composition, self.evaluator.reads(request))
+        if isinstance(verdict, str):
+            return self._fail(request, verdict)
         return CompositionOutcome(
             request=request,
             composition=composition,
             success=True,
             setup_messages=self._setup_messages(composition),
             explored=1,
-            phi=self.evaluator.phi(composition),
+            phi=verdict,
         )
 
 

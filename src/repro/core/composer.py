@@ -6,19 +6,25 @@ RP, Random, Static) is a :class:`Composer`: given a
 :class:`CompositionOutcome` — a selected component graph (or a failure) plus
 the message accounting that Figs. 6(b) and 7(b) compare.
 
-The shared :class:`CompositionEvaluator` implements the checks every
-algorithm needs against *precise* state:
+The shared :class:`CompositionEvaluator` judges complete compositions
+against *precise* state, as Section 3.3's deputy does.  Its one judge,
+:meth:`CompositionEvaluator.judge`, serves every algorithm, the live
+migration planner and the session middleware:
 
 * Eq. 2 is enforced structurally by :class:`ComponentGraph`;
 * Eq. 3 via end-to-end per-path QoS;
-* Eqs. 4–5 via aggregate per-node and per-overlay-link feasibility;
+* Eqs. 4–5 via the graph's aggregate per-node and per-overlay-link demand
+  (:meth:`ComponentGraph.demand`);
 * Eq. 1's congestion aggregation φ(λ) for ranking qualified compositions;
-* the component interface compatibility check (formats and stream rates).
 
-Availability is always read through the allocator's
-``available_excluding`` so a request's own transient probe reservations do
-not distort its view of the system (Fig. 4's arithmetic expects
-pre-request availability).
+beside it, :meth:`CompositionEvaluator.interface_compatible` checks the
+component interfaces (formats and stream rates).
+
+Live reads go through one :class:`PreciseReads` memo that the caller
+scopes to a stretch of state nothing changes under.  Availability is read
+through the allocator's ``available_excluding`` so a request's own
+transient probe reservations do not distort its view of the system
+(Fig. 4's arithmetic expects pre-request availability).
 """
 
 from __future__ import annotations
@@ -26,7 +32,17 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.allocation.allocator import ResourceAllocator
 from repro.core.control import ControlChannel, PerfectControlChannel
@@ -191,6 +207,46 @@ class CompositionOutcome:
     failure_reason: Optional[str] = None
 
 
+class PreciseReads:
+    """The live state a judgement reads, each value read once.
+
+    A component's effective QoS under its host's live load and a node's
+    availability before the request's own transient holdings, memoised
+    for one request over a stretch of state that nothing changes under:
+    one request's beam in :meth:`CompositionEvaluator.qualify_and_rank`,
+    one Optimal search, or one migration planning pass.  The caller that
+    starts it owns that scope; a read after an allocation or a fault needs
+    a new one.
+    """
+
+    __slots__ = ("_context", "_request_id", "_qos", "_available")
+
+    def __init__(self, context: CompositionContext, request_id: int) -> None:
+        self._context = context
+        self._request_id = request_id
+        self._qos: Dict[int, QoSVector] = {}
+        self._available: Dict[int, ResourceVector] = {}
+
+    def qos(self, component: Component) -> QoSVector:
+        """Effective QoS at live host state (what a probe observes on
+        arrival, and what the omniscient optimal algorithm sees)."""
+        qos = self._qos.get(component.component_id)
+        if qos is None:
+            qos = self._context.precise_component_qos(component)
+            self._qos[component.component_id] = qos
+        return qos
+
+    def available(self, node_id: int) -> ResourceVector:
+        """Precise availability, excluding the request's own reservations."""
+        available = self._available.get(node_id)
+        if available is None:
+            available = self._context.allocator.available_excluding(
+                self._request_id, node_id
+            )
+            self._available[node_id] = available
+        return available
+
+
 class CompositionEvaluator:
     """Precise-state qualification and ranking shared by all composers."""
 
@@ -241,150 +297,84 @@ class CompositionEvaluator:
                 return False
         return True
 
-    # -- feasibility (Eqs. 3-5) -------------------------------------------------
+    # -- the judge (Eqs. 3-5, Eq. 1) ----------------------------------------------
 
-    def node_available(self, request: StreamRequest, node_id: int) -> ResourceVector:
-        """Precise availability, excluding the request's own reservations."""
-        return self.context.allocator.available_excluding(
-            request.request_id, node_id
-        )
+    def reads(self, request: StreamRequest) -> PreciseReads:
+        """A fresh :class:`PreciseReads` for ``request``."""
+        return PreciseReads(self.context, request.request_id)
 
     def effective_component_qos(
-        self,
-        composition: ComponentGraph,
-        _qos_memo: Optional[Dict[int, QoSVector]] = None,
+        self, composition: ComponentGraph, reads: PreciseReads
     ) -> Dict[int, QoSVector]:
-        """Per-placement effective QoS under live load (the precise view).
+        """Per-placement effective QoS under live load (the precise view)."""
+        return {
+            index: reads.qos(composition.component(index))
+            for index in range(len(composition.request.function_graph))
+        }
 
-        ``_qos_memo`` (component_id → QoS) lets :meth:`qualify_and_rank`
-        share lookups across candidate compositions that place the same
-        component; no state changes between them, so the values are
-        identical either way.
-        """
-        graph = composition.request.function_graph
-        if _qos_memo is None:
-            return {
-                index: self.context.precise_component_qos(composition.component(index))
-                for index in range(len(graph))
-            }
-        out: Dict[int, QoSVector] = {}
-        for index in range(len(graph)):
-            component = composition.component(index)
-            qos = _qos_memo.get(component.component_id)
-            if qos is None:
-                qos = self.context.precise_component_qos(component)
-                _qos_memo[component.component_id] = qos
-            out[index] = qos
-        return out
-
-    def worst_effective_qos(self, composition: ComponentGraph) -> QoSVector:
+    def worst_effective_qos(
+        self, composition: ComponentGraph, reads: PreciseReads
+    ) -> QoSVector:
         """Critical-path QoS under the load-dependent model (live state)."""
-        return composition.worst_path_qos(self.effective_component_qos(composition))
+        return composition.worst_path_qos(
+            self.effective_component_qos(composition, reads)
+        )
 
-    def feasible(
-        self,
-        composition: ComponentGraph,
-        _qos_memo: Optional[Dict[int, QoSVector]] = None,
-        _avail_memo: Optional[Dict[int, ResourceVector]] = None,
-    ) -> Tuple[bool, Optional[str]]:
-        """Eqs. 3–5 against precise state, with aggregate semantics.
+    def judge(
+        self, composition: ComponentGraph, reads: PreciseReads
+    ) -> Union[str, float]:
+        """Eqs. 3–5, then Eq. 1, against precise state.
 
-        QoS is evaluated under the load-dependent model at live host state;
-        per-node demand sums over all of the request's components placed on
-        the node; per-overlay-link demand sums over all of its virtual
-        links crossing the link.  The memo parameters are pure read caches
-        scoped to one :meth:`qualify_and_rank` call (see there).
+        Returns the first failure reason, in this order: ``qos_violation``
+        (a source-to-sink path misses the requirement under the
+        load-dependent model at live host state), ``node_resources`` (a
+        node's availability cannot cover the summed demand of the request's
+        placements on it), ``link_bandwidth`` (an overlay link cannot carry
+        the summed bandwidth of the virtual links crossing it).  A
+        qualified composition returns its φ(λ) over live link bandwidth and
+        pre-request node availability.
         """
-        request = composition.request
         if not composition.qos_satisfied(
-            self.effective_component_qos(composition, _qos_memo)
+            self.effective_component_qos(composition, reads)
         ):
-            return False, "qos_violation"
-
-        node_demands: Dict[int, object] = {}
-        for index in range(len(request.function_graph)):
-            component = composition.component(index)
-            requirement = request.requirement_for(index)
-            if component.node_id in node_demands:
-                node_demands[component.node_id] = (
-                    node_demands[component.node_id] + requirement
-                )
-            else:
-                node_demands[component.node_id] = requirement
-        for node_id, demand in node_demands.items():
-            if not self._node_available_memo(request, node_id, _avail_memo).covers(
-                demand
-            ):
-                return False, "node_resources"
-
-        link_demands: Dict[int, float] = {}
-        for edge, virtual_link in composition.virtual_links.items():
-            bandwidth = request.bandwidth_for(edge)
-            for link_id in virtual_link.overlay_link_ids:
-                link_demands[link_id] = link_demands.get(link_id, 0.0) + bandwidth
+            return "qos_violation"
+        node_demand, link_demand = composition.demand()
+        for node_id, demand in node_demand.items():
+            if not reads.available(node_id).covers(demand):
+                return "node_resources"
         network = self.context.network
-        for link_id, kbps in link_demands.items():
+        for link_id, kbps in link_demand.items():
             if network.link(link_id).available_kbps < kbps - 1e-9:
-                return False, "link_bandwidth"
-        return True, None
-
-    # -- ranking (Eq. 1) -----------------------------------------------------------
-
-    def _node_available_memo(
-        self,
-        request: StreamRequest,
-        node_id: int,
-        memo: Optional[Dict[int, ResourceVector]],
-    ) -> ResourceVector:
-        if memo is None:
-            return self.node_available(request, node_id)
-        available = memo.get(node_id)
-        if available is None:
-            available = self.node_available(request, node_id)
-            memo[node_id] = available
-        return available
-
-    def phi(
-        self,
-        composition: ComponentGraph,
-        _avail_memo: Optional[Dict[int, ResourceVector]] = None,
-    ) -> float:
-        """φ(λ) under precise state (live link bandwidth, pre-request
-        node availability)."""
-        request = composition.request
-        network = self.context.network
+                return "link_bandwidth"
 
         def link_available(edge: Tuple[int, int]) -> float:
             return network.path_available_bw(
                 composition.virtual_link(edge).overlay_link_ids
             )
 
-        return composition.congestion_aggregation(
-            lambda node_id: self._node_available_memo(request, node_id, _avail_memo),
-            link_available,
-        )
+        return composition.congestion_aggregation(reads.available, link_available)
 
     def qualify_and_rank(
-        self, compositions: Sequence[ComponentGraph]
-    ) -> Tuple[Optional[ComponentGraph], Optional[float], list]:
+        self, request: StreamRequest, compositions: Sequence[ComponentGraph]
+    ) -> Tuple[
+        Optional[ComponentGraph], Optional[float], List[Tuple[float, ComponentGraph]]
+    ]:
         """Filter qualified compositions and return the φ-minimal one.
 
         Returns ``(best, best_phi, qualified_list)``; the list holds
         ``(phi, composition)`` pairs for callers that select differently
         (the SP baseline picks at random among the qualified).
 
-        All candidate compositions belong to one request, and nothing
-        mutates node or link state during qualification, so per-component
-        effective QoS and per-node availability are memoised across the
-        whole batch — the values are identical to recomputing them.
+        All candidate compositions belong to ``request``, and nothing
+        mutates node or link state during qualification, so one
+        :class:`PreciseReads` serves the whole beam.
         """
-        qualified = []
-        qos_memo: Dict[int, QoSVector] = {}
-        avail_memo: Dict[int, object] = {}
+        reads = self.reads(request)
+        qualified: List[Tuple[float, ComponentGraph]] = []
         for composition in compositions:
-            ok, _reason = self.feasible(composition, qos_memo, avail_memo)
-            if ok:
-                qualified.append((self.phi(composition, avail_memo), composition))
+            verdict = self.judge(composition, reads)
+            if not isinstance(verdict, str):
+                qualified.append((verdict, composition))
         if not qualified:
             return None, None, []
         best_phi, best = min(qualified, key=lambda pair: pair[0])

@@ -278,9 +278,11 @@ class LevelPool:
         ranking: RankingPolicy = RankingPolicy.RISK_THEN_CONGESTION,
         risk_tie_epsilon: float = RISK_TIE_EPSILON,
     ) -> List[ScoredCandidate]:
-        """Top-``limit`` entries under the exact
-        :func:`repro.core.selection.select_best` semantics: same sort keys,
-        same stable tie-breaking, same tie-bucket rounding."""
+        """Top-``limit`` entries by Section 3.5's ranking: sort keys
+        (risk bucketed by ``risk_tie_epsilon``, then congestion, then
+        component id), stable tie-breaking and tie-bucket rounding equal to
+        the scalar oracle's ``select_best`` in
+        ``tests/oracles/scalar_scorer.py``."""
         if limit <= 0:
             return []
         risk = self._risk.tolist()

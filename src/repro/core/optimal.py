@@ -62,9 +62,9 @@ class OptimalComposer(Composer):
         # Per-placement candidate lists, rate-compatible only, each entry
         # carrying its static congestion term for ordering and bounds.
         ordered_candidates: Dict[int, List[Tuple[float, Component]]] = {}
-        # live effective QoS per candidate; constant during the search since
-        # the optimal algorithm allocates nothing while searching
-        effective_qos: Dict[int, QoSVector] = {}
+        # the optimal algorithm allocates nothing while searching, so one
+        # set of live reads serves every extension and every leaf
+        reads = self.evaluator.reads(request)
         for function_index in topo:
             function = graph.node(function_index).function
             requirement = request.requirement_for(function_index)
@@ -81,10 +81,6 @@ class OptimalComposer(Composer):
                 available = context.network.node(candidate.node_id).available
                 term = sum(congestion_terms(requirement, available))
                 entries.append((term, candidate))
-                if candidate.component_id not in effective_qos:
-                    effective_qos[candidate.component_id] = (
-                        context.precise_component_qos(candidate)
-                    )
             if not entries:
                 return self._fail(request, "no_candidates")
             entries.sort(key=lambda pair: (pair[0], pair[1].component_id))
@@ -113,12 +109,11 @@ class OptimalComposer(Composer):
                 composition = self.evaluator.build_component_graph(
                     request, assignment
                 )
-                ok, _reason = self.evaluator.feasible(composition)
-                if not ok:
+                verdict = self.evaluator.judge(composition, reads)
+                if isinstance(verdict, str):
                     return
-                phi = self.evaluator.phi(composition)
-                if phi < best["phi"]:
-                    best["phi"] = phi
+                if verdict < best["phi"]:
+                    best["phi"] = verdict
                     best["composition"] = composition
                 return
             function_index = topo[position]
@@ -138,7 +133,7 @@ class OptimalComposer(Composer):
                 extension = self._extend(
                     request,
                     candidate,
-                    effective_qos[candidate.component_id],
+                    reads.qos(candidate),
                     function_index,
                     predecessors,
                     requirement,

@@ -349,7 +349,7 @@ class ProbingComposer(Composer):
             evaluator.build_component_graph(request, probe.assignment)
             for probe in beam
         ]
-        best, best_phi, qualified = evaluator.qualify_and_rank(compositions)
+        best, best_phi, qualified = evaluator.qualify_and_rank(request, compositions)
         if best is None:
             return self._fail(
                 request,

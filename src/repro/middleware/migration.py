@@ -404,6 +404,9 @@ class LiveSessionMigrationManager:
     ) -> Optional[SessionMigrationRecord]:
         request = session.request
         graph = request.function_graph
+        # nothing allocates or fails until begin_migration, so one set of
+        # live reads serves the whole planning pass
+        reads = self.evaluator.reads(request)
         assignment = {
             index: session.composition.component(index)
             for index in range(len(graph))
@@ -432,14 +435,10 @@ class LiveSessionMigrationManager:
                 composition = self.evaluator.build_component_graph(
                     request, trial
                 )
-                ok, _reason = self.evaluator.feasible(composition)
-                if not ok:
+                verdict = self.evaluator.judge(composition, reads)
+                if isinstance(verdict, str):
                     continue
-                key = (
-                    self.evaluator.phi(composition),
-                    candidate.component_id,
-                    candidate,
-                )
+                key = (verdict, candidate.component_id, candidate)
                 if best is None or key[:2] < best[:2]:
                     best = key
             if best is None:
@@ -460,7 +459,7 @@ class LiveSessionMigrationManager:
         composition = self.evaluator.build_component_graph(request, assignment)
         pause_s = self._pause_s(session, composition, now)
         slack_ms = delay_slack_ms(
-            self.evaluator.worst_effective_qos(composition),
+            self.evaluator.worst_effective_qos(composition, reads),
             request.qos_requirement,
         )
         budget_ms = self.policy.pause_slack_fraction * slack_ms

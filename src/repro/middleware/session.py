@@ -222,8 +222,9 @@ class SessionManager:
             )
         else:
             units_out = 0.0
-        worst_qos = self.composer.evaluator.worst_effective_qos(
-            session.composition
+        evaluator = self.composer.evaluator
+        worst_qos = evaluator.worst_effective_qos(
+            session.composition, evaluator.reads(session.request)
         )
         loss = worst_qos.loss_rate
         result = ProcessingResult(

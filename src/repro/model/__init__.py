@@ -11,7 +11,7 @@ from repro.model.component_graph import ComponentGraph, VirtualLinkPath
 from repro.model.function_graph import FunctionGraph, FunctionNode
 from repro.model.functions import DEFAULT_CATEGORIES, FunctionCatalog, StreamFunction
 from repro.model.node import InsufficientResourcesError, Node
-from repro.model.qos import QoSVector, combine_all
+from repro.model.qos import QoSVector
 from repro.model.request import (
     DEFAULT_KBPS_PER_UNIT,
     StreamRequest,
@@ -38,7 +38,6 @@ __all__ = [
     "Node",
     "InsufficientResourcesError",
     "QoSVector",
-    "combine_all",
     "StreamRequest",
     "derive_bandwidth_requirements",
     "DEFAULT_KBPS_PER_UNIT",

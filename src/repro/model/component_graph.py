@@ -7,10 +7,13 @@ is called virtual link (l_i), which consists of a set of overlay links."
 A :class:`ComponentGraph` is the result of composition: for every function
 placement of the request's function graph, a concrete component, and for
 every dependency link, the :class:`VirtualLinkPath` its stream will ride.
-It is passive data plus pure aggregation logic (end-to-end QoS, congestion
-aggregation φ(λ) of Eq. 1); all notions of "current availability" are
-injected by the caller so the same graph can be evaluated against precise
-probe-collected state, stale global state, or ground truth.
+It is passive data plus pure aggregation logic (end-to-end QoS, the
+Eqs. 4–5 demand, congestion aggregation φ(λ) of Eq. 1); all notions of
+"current availability" are injected by the caller so the same graph can
+be evaluated against precise probe-collected state, stale global state,
+or ground truth.  The demand depends on the graph alone, so it is summed
+once and kept on the (immutable) graph for every reader: the precise
+check, φ and the allocator's commit.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class VirtualLinkPath:
 class ComponentGraph:
     """A fully resolved composition λ = (C, L) for a request."""
 
-    __slots__ = ("request", "_assignment", "_links")
+    __slots__ = ("request", "_assignment", "_links", "_demand")
 
     def __init__(
         self,
@@ -99,6 +102,9 @@ class ComponentGraph:
         self.request = request
         self._assignment: Dict[int, Component] = dict(assignment)
         self._links: Dict[Tuple[int, int], VirtualLinkPath] = dict(links)
+        self._demand: Optional[
+            Tuple[Dict[int, ResourceVector], Dict[int, float]]
+        ] = None
 
     # -- accessors ------------------------------------------------------------
 
@@ -188,6 +194,36 @@ class ComponentGraph:
             worst = max(worst, total)
         return worst
 
+    # -- demand (Eqs. 4-5) ------------------------------------------------------
+
+    def demand(self) -> Tuple[Dict[int, ResourceVector], Dict[int, float]]:
+        """The composition's aggregate demand ``(by node, by overlay link)``.
+
+        Eq. 4: a node pays the requirements of every placement on it,
+        summed in placement order.  Eq. 5: an overlay link pays the
+        bandwidth of every virtual link that crosses it, summed in
+        dependency-link order, so two virtual links sharing a link pay it
+        twice; co-located virtual links cross none (footnote 8).  Summed
+        on first use and shared by every reader, which must not mutate
+        the dicts.
+        """
+        demand = self._demand
+        if demand is None:
+            request = self.request
+            by_node: Dict[int, ResourceVector] = {}
+            for index in range(len(request.function_graph)):
+                node_id = self._assignment[index].node_id
+                requirement = request.requirement_for(index)
+                held = by_node.get(node_id)
+                by_node[node_id] = requirement if held is None else held + requirement
+            by_link: Dict[int, float] = {}
+            for edge, link in self._links.items():
+                bandwidth = request.bandwidth_for(edge)
+                for link_id in link.overlay_link_ids:
+                    by_link[link_id] = by_link.get(link_id, 0.0) + bandwidth
+            demand = self._demand = (by_node, by_link)
+        return demand
+
     # -- congestion aggregation φ(λ) (Eq. 1) ------------------------------------
 
     def congestion_aggregation(
@@ -204,19 +240,11 @@ class ComponentGraph:
 
         Residuals are per footnote 5: on a node hosting several of this
         request's components, the residual subtracts *all* of their
-        requirements, so co-location is priced correctly.
+        requirements (the node's :meth:`demand`), so co-location is priced
+        correctly.
         """
         request = self.request
-        # total demand this request places on each node
-        demand_by_node: Dict[int, ResourceVector] = {}
-        for index, component in self._assignment.items():
-            requirement = request.requirement_for(index)
-            node_id = component.node_id
-            if node_id in demand_by_node:
-                demand_by_node[node_id] = demand_by_node[node_id] + requirement
-            else:
-                demand_by_node[node_id] = requirement
-
+        demand_by_node = self.demand()[0]
         total = 0.0
         for index, component in self._assignment.items():
             requirement = request.requirement_for(index)

@@ -26,7 +26,7 @@ loss array.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Tuple
+from typing import Tuple
 
 #: Loss rates at or above this value are treated as total loss; the additive
 #: transform diverges at p = 1 so we clamp slightly below.
@@ -37,7 +37,7 @@ class QoSVector:
     """An immutable (delay, loss rate) QoS vector.
 
     Supports accumulation (:meth:`combine`), requirement checks
-    (:meth:`satisfies`), and the additive-space transform used by the ACP
+    (:meth:`satisfies`), and the additive-space transform behind the ACP
     risk function (:meth:`additive_values`).
     """
 
@@ -108,24 +108,6 @@ class QoSVector:
         delay, loss = self._values
         return (delay, -math.log1p(-min(loss, _MAX_LOSS)))
 
-    def utilization(self, requirement: "QoSVector") -> Tuple[float, ...]:
-        """Per-metric fraction of the requirement consumed, in additive space.
-
-        A value of 1.0 means the metric exactly meets its bound; > 1.0 means
-        the bound is violated.  Metrics with a zero (or effectively
-        unconstrained) requirement report 0.0 when the accumulated value is
-        also zero and ``inf`` otherwise.
-        """
-        accumulated = self.additive_values()
-        bounds = requirement.additive_values()
-        out = []
-        for acc, bound in zip(accumulated, bounds):
-            if bound <= 0.0:
-                out.append(0.0 if acc <= 0.0 else math.inf)
-            else:
-                out.append(acc / bound)
-        return tuple(out)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QoSVector) and self._values == other._values
 
@@ -147,11 +129,3 @@ def elementwise_max(a: QoSVector, b: QoSVector) -> QoSVector:
     """
     (a_delay, a_loss), (b_delay, b_loss) = a.values, b.values
     return QoSVector(max(a_delay, b_delay), max(a_loss, b_loss))
-
-
-def combine_all(vectors: Iterable[QoSVector]) -> QoSVector:
-    """Fold :meth:`QoSVector.combine` over ``vectors`` (empty → zero)."""
-    total = QoSVector.zero()
-    for vector in vectors:
-        total = total.combine(vector)
-    return total

@@ -256,6 +256,42 @@ class FailureInjector:
     def events(self) -> Tuple[FailureEvent, ...]:
         return tuple(self._events)
 
+    # -- the churn effects, one entity each -------------------------------------
+
+    def _crash_node(
+        self, node_id: int, sessions: Optional[SessionManager], now: float
+    ) -> FailureEvent:
+        """Terminate the sessions on ``node_id``, then take it down (the
+        caller updates the router once per batch)."""
+        killed = 0
+        if sessions is not None:
+            killed = sessions.terminate_sessions_using_node(node_id)
+        self.network.node(node_id).fail()
+        self._down.add(node_id)
+        self.sessions_killed += killed
+        return FailureEvent(now, node_id, "crash", killed)
+
+    def _recover_node(self, node_id: int, now: float) -> FailureEvent:
+        self.network.node(node_id).recover()
+        self._down.discard(node_id)
+        return FailureEvent(now, node_id, "recover")
+
+    def _fail_link(
+        self, link_id: int, sessions: Optional[SessionManager], now: float
+    ) -> FailureEvent:
+        """Terminate the sessions crossing ``link_id``, then take it down
+        (the caller updates the router once per batch)."""
+        killed = 0
+        if sessions is not None:
+            killed = sessions.terminate_sessions_using_link(link_id)
+        self._down_links.add(link_id)
+        self.sessions_killed += killed
+        return FailureEvent(now, -1, "link_down", killed, link_id=link_id)
+
+    def _recover_link(self, link_id: int, now: float) -> FailureEvent:
+        self._down_links.discard(link_id)
+        return FailureEvent(now, -1, "link_up", link_id=link_id)
+
     # -- explicit control (tests, targeted experiments) -----------------------
 
     def crash(
@@ -288,15 +324,7 @@ class FailureInjector:
         for node_id in node_ids:
             if not self.network.node(node_id).alive:
                 raise ValueError(f"node v{node_id} is already down")
-        events: List[FailureEvent] = []
-        for node_id in node_ids:
-            killed = 0
-            if sessions is not None:
-                killed = sessions.terminate_sessions_using_node(node_id)
-            self.network.node(node_id).fail()
-            self._down.add(node_id)
-            self.sessions_killed += killed
-            events.append(FailureEvent(now, node_id, "crash", killed))
+        events = [self._crash_node(node_id, sessions, now) for node_id in node_ids]
         if events:
             self.router.set_down_nodes(self._down)
         return self._record(events)
@@ -313,11 +341,7 @@ class FailureInjector:
             raise ValueError(
                 f"nodes not down: {sorted(missing)}"
             )
-        events: List[FailureEvent] = []
-        for node_id in node_ids:
-            self.network.node(node_id).recover()
-            self._down.discard(node_id)
-            events.append(FailureEvent(now, node_id, "recover"))
+        events = [self._recover_node(node_id, now) for node_id in node_ids]
         if events:
             self.router.set_down_nodes(self._down)
         return self._record(events)
@@ -338,16 +362,7 @@ class FailureInjector:
         for link_id in link_ids:
             if not 0 <= link_id < len(self.network.links):
                 raise ValueError(f"unknown overlay link id {link_id}")
-        events: List[FailureEvent] = []
-        for link_id in link_ids:
-            killed = 0
-            if sessions is not None:
-                killed = sessions.terminate_sessions_using_link(link_id)
-            self._down_links.add(link_id)
-            self.sessions_killed += killed
-            events.append(
-                FailureEvent(now, -1, "link_down", killed, link_id=link_id)
-            )
+        events = [self._fail_link(link_id, sessions, now) for link_id in link_ids]
         if events:
             self.router.set_down_links(self._down_links)
         return self._record(events)
@@ -362,10 +377,7 @@ class FailureInjector:
         missing = unique - self._down_links
         if missing:
             raise ValueError(f"links not down: {sorted(missing)}")
-        events: List[FailureEvent] = []
-        for link_id in link_ids:
-            self._down_links.discard(link_id)
-            events.append(FailureEvent(now, -1, "link_up", link_id=link_id))
+        events = [self._recover_link(link_id, now) for link_id in link_ids]
         if events:
             self.router.set_down_links(self._down_links)
         return self._record(events)
@@ -388,22 +400,14 @@ class FailureInjector:
         # recoveries first (a node cannot crash and recover the same round)
         for node_id in sorted(self._down):
             if self.rng.random() < plan.node_recover_probability:
-                self.network.node(node_id).recover()
-                self._down.discard(node_id)
-                events.append(FailureEvent(now, node_id, "recover"))
+                events.append(self._recover_node(node_id, now))
         for node in self.network.nodes:
             if not node.alive or node.node_id in self._down:
                 continue
             if self.concurrent_failures >= self.max_concurrent_failures:
                 break
             if self.rng.random() < plan.node_fail_probability:
-                killed = 0
-                if sessions is not None:
-                    killed = sessions.terminate_sessions_using_node(node.node_id)
-                node.fail()
-                self._down.add(node.node_id)
-                self.sessions_killed += killed
-                events.append(FailureEvent(now, node.node_id, "crash", killed))
+                events.append(self._crash_node(node.node_id, sessions, now))
         if events:
             self.router.set_down_nodes(self._down)
 
@@ -413,9 +417,8 @@ class FailureInjector:
             link_changed = False
             for link_id in sorted(self._down_links):
                 if self.rng.random() < plan.link_recover_probability:
-                    self._down_links.discard(link_id)
+                    events.append(self._recover_link(link_id, now))
                     link_changed = True
-                    events.append(FailureEvent(now, -1, "link_up", link_id=link_id))
             if plan.link_fail_probability > 0.0:
                 for link in self.network.links:
                     if link.link_id in self._down_links:
@@ -423,19 +426,8 @@ class FailureInjector:
                     if self.concurrent_failures >= self.max_concurrent_failures:
                         break
                     if self.rng.random() < plan.link_fail_probability:
-                        killed = 0
-                        if sessions is not None:
-                            killed = sessions.terminate_sessions_using_link(
-                                link.link_id
-                            )
-                        self._down_links.add(link.link_id)
-                        self.sessions_killed += killed
+                        events.append(self._fail_link(link.link_id, sessions, now))
                         link_changed = True
-                        events.append(
-                            FailureEvent(
-                                now, -1, "link_down", killed, link_id=link.link_id
-                            )
-                        )
             if link_changed:
                 self.router.set_down_links(self._down_links)
 

@@ -5,31 +5,151 @@ every (probe, candidate) pair, in probe-major and candidate-registration
 order, the interface-compatibility filters, Eq. 6–8 qualification
 against the coarse-grain global state, and the Eq. 9/10 risk and
 congestion scores.  It works through ``QoSVector`` / ``ResourceVector``
-arithmetic, the scalar equations in :mod:`repro.core.selection` and
-per-pair router queries, and shares no array code with
-:mod:`repro.core.fastscore`, so tests comparing the two are not circular.
+arithmetic, the scalar equations below and per-pair router queries, and
+shares no array code with :mod:`repro.core.fastscore`, so tests comparing
+the two are not circular.
 
-Guided selection over its pool is :func:`repro.core.selection.select_best`;
-the random hop policy samples pool positions, so equal pools in equal
-order consume the same draws.
+Guided selection over its pool is :func:`select_best`; the random hop
+policy samples pool positions, so equal pools in equal order consume the
+same draws.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.composer import CompositionContext
 from repro.core.probe import Probe
-from repro.core.selection import (
-    ScoredCandidate,
-    congestion_value,
-    qualification_failure,
-    risk_value,
-)
+from repro.core.selection import RISK_TIE_EPSILON, RankingPolicy, ScoredCandidate
 from repro.model.component import Component
 from repro.model.qos import QoSVector, elementwise_max
 from repro.model.request import StreamRequest
-from repro.model.resources import ResourceVector
+from repro.model.resources import ResourceVector, congestion_terms
+
+
+# -- the scalar equations (Eqs. 6-10) ---------------------------------------------
+
+
+def combine_all(vectors: Iterable[QoSVector]) -> QoSVector:
+    """Fold :meth:`QoSVector.combine` over ``vectors`` (empty → zero)."""
+    total = QoSVector.zero()
+    for vector in vectors:
+        total = total.combine(vector)
+    return total
+
+
+def utilization(qos: QoSVector, requirement: QoSVector) -> Tuple[float, ...]:
+    """Per-metric fraction of the requirement consumed, in additive space.
+
+    A value of 1.0 means the metric exactly meets its bound; > 1.0 means
+    the bound is violated.  Metrics with a zero (or effectively
+    unconstrained) requirement report 0.0 when the accumulated value is
+    also zero and ``inf`` otherwise.
+    """
+    accumulated = qos.additive_values()
+    bounds = requirement.additive_values()
+    out = []
+    for acc, bound in zip(accumulated, bounds):
+        if bound <= 0.0:
+            out.append(0.0 if acc <= 0.0 else math.inf)
+        else:
+            out.append(acc / bound)
+    return tuple(out)
+
+
+def risk_value(accumulated_qos: QoSVector, requirement: QoSVector) -> float:
+    """Eq. 9: D(c) = max_m (q_acc + q_c + q_l)_m / q_m^req.
+
+    ``accumulated_qos`` must already include the candidate component and the
+    virtual link(s) into it.  Ratios are taken in additive space so the
+    loss-rate metric is meaningful.  Values > 1 mean the bound is already
+    violated.
+    """
+    return max(utilization(accumulated_qos, requirement))
+
+
+def congestion_value(
+    requirement: ResourceVector,
+    available: ResourceVector,
+    bandwidth_requirements: Sequence[float] = (),
+    available_bandwidths: Sequence[float] = (),
+) -> float:
+    """Eq. 10: W(c) = Σ_k r_k/(rr_k + r_k) + Σ b/(rb + b).
+
+    With residuals defined as available − required this reduces to
+    Σ r_k/ra_k + Σ b/ba.  Multiple (bandwidth, availability) pairs support
+    DAG joins, where a candidate is reached over one virtual link per
+    predecessor.  Saturated dimensions yield ``inf``.
+    """
+    total = sum(congestion_terms(requirement, available))
+    for bandwidth, available_bw in zip(bandwidth_requirements, available_bandwidths):
+        if bandwidth <= 0.0:
+            continue
+        if available_bw <= 0.0:
+            total += float("inf")
+        else:
+            total += bandwidth / available_bw
+    return total
+
+
+def qualification_failure(
+    accumulated_qos: QoSVector,
+    qos_requirement: QoSVector,
+    resource_requirement: ResourceVector,
+    available: ResourceVector,
+    bandwidth_requirements: Sequence[float] = (),
+    available_bandwidths: Sequence[float] = (),
+) -> Optional[str]:
+    """Eqs. 6–8 qualification check; None if qualified, else the reason.
+
+    * Eq. 6 — the QoS accumulation through this candidate already exceeds
+      the user requirement in some metric;
+    * Eq. 7 — the candidate's node lacks the required end-system resources;
+    * Eq. 8 — some virtual link into the candidate lacks the required
+      bandwidth.
+    """
+    if not accumulated_qos.satisfies(qos_requirement):
+        return "qos"
+    if not available.covers(resource_requirement):
+        return "node_resources"
+    for bandwidth, available_bw in zip(bandwidth_requirements, available_bandwidths):
+        if available_bw < bandwidth - 1e-9:
+            return "link_bandwidth"
+    return None
+
+
+def select_best(
+    scored: Sequence[ScoredCandidate],
+    limit: int,
+    risk_tie_epsilon: float = RISK_TIE_EPSILON,
+    ranking: RankingPolicy = RankingPolicy.RISK_THEN_CONGESTION,
+) -> List[ScoredCandidate]:
+    """Keep the ``limit`` best candidates by (risk, then congestion).
+
+    Risk values are bucketed by ``risk_tie_epsilon`` so that "similar" risks
+    compare on the congestion function, per Section 3.5.  Ties beyond that
+    break on component id for determinism.
+    """
+    if limit <= 0:
+        return []
+
+    def key(entry: ScoredCandidate) -> Tuple[float, ...]:
+        if ranking is RankingPolicy.RISK_ONLY:
+            return (entry.risk, entry.candidate.component_id)
+        if ranking is RankingPolicy.CONGESTION_ONLY:
+            return (entry.congestion, entry.candidate.component_id)
+        bucket = (
+            round(entry.risk / risk_tie_epsilon)
+            if risk_tie_epsilon > 0
+            else entry.risk
+        )
+        return (bucket, entry.congestion, entry.candidate.component_id)
+
+    return sorted(scored, key=key)[:limit]
+
+
+# -- one level, one pair at a time -------------------------------------------------
 
 
 class ScalarScorer:

@@ -36,7 +36,7 @@ import pytest
 from repro.core import ACPComposer
 from repro.core.baselines import RandomProbingComposer
 from repro.core.fastscore import LevelPool, _CandidateTable
-from repro.core.selection import RankingPolicy, select_best
+from repro.core.selection import RankingPolicy
 from repro.experiments import EVALUATION_DEPLOYMENT
 from repro.model.qos import QoSVector
 from repro.model.qos_model import LoadDependentQoSModel
@@ -44,7 +44,7 @@ from repro.model.request import StreamRequest, derive_bandwidth_requirements
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.simulation import FailureInjector, FaultPlan, SystemConfig, build_system
 from tests.conftest import make_component
-from tests.oracles.scalar_scorer import ScalarScorer
+from tests.oracles.scalar_scorer import ScalarScorer, select_best
 from tests.test_routing_differential import bandwidth_row
 
 CONFIG = SystemConfig(

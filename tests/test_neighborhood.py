@@ -216,6 +216,43 @@ class TestTreeReaders:
                 if k is not None:
                     assert tree.position(node) == -1
 
+    @pytest.mark.parametrize("k", [None, 3, 40])
+    def test_memoised_reads_skip_the_fold(self, k, monkeypatch):
+        """Once every position read is memoised, loss and stale bandwidth
+        answer from one gather: the same floats, and no ``fold_paths``."""
+        from repro.topology import routing
+
+        network = random_mesh(11, 24, 30, loss_range=(0.0, 0.2))
+        stale = np.linspace(1_000.0, 9_000.0, len(network.links))
+        with OverlayRouter(network) as router:
+            index = NeighborhoodIndex(router, k=k or 1)
+            trees = [
+                router._tree(source) if k is None else index.entry(source, k)
+                for source in range(len(network))
+            ]
+            batches = []
+            for tree in trees:
+                every = np.arange(len(tree.delay))
+                some = every[::-3][:5].repeat(2)
+                memo = np.full(len(tree.delay), np.nan)
+                first = [
+                    (tree.loss_at(p).tolist(), tree.stale_bandwidth(p, stale, memo).tolist())
+                    for p in (every, some)
+                ]
+                batches.append((tree, memo, every, some, first))
+
+            def no_fold(*args, **kwargs):
+                raise AssertionError("a memoised read entered fold_paths")
+
+            monkeypatch.setattr(routing, "fold_paths", no_fold)
+            for tree, memo, every, some, first in batches:
+                again = [
+                    (tree.loss_at(p).tolist(), tree.stale_bandwidth(p, stale, memo).tolist())
+                    for p in (every, some)
+                ]
+                assert again == first
+            index.close()
+
     def test_scorer_keeps_one_memo_home_for_both_kinds(self):
         """Full and bounded trees fold stale bandwidth into rows of the
         scorer's one LRU, keyed by upstream node and tree size; a row is

